@@ -209,13 +209,28 @@ def transpose(a, axes) -> Tensor:
                    lambda g: (np.transpose(g, inv),))
 
 
+def _selects_once(idx) -> bool:
+    """True when indexing with idx reaches no element twice: basic indices,
+    one boolean mask, or one non-negative integer array without repeats."""
+    arrays = [np.asarray(i) for i in (idx if isinstance(idx, tuple) else (idx,))
+              if not (i is None or i is Ellipsis or isinstance(i, (slice, int, np.integer)))]
+    if len(arrays) != 1:
+        return not arrays  # two index arrays can pair up into repeats
+    a0 = arrays[0]
+    return a0.dtype == bool or (a0.min(initial=0) >= 0 and np.unique(a0).size == a0.size)
+
+
 def take(a, idx) -> Tensor:
-    """Indexing / gather. Integer-array indices scatter-add on backward."""
+    """Indexing / gather. Backward assigns when no element is reached twice
+    and scatter-adds otherwise."""
     a = Tensor._lift(a)
 
     def backward(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
+        if _selects_once(idx):
+            out[idx] = g
+        else:
+            np.add.at(out, idx, g)
         return (out,)
 
     return from_op(a.data[idx], (a,), backward)

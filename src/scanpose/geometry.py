@@ -332,41 +332,80 @@ def reprojection_error(point: np.ndarray, observations, rig: CameraRig) -> float
 # ---------------------------------------------------------------------------
 
 def _normalized_cameras_batch(rig: CameraRig):
-    Pt = np.stack([_normalized_camera(v)[0] for v in rig.views])  # (T, 3, 4)
-    s = np.array([_normalized_camera(v)[1] for v in rig.views])  # (T,)
-    centers = np.stack([_normalized_camera(v)[2] for v in rig.views])  # (T, 2)
-    return Pt, s, centers
+    Pt, s, centers = zip(*(_normalized_camera(v) for v in rig.views))
+    return np.stack(Pt), np.array(s), np.stack(centers)  # (T, 3, 4), (T,), (T, 2)
 
 
-def triangulate_batch(positions: np.ndarray, confidences: np.ndarray,
-                      rig: CameraRig, min_views: int = 2):
-    """Triangulate B points from per-view pixel observations.
+def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
+                         rig: CameraRig, min_views: int = 2):
+    """Build and factor the weighted DLT systems of B points.
 
-    positions: (B, T, 2); confidences: (B, T), zero meaning "masked out".
-    Returns (points (B, 3), ok (B,)). Rows of masked views are zero, which is
-    exactly equivalent to removing them. Points whose system is degenerate or
-    has fewer than min_views positive weights come back with ok=False and a
-    zero point.
+    positions: (B, T, 2); confidences: (B, T), zero meaning "masked out",
+    which is exactly equivalent to removing the view. Returns (points (B, 3),
+    ok (B,), jacobian); points with a degenerate system or fewer than
+    min_views positive weights get ok=False and a zero point. jacobian()
+    differentiates from the same factorization and returns (d_pos (B, T, 3, 2),
+    d_conf (B, T, 3), ok), with d_pos[b, t, i, k] = dX_bi / du_btk; its ok
+    also requires the two smallest singular values to be separated by
+    SVD_GAP_EPSILON, and rows that are not ok get zero gradients.
     """
     Pt, s, centers = _normalized_cameras_batch(rig)
-    B, T, _ = positions.shape
     un = s[None, :, None] * (positions - centers[None, :, :])  # (B, T, 2)
     r1 = un[..., 0:1] * Pt[None, :, 2, :] - Pt[None, :, 0, :]  # (B, T, 4)
     r2 = un[..., 1:2] * Pt[None, :, 2, :] - Pt[None, :, 1, :]
     cmax = np.max(confidences, axis=1)  # (B,)
     ok = np.sum(confidences > 0.0, axis=1) >= min_views
-    cn = confidences / np.where(cmax > 0.0, cmax, 1.0)[:, None]
+    safe_cmax = np.where(cmax > 0.0, cmax, 1.0)
+    cn = confidences / safe_cmax[:, None]  # (B, T)
     A = np.concatenate([cn[..., None] * r1, cn[..., None] * r2], axis=1)  # (B, 2T, 4)
     g = np.linalg.norm(A, axis=(1, 2)) / np.sqrt(A.shape[1])
-    A = A / np.where(g > 0.0, g, 1.0)[:, None, None]
-    _, sv, Vt = np.linalg.svd(A)
+    g = np.where(g > 0.0, g, 1.0)[:, None, None]
+    _, sv, Vt = np.linalg.svd(A / g)  # singular values descending
     ok = ok & (sv[:, 0] > 0.0) & (sv[:, 2] > RANK_RATIO_TOL * sv[:, 0])
     v = Vt[:, -1, :]  # (B, 4)
     ok = ok & (np.abs(v[:, 3]) > 1e-12)
     w = np.where(np.abs(v[:, 3]) > 1e-12, v[:, 3], 1.0)
     pts = COORD_SCALE * v[:, :3] / w[:, None]
-    pts = np.where(ok[:, None], pts, 0.0)
-    return pts, ok
+
+    def jacobian():
+        # implicit differentiation of M v = lam v for the smallest eigenpair
+        # of M = A^T A: dv = sum_{k>0} (v_k^T dM v) / (lam_0 - lam_k) v_k.
+        # Full Jacobians, not cotangent products: reordering these sums moves
+        # near-zero head gradients that Adam's first step scales to full size
+        ok_j = ok & (sv[:, 2] - sv[:, 3] > SVD_GAP_EPSILON * np.maximum(sv[:, 0], 1.0))
+        denom = sv[:, 3:] ** 2 - sv[:, 2::-1] ** 2  # (B, 3), ascending eigenvalue order
+        denom = np.where(np.abs(denom) > 1e-300, denom, -1e-300)
+        Vrest = np.swapaxes(Vt[:, 2::-1, :], -1, -2)  # (B, 4, 3) the matching v_k
+
+        def _grads(dM):  # dM: (B, T, 4, 4) -> (B, T, 3)
+            proj = np.einsum("bik,btij,bj->btk", Vrest, dM, v) / denom[:, None, :]
+            dv = np.einsum("bik,btk->bti", Vrest, proj)  # (B, T, 4)
+            return (COORD_SCALE / w[:, None, None]) * (
+                dv[..., :3] - (pts / COORD_SCALE)[:, None, :] * dv[..., 3:4])
+
+        c2 = (cn * cn)[..., None, None]
+        r1g, r2g, p3 = r1 / g, r2 / g, Pt[None, :, 2, :] / g  # (B, T, 4)
+        outer_p3_r1 = p3[..., :, None] * r1g[..., None, :]  # (B, T, 4, 4)
+        outer_p3_r2 = p3[..., :, None] * r2g[..., None, :]
+        dM_ux = c2 * (outer_p3_r1 + np.swapaxes(outer_p3_r1, -1, -2))
+        dM_uy = c2 * (outer_p3_r2 + np.swapaxes(outer_p3_r2, -1, -2))
+        d_pos = np.stack([_grads(dM_ux) * s[None, :, None],
+                          _grads(dM_uy) * s[None, :, None]], axis=-1)  # (B, T, 3, 2)
+        outer_r1 = r1g[..., :, None] * r1g[..., None, :]
+        outer_r2 = r2g[..., :, None] * r2g[..., None, :]
+        dM_c = (2.0 * cn)[..., None, None] * (outer_r1 + outer_r2)
+        d_conf = _grads(dM_c) / safe_cmax[:, None, None]
+        return (np.where(ok_j[:, None, None, None], d_pos, 0.0),
+                np.where(ok_j[:, None, None], d_conf, 0.0), ok_j)
+
+    return np.where(ok[:, None], pts, 0.0), ok, jacobian
+
+
+def triangulate_batch(positions: np.ndarray, confidences: np.ndarray,
+                      rig: CameraRig, min_views: int = 2):
+    """Triangulate B points; returns (points (B, 3), ok (B,)) as
+    factor_triangulation does."""
+    return factor_triangulation(positions, confidences, rig, min_views)[:2]
 
 
 def triangulation_jacobian_batch(positions: np.ndarray, confidences: np.ndarray,
@@ -377,60 +416,6 @@ def triangulation_jacobian_batch(positions: np.ndarray, confidences: np.ndarray,
     Degenerate or gap-deficient points get ok=False with zero gradients
     instead of raising, so the caller can keep previous geometry.
     """
-    Pt, s, centers = _normalized_cameras_batch(rig)
-    B, T, _ = positions.shape
-    un = s[None, :, None] * (positions - centers[None, :, :])
-    r1 = un[..., 0:1] * Pt[None, :, 2, :] - Pt[None, :, 0, :]
-    r2 = un[..., 1:2] * Pt[None, :, 2, :] - Pt[None, :, 1, :]
-    cmax = np.max(confidences, axis=1)
-    ok = np.sum(confidences > 0.0, axis=1) >= min_views
-    safe_cmax = np.where(cmax > 0.0, cmax, 1.0)
-    cn = confidences / safe_cmax[:, None]  # (B, T)
-    A = np.concatenate([cn[..., None] * r1, cn[..., None] * r2], axis=1)
-    g = np.linalg.norm(A, axis=(1, 2)) / np.sqrt(A.shape[1])
-    g = np.where(g > 0.0, g, 1.0)
-    A = A / g[:, None, None]
-    r1 = r1 / g[:, None, None]
-    r2 = r2 / g[:, None, None]
-    _, sv_desc, Vt = np.linalg.svd(A)
-    sv = sv_desc[:, ::-1]
-    lam = sv * sv
-    V = np.swapaxes(Vt[:, ::-1, :], -1, -2)  # ascending eigenvalue order
-    scale = np.maximum(sv[:, 3], 1.0)
-    ok = ok & (sv[:, 1] - sv[:, 0] > SVD_GAP_EPSILON * scale)
-    ok = ok & (sv[:, 1] > RANK_RATIO_TOL * np.maximum(sv[:, 3], 1e-300))
-    v = V[:, :, 0]  # (B, 4)
-    ok = ok & (np.abs(v[:, 3]) > 1e-12)
-    w = np.where(np.abs(v[:, 3]) > 1e-12, v[:, 3], 1.0)
-    pts = COORD_SCALE * v[:, :3] / w[:, None]
-
-    denom = lam[:, 0:1] - lam[:, 1:]  # (B, 3)
-    denom = np.where(np.abs(denom) > 1e-300, denom, -1e-300)
-    Vrest = V[:, :, 1:]  # (B, 4, 3)
-
-    def _grads(dM):  # dM: (B, T, 4, 4) -> (B, T, 3)
-        proj = np.einsum("bik,btij,bj->btk", Vrest, dM, v) / denom[:, None, :]
-        dv = np.einsum("bik,btk->bti", Vrest, proj)  # (B, T, 4)
-        return (COORD_SCALE / w[:, None, None]) * (
-            dv[..., :3] - (pts / COORD_SCALE)[:, None, :] * dv[..., 3:4]
-        )
-
-    c2 = (cn * cn)[..., None, None]
-    p3 = Pt[None, :, 2, :] / g[:, None, None]  # (B, T, 4)
-    outer_p3_r1 = p3[..., :, None] * r1[..., None, :]  # (B, T, 4, 4)
-    outer_p3_r2 = p3[..., :, None] * r2[..., None, :]
-    dM_ux = c2 * (outer_p3_r1 + np.swapaxes(outer_p3_r1, -1, -2))
-    dM_uy = c2 * (outer_p3_r2 + np.swapaxes(outer_p3_r2, -1, -2))
-    g_ux = _grads(dM_ux) * s[None, :, None]
-    g_uy = _grads(dM_uy) * s[None, :, None]
-    d_pos = np.stack([g_ux, g_uy], axis=-1)  # (B, T, 3, 2)
-
-    outer_r1 = r1[..., :, None] * r1[..., None, :]
-    outer_r2 = r2[..., :, None] * r2[..., None, :]
-    dM_c = (2.0 * cn)[..., None, None] * (outer_r1 + outer_r2)
-    d_conf = _grads(dM_c) / safe_cmax[:, None, None]
-
-    d_pos = np.where(ok[:, None, None, None], d_pos, 0.0)
-    d_conf = np.where(ok[:, None, None], d_conf, 0.0)
-    pts = np.where(ok[:, None], pts, 0.0)
-    return pts, d_pos, d_conf, ok
+    pts, _, jacobian = factor_triangulation(positions, confidences, rig, min_views)
+    d_pos, d_conf, ok = jacobian()
+    return np.where(ok[:, None], pts, 0.0), d_pos, d_conf, ok

@@ -203,6 +203,8 @@ def bilinear_op(grid, pos: ad.Tensor) -> ad.Tensor:
     def backward(g):
         gpos = np.stack([np.sum(g * dvdx, axis=-1), np.sum(g * dvdy, axis=-1)],
                         axis=-1)
+        if not ad._needs_grad(grid_t):
+            return None, gpos  # constant grids (the pyramids) take no gradient
         ggrid = np.zeros(gshape)
         np.add.at(ggrid, (y0, x0), g * (1 - fy) * (1 - fx))
         np.add.at(ggrid, (y0, x1), g * (1 - fy) * fx)
@@ -253,15 +255,11 @@ def triangulate_op(positions: ad.Tensor, confidences: ad.Tensor,
     (points Tensor (B, 3), ok (B,) bool). Non-ok rows give zero points and
     zero gradients; callers keep previous geometry there.
     """
-    pts, ok = geometry.triangulate_batch(positions.data, confidences.data, rig)
+    pts, ok, jacobian = geometry.factor_triangulation(positions.data, confidences.data, rig)
 
     def backward(g):
-        _, d_pos, d_conf, ok_j = geometry.triangulation_jacobian_batch(
-            positions.data, confidences.data, rig)
-        keep = (ok & ok_j)[:, None, None]
-        gu = np.where(keep, np.einsum("bi,btik->btk", g, d_pos), 0.0)
-        gc = np.where(keep[..., 0], np.einsum("bi,bti->bt", g, d_conf), 0.0)
-        return gu, gc
+        d_pos, d_conf, _ = jacobian()  # zero where the point is not ok
+        return np.einsum("bi,btik->btk", g, d_pos), np.einsum("bi,bti->bt", g, d_conf)
 
     return ad.from_op(pts, (positions, confidences), backward), ok
 

@@ -33,27 +33,36 @@ class EmptySequence(Exception):
     pass
 
 
+def _series(coeffs, m: np.ndarray) -> np.ndarray:
+    """Horner evaluation of sum_k coeffs[k] m^k."""
+    acc = np.zeros_like(m)
+    for coeff in reversed(coeffs):
+        acc = acc * m + coeff
+    return acc
+
+
 def _phi1(m: np.ndarray) -> np.ndarray:
     """Elementwise (exp(m) - 1) / m with a 6-term series below the threshold."""
     m = np.asarray(m, dtype=float)
     small = np.abs(m) < SERIES_THRESHOLD
     safe = np.where(small, 1.0, m)
-    direct = np.expm1(safe) / safe
-    series = np.zeros_like(m)
-    for coeff in reversed(_PHI1_COEFF):
-        series = series * m + coeff
-    return np.where(small, series, direct)
+    out = np.expm1(safe)
+    out /= safe
+    out[small] = _series(_PHI1_COEFF, m[small])
+    return out
 
 
-def _phi1_prime(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+def _phi1_prime(m: np.ndarray, abar: np.ndarray) -> np.ndarray:
+    """Elementwise d/dm phi1(m) given abar = exp(m); 8-term series below the threshold."""
     small = np.abs(m) < _PHI1P_THRESHOLD
     safe = np.where(small, 1.0, m)
-    direct = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
-    series = np.zeros_like(m)
-    for coeff in reversed(_PHI1P_COEFF):
-        series = series * m + coeff
-    return np.where(small, series, direct)
+    # (abar (m - 1) + 1) / m^2 in place: a new temporary costs more than its arithmetic
+    out = safe - 1.0
+    out *= abar
+    out += 1.0
+    out /= np.multiply(safe, safe, out=safe)
+    out[small] = _series(_PHI1P_COEFF, m[small])
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,39 +229,31 @@ def _selective_forward(sel: SelectiveParams, x: np.ndarray):
 def _selective_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
     """Reverse accumulation through the cached scan. Returns a dict of
     gradients for the inputs and every parameter."""
-    x = cache["x"]
-    B_, T, L = x.shape
-    S = sel.d_state
+    x, T = cache["x"], upstream.shape[1]
     delta, Bm, Cm = cache["delta"], cache["Bm"], cache["Cm"]
     m, abar, g, hs = cache["m"], cache["abar"], cache["g"], cache["hs"]
 
-    dx = np.zeros_like(x)
-    dBm = np.zeros_like(Bm)
-    dCm = np.zeros_like(Cm)
-    ddelta = np.zeros_like(delta)
-    dA = np.zeros_like(sel.A)
-    dD = np.zeros_like(sel.D)
-    phi1p = _phi1_prime(m)
-
-    dh_next = np.zeros((B_, L, S))
-    for t in range(T - 1, -1, -1):
-        dy = upstream[:, t]  # (B, L)
-        dD += np.sum(dy * x[:, t], axis=0)
-        dx[:, t] += dy * sel.D
-        dCm[:, t] = np.einsum("bl,bls->bs", dy, hs[:, t])
-        dh = dy[..., None] * Cm[:, t, None, :] + dh_next  # (B, L, S)
-        h_prev = hs[:, t - 1] if t > 0 else np.zeros((B_, L, S))
-        dabar = dh * h_prev
-        dG = dh * Bm[:, t, None, :] * x[:, t, :, None]
-        dBm[:, t] = np.einsum("bls,bls,bl->bs", dh, g[:, t], x[:, t])
-        dx[:, t] += np.einsum("bls,bls,bs->bl", dh, g[:, t], Bm[:, t])
-        # Abar = exp(delta A): d/d delta = A Abar, d/dA = delta Abar
-        # G = delta phi1(delta A): d/d delta = Abar, d/dA = delta^2 phi1'(m)
-        ddelta[:, t] = np.einsum("bls,ls,bls->bl", dabar, sel.A, abar[:, t]) \
-            + np.einsum("bls,bls->bl", dG, abar[:, t])
-        dA += np.einsum("bls,bl,bls->ls", dabar, delta[:, t], abar[:, t]) \
-            + np.einsum("bls,bl,bls->ls", dG, delta[:, t] ** 2, phi1p[:, t])
-        dh_next = dh * abar[:, t]
+    # only dh is recurrent: dh_t = dy_t C_t + Abar_{t+1} dh_{t+1}
+    dh = upstream[..., None] * Cm[:, :, None, :]  # (B, T, L, S)
+    for t in range(T - 2, -1, -1):
+        dh[:, t] += dh[:, t + 1] * abar[:, t + 1]
+    dCm = np.einsum("btl,btls->bts", upstream, hs)
+    dhg = dh * g
+    dBm = np.einsum("btls,btl->bts", dhg, x)
+    dx = upstream * sel.D + np.einsum("btls,bts->btl", dhg, Bm)
+    # through Abar = exp(m), m = delta A: dm = dh h_{t-1} Abar
+    dm = np.multiply(dh, abar, out=dhg)
+    dm[:, 0] = 0.0
+    dm[:, 1:] *= hs[:, :-1]
+    # through G = delta phi1(m): dG = dh B_t x_t, dG/d delta = Abar,
+    # dG/dA = delta^2 phi1'(m)
+    dG = np.multiply(dh, Bm[:, :, None, :], out=dh)
+    dG *= x[..., None]
+    ddelta = np.einsum("btls,ls->btl", dm, sel.A) \
+        + np.einsum("btls,btls->btl", dG, abar)
+    dA = np.einsum("btls,btl->ls", dm, delta) \
+        + np.einsum("btls,btls,btl->ls", dG, _phi1_prime(m, abar), delta * delta)
+    dD = np.sum(upstream * x, axis=(0, 1))
 
     dpre = ddelta * expit(cache["pre"])  # softplus'
     dx += dpre @ sel.w_delta.T
@@ -260,10 +261,10 @@ def _selective_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
     dx += dCm @ sel.w_c.T
     grads = {
         "x": dx,
-        "w_delta": np.einsum("btl,btk->lk", x, dpre),
+        "w_delta": np.tensordot(x, dpre, axes=([0, 1], [0, 1])),
         "b_delta": np.sum(dpre, axis=(0, 1)),
-        "w_b": np.einsum("btl,bts->ls", x, dBm),
-        "w_c": np.einsum("btl,bts->ls", x, dCm),
+        "w_b": np.tensordot(x, dBm, axes=([0, 1], [0, 1])),
+        "w_c": np.tensordot(x, dCm, axes=([0, 1], [0, 1])),
         "A": dA,
         "D": dD,
     }

@@ -147,3 +147,19 @@ def test_custom_op_plugs_in():
     y = ad.from_op(x.data ** 3, (x,), backward)
     y.sum().backward()
     assert rel_error(x.grad, 3.0 * x.data ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("idx, expected", [
+    ((Ellipsis, slice(0, 2)), lambda g: np.concatenate([g, np.zeros((3, 2))], axis=1)),
+    ((slice(None), np.array([3, 0, 2, 1])), lambda g: g[:, np.argsort([3, 0, 2, 1])]),
+    (np.array([2, 0, 2, -1]), lambda g: np.stack([g[1], np.zeros(4), g[0] + g[2] + g[3]])),
+    (np.array([0, -3]), lambda g: np.stack([g[0] + g[1], np.zeros(4), np.zeros(4)])),
+    (np.array([True, False, True]), lambda g: np.stack([g[0], np.zeros(4), g[1]])),
+])
+def test_take_backward_assigns_or_accumulates(idx, expected):
+    rng = np.random.default_rng(9)
+    a = ad.parameter(rng.normal(size=(3, 4)))
+    out = a[idx]
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    assert np.array_equal(a.grad, expected(g))

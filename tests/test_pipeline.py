@@ -85,6 +85,19 @@ def test_bilinear_gradients_match_fd():
     assert rel_error(g_t.grad, fd_grid) < 1e-6
 
 
+def test_bilinear_constant_grid_gives_same_position_gradient():
+    rng = np.random.default_rng(4)
+    grid = rng.normal(size=(6, 8, 3))
+    pos = rng.uniform(-0.5, 7.5, size=(4, 5, 2))
+    up = rng.normal(size=(4, 5, 3))
+    grads = []
+    for g in (grid, ad.parameter(grid)):
+        p_t = ad.parameter(pos)
+        (pl.bilinear_op(g, p_t) * up).sum().backward()
+        grads.append(p_t.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
 # ---------------------------------------------------------------------------
 # projection primitive
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -369,3 +370,110 @@ def test_batched_scan_matches_per_sequence():
     yb, _ = ssm.selective_scan_batch(sel, xb)
     for b in range(5):
         assert np.array_equal(yb[b], ssm.selective_scan(sel, xb[b]))
+
+
+def _mixed_selective(rng, L=3):
+    """Selective parameters whose m = delta * A lands below SERIES_THRESHOLD
+    (first state), between the thresholds (second) and above both (rest)."""
+    sel = random_selective(rng, L=L, S=4)
+    A = np.tile([-2e-4, -0.02, -0.5, -1.2], (L, 1))
+    return ssm.SelectiveParams(w_delta=sel.w_delta, b_delta=sel.b_delta,
+                               w_b=sel.w_b, w_c=sel.w_c, A=A, D=sel.D)
+
+
+def loop_selective_backward(sel, cache, upstream):
+    """Reference reverse pass: one step at a time, every gradient
+    accumulated inside the loop."""
+    x, delta, Bm, Cm = cache["x"], cache["delta"], cache["Bm"], cache["Cm"]
+    m, abar, g, hs = cache["m"], cache["abar"], cache["g"], cache["hs"]
+    T = x.shape[1]
+    dx, dBm, dCm = np.zeros_like(x), np.zeros_like(Bm), np.zeros_like(Cm)
+    ddelta, dA, dD = np.zeros_like(delta), np.zeros_like(sel.A), np.zeros_like(sel.D)
+    phi1p = ssm._phi1_prime(m, abar)
+    dh_next = np.zeros_like(hs[:, 0])
+    for t in range(T - 1, -1, -1):
+        dy = upstream[:, t]
+        dD += np.sum(dy * x[:, t], axis=0)
+        dx[:, t] += dy * sel.D
+        dCm[:, t] = np.einsum("bl,bls->bs", dy, hs[:, t])
+        dh = dy[..., None] * Cm[:, t, None, :] + dh_next
+        h_prev = hs[:, t - 1] if t > 0 else np.zeros_like(dh)
+        dabar = dh * h_prev
+        dG = dh * Bm[:, t, None, :] * x[:, t, :, None]
+        dBm[:, t] = np.einsum("bls,bls,bl->bs", dh, g[:, t], x[:, t])
+        dx[:, t] += np.einsum("bls,bls,bs->bl", dh, g[:, t], Bm[:, t])
+        ddelta[:, t] = np.einsum("bls,ls,bls->bl", dabar, sel.A, abar[:, t]) \
+            + np.einsum("bls,bls->bl", dG, abar[:, t])
+        dA += np.einsum("bls,bl,bls->ls", dabar, delta[:, t], abar[:, t]) \
+            + np.einsum("bls,bl,bls->ls", dG, delta[:, t] ** 2, phi1p[:, t])
+        dh_next = dh * abar[:, t]
+    dpre = ddelta * (1.0 / (1.0 + np.exp(-cache["pre"])))
+    dx += dpre @ sel.w_delta.T + dBm @ sel.w_b.T + dCm @ sel.w_c.T
+    return {"x": dx, "w_delta": np.einsum("btl,btk->lk", x, dpre),
+            "b_delta": dpre.sum(axis=(0, 1)), "w_b": np.einsum("btl,bts->ls", x, dBm),
+            "w_c": np.einsum("btl,bts->ls", x, dCm), "A": dA, "D": dD}
+
+
+def test_batched_backward_matches_loop_per_sample_and_fd():
+    rng = np.random.default_rng(23)
+    B, T, L, S = 3, 8, 3, 4
+    sel = _mixed_selective(rng, L=L)
+    x = rng.normal(size=(B, T, L))
+    upstream = rng.normal(size=(B, T, L))
+    _, cache = ssm.selective_scan_batch(sel, x)
+    small = np.abs(cache["m"])
+    assert np.any(small < ssm.SERIES_THRESHOLD)
+    assert np.any((small >= ssm.SERIES_THRESHOLD) & (small < ssm._PHI1P_THRESHOLD))
+    assert np.any(small >= ssm._PHI1P_THRESHOLD)
+    grads = ssm._selective_backward(sel, cache, upstream)
+    reference = loop_selective_backward(sel, cache, upstream)
+    for name, value in reference.items():
+        assert rel_error(grads[name], value) < 1e-12, name
+
+    per_sample = [ssm.selective_scan_backward(sel, x[b], upstream[b]) for b in range(B)]
+    assert rel_error(grads["x"], np.stack([g["x"] for g in per_sample])) < 1e-12
+    for name in ("w_delta", "b_delta", "w_b", "w_c", "A", "D"):
+        assert rel_error(grads[name], sum(g[name] for g in per_sample)) < 1e-12, name
+
+    def loss(s, xf):
+        return float(np.sum(ssm.selective_scan_batch(s, xf)[0] * upstream))
+
+    step = 1e-6
+    fd_x = np.array([(loss(sel, x + step * e) - loss(sel, x - step * e)) / (2 * step)
+                     for e in np.eye(x.size).reshape(x.size, B, T, L)]).reshape(x.shape)
+    assert rel_error(grads["x"], fd_x) < 1e-4
+    p0 = _flatten_params(sel)
+    fd_p = np.array([(loss(_rebuild(p0 + step * e, L, S), x)
+                      - loss(_rebuild(p0 - step * e, L, S), x)) / (2 * step)
+                     for e in np.eye(p0.size)])
+    analytic = np.concatenate([grads[k].ravel() for k in
+                               ("w_delta", "b_delta", "w_b", "w_c", "A", "D")])
+    assert rel_error(analytic, fd_p) < 1e-4
+
+
+def test_phi1_and_derivative_match_scalar_definitions_on_mixed_arrays():
+    def phi1_def(m):
+        if m == 0.0:
+            return 1.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d = decimal.Decimal(m)
+            return float((d.exp() - 1) / d)
+
+    def phi1p_def(m):
+        if m == 0.0:
+            return 0.5
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d = decimal.Decimal(m)
+            return float((d.exp() * (d - 1) + 1) / (d * d))
+
+    base = [0.0, 1e-5, 5e-4, 9.9e-4, 2e-3, 0.03, 0.049, 0.2, 2.5, 40.0]
+    m = np.array(base + [-v for v in base[1:]])
+    m = np.stack([m, m[::-1]])  # both thresholds are crossed within each row
+    got = ssm._phi1(m)
+    want = np.vectorize(phi1_def)(m)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+    got_p = ssm._phi1_prime(m, np.exp(m))
+    want_p = np.vectorize(phi1p_def)(m)
+    assert np.max(np.abs(got_p - want_p) / np.abs(want_p)) < 1e-13
