@@ -24,12 +24,12 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import evalsim, pipeline, training
+from .container import atomic_write
 
 VARIANT_ORDER = ("pss", "proj_attention_only", "cross_attention", "mean")
 
@@ -131,19 +131,6 @@ def load_config(path: str, overrides=None, seed_override=None) -> RunConfig:
     return RunConfig.from_doc(doc)
 
 
-def _atomic_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-out-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # SVG line plots (no plotting dependency; deterministic output)
 # ---------------------------------------------------------------------------
@@ -206,7 +193,7 @@ def write_line_svg(path: str, series: dict, title: str, xlabel: str,
         rows.append(f'<text x="{width - margin + 4}" y="{margin + 14 * i + 10}" '
                     f'font-size="10" fill="{color}">{name}</text>')
     rows.append("</svg>")
-    _atomic_text(path, "\n".join(rows) + "\n")
+    atomic_write(path, ("\n".join(rows) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +226,8 @@ def cmd_generate(cfg: RunConfig, out_dir: str, workers: int = 1) -> int:
     doc = {"kind": "scanpose-scene-set", "seed": cfg.seed,
            "count": len(entries), "scenes": entries,
            "config": {"scene": dataclasses.asdict(cfg.scene)}}
-    _atomic_text(os.path.join(out_dir, "scenes_manifest.json"),
-                 json.dumps(doc, sort_keys=True))
+    atomic_write(os.path.join(out_dir, "scenes_manifest.json"),
+                 json.dumps(doc, sort_keys=True).encode())
     print(f"wrote {len(entries)} scenes to {out_dir}")
     return 0
 
@@ -332,10 +319,10 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
         reports, mean_mpjpe, mean_ap25 = training.evaluate_model(
             params, pipe_cfg, eval_scenes)
         for i, rep in enumerate(reports):
-            _atomic_text(os.path.join(out_dir, f"report_{tag}_scene{i:03d}.json"),
-                         rep.to_json() + "\n")
-        _atomic_text(os.path.join(out_dir, f"report_{tag}.csv"),
-                     _aggregate_csv(reports))
+            atomic_write(os.path.join(out_dir, f"report_{tag}_scene{i:03d}.json"),
+                         (rep.to_json() + "\n").encode())
+        atomic_write(os.path.join(out_dir, f"report_{tag}.csv"),
+                     _aggregate_csv(reports).encode())
         sweep.append((K, mean_mpjpe, mean_ap25,
                       float(np.mean([r.map for r in reports]))))
         print(f"eval[{tag}]: mpjpe_mm={mean_mpjpe} ap25={mean_ap25}")
@@ -351,7 +338,8 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
         for k, mp, ap, mv in sweep:
             if k is not None:
                 lines.append(f"{k},{mp!r},{ap!r},{mv!r}")
-        _atomic_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+        atomic_write(os.path.join(out_dir, "sweep.csv"),
+                     ("\n".join(lines) + "\n").encode())
     return 0
 
 
@@ -375,9 +363,10 @@ def cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
     for row in rows:
         lines.append(",".join([row["variant"]]
                               + [repr(float(row[k])) for k in header[1:]]))
-    _atomic_text(os.path.join(out_dir, "ablation.csv"), "\n".join(lines) + "\n")
-    _atomic_text(os.path.join(out_dir, "ablation.json"),
-                 json.dumps(rows, sort_keys=True) + "\n")
+    atomic_write(os.path.join(out_dir, "ablation.csv"),
+                 ("\n".join(lines) + "\n").encode())
+    atomic_write(os.path.join(out_dir, "ablation.json"),
+                 (json.dumps(rows, sort_keys=True) + "\n").encode())
     return 0
 
 

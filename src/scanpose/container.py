@@ -16,6 +16,22 @@ MAGIC = b"SPCONT1\n"
 FORMAT_VERSION = 1
 
 
+def atomic_write(path: str, *chunks: bytes) -> None:
+    """Write chunks to path through a temp file in the same directory and an
+    atomic rename; the temp file is removed on any failure."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_container(path: str, arrays: dict, meta: dict | None = None) -> None:
     entries = []
     offset = 0
@@ -30,20 +46,7 @@ def save_container(path: str, arrays: dict, meta: dict | None = None) -> None:
         offset += len(blob)
     header = json.dumps({"version": FORMAT_VERSION, "arrays": entries,
                          "meta": meta or {}}, sort_keys=True).encode()
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-container-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(len(header).to_bytes(8, "little"))
-            fh.write(header)
-            for blob in blobs:
-                fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, MAGIC, len(header).to_bytes(8, "little"), header, *blobs)
 
 
 def load_container(path: str):

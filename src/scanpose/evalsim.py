@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -205,19 +204,6 @@ def generate_scene(cfg: SceneConfig, seed: int | None = None,
 # scene files
 # ---------------------------------------------------------------------------
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-manifest-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_scene(scene: Scene, path_prefix: str) -> tuple[str, str]:
     """Write <prefix>.json (manifest) and <prefix>.grids.bin (feature grids)."""
     grids = {}
@@ -238,7 +224,7 @@ def save_scene(scene: Scene, path_prefix: str) -> tuple[str, str]:
         "grids_file": os.path.basename(grids_path),
     }
     manifest_path = path_prefix + ".json"
-    _atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True))
+    container.atomic_write(manifest_path, json.dumps(manifest, sort_keys=True).encode())
     return manifest_path, grids_path
 
 

@@ -6,7 +6,9 @@ Triangulation solves the weighted homogeneous linear system (two rows per view,
 scaled by that view's confidence) for the right singular vector of the smallest
 singular value. Rows are built from pixel-normalized cameras and the world
 columns are rescaled to meters before the solve; both transforms leave exact
-data exact and keep the system well conditioned.
+data exact and keep the system well conditioned. Triangulation is batched:
+factor_triangulation builds and factors B systems at once, a zero confidence
+masks a view, and degenerate points are flagged (ok=False) instead of raising.
 
 Rig JSON schema::
 
@@ -38,18 +40,6 @@ class DegenerateDepth(GeometryError):
     """Point is at or behind the camera's principal plane."""
 
 
-class InsufficientViews(GeometryError):
-    """Fewer than two positive-confidence observations."""
-
-
-class SingularSystem(GeometryError):
-    """Stacked triangulation system is rank deficient or solves at infinity."""
-
-
-class NonDifferentiablePoint(GeometryError):
-    """Smallest singular value is not simple; the solution is not differentiable."""
-
-
 @dataclass(frozen=True)
 class CameraView:
     projection: np.ndarray  # (3, 4)
@@ -79,12 +69,6 @@ class CameraRig:
     def __len__(self) -> int:
         return len(self.views)
 
-    def view_by_id(self, view_id: int) -> CameraView:
-        for v in self.views:
-            if v.view_id == view_id:
-                return v
-        raise KeyError(f"no view with id {view_id}")
-
     def to_json(self) -> str:
         return json.dumps({
             "views": [
@@ -111,23 +95,6 @@ class CameraRig:
             for item in doc["views"]
         )
         return CameraRig(views=views)
-
-
-@dataclass(frozen=True)
-class ViewObservation:
-    view_id: int
-    position: np.ndarray  # (2,) pixels
-    confidence: float
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (2,):
-            raise ValueError(f"position must have shape (2,), got {pos.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("position must be finite")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-        object.__setattr__(self, "position", pos)
 
 
 def look_at_camera(position, target, focal: float, width: int, height: int,
@@ -205,145 +172,19 @@ def _normalized_camera(view: CameraView) -> tuple[np.ndarray, float, np.ndarray]
     return Pt, s, np.array([cx, cy])
 
 
-def _stack_rows(observations, rig: CameraRig):
-    """Per-view normalized DLT rows and bookkeeping for the weighted solve.
-
-    The stacked matrix is divided by its RMS row norm at the end. A global
-    scalar leaves the homogeneous minimizer (and, by scale invariance, every
-    gradient) exactly unchanged while keeping singular values near unity.
-    """
-    rows = []
-    meta = []  # (confidence, s, r1, r2, p3) per observation, globally rescaled
-    cmax = max((o.confidence for o in observations), default=0.0)
-    if cmax <= 0.0:
-        return np.zeros((0, 4)), meta
-    for obs in observations:
-        view = rig.view_by_id(obs.view_id)
-        Pt, s, center = _normalized_camera(view)
-        un = s * (obs.position - center)
-        r1 = un[0] * Pt[2] - Pt[0]
-        r2 = un[1] * Pt[2] - Pt[1]
-        c = obs.confidence / cmax  # global rescale; solution is scale invariant
-        rows.append(c * r1)
-        rows.append(c * r2)
-        meta.append((c, s, r1, r2, Pt[2]))
-    A = np.asarray(rows)
-    g = np.linalg.norm(A) / np.sqrt(A.shape[0])
-    if g <= 0.0:
-        g = 1.0
-    meta = [(c, s, r1 / g, r2 / g, p3 / g) for (c, s, r1, r2, p3) in meta]
-    return A / g, meta
-
-
-def triangulate_algebraic(observations, rig: CameraRig) -> np.ndarray:
-    """Confidence-weighted DLT triangulation.
-
-    Each positive-confidence observation contributes two rows scaled by its
-    confidence; the returned point is the dehomogenized right singular vector
-    of the smallest singular value.
-    """
-    obs = [o for o in observations if o.confidence > 0.0]
-    if len(obs) < 2:
-        raise InsufficientViews(
-            f"need >= 2 positive-confidence observations, got {len(obs)}"
-        )
-    A, _ = _stack_rows(obs, rig)
-    _, sv, Vt = np.linalg.svd(A)
-    if sv[0] <= 0.0 or sv[2] <= RANK_RATIO_TOL * sv[0]:
-        raise SingularSystem("stacked system is rank deficient")
-    v = Vt[-1]
-    if abs(v[3]) <= 1e-12:
-        raise SingularSystem("solution lies at infinity")
-    return COORD_SCALE * v[:3] / v[3]
-
-
-def triangulation_jacobian(observations, rig: CameraRig):
-    """Analytic gradients of the triangulated point.
-
-    Implicitly differentiates the normal equations M v = lambda v of the
-    weighted system. Returns (point, d_position, d_confidence) where
-    d_position[t, i, k] = dX_i / du_{t,k} and d_confidence[t, i] = dX_i / dc_t,
-    indexed in the order of `observations` (zero-confidence views get zeros).
-
-    Raises NonDifferentiablePoint when the two smallest singular values are
-    separated by less than SVD_GAP_EPSILON.
-    """
-    positive = [o for o in observations if o.confidence > 0.0]
-    if len(positive) < 2:
-        raise InsufficientViews(
-            f"need >= 2 positive-confidence observations, got {len(positive)}"
-        )
-    A, meta_pos = _stack_rows(positive, rig)
-    _, sv_desc, Vt = np.linalg.svd(A)
-    sv = sv_desc[::-1]
-    lam = sv * sv
-    V = Vt[::-1].T  # eigenvectors of A^T A, ascending eigenvalue order
-    if sv[1] - sv[0] <= SVD_GAP_EPSILON:
-        raise NonDifferentiablePoint(
-            f"singular value gap {sv[1] - sv[0]:.3e} <= {SVD_GAP_EPSILON}"
-        )
-    if sv[1] <= RANK_RATIO_TOL * sv[3]:
-        raise SingularSystem("stacked system is rank deficient")
-    v = V[:, 0]
-    if abs(v[3]) <= 1e-12:
-        raise SingularSystem("solution lies at infinity")
-    point = COORD_SCALE * v[:3] / v[3]
-
-    # dv = sum_{k>0} (v_k^T dM v) / (lam_0 - lam_k) v_k ; then dehomogenize.
-    denom = lam[0] - lam[1:]  # (3,)
-    Vrest = V[:, 1:]  # (4, 3)
-
-    def _point_grad(dM: np.ndarray) -> np.ndarray:
-        coeff = (Vrest.T @ dM @ v) / denom  # (3,)
-        dv = Vrest @ coeff
-        return (COORD_SCALE / v[3]) * (dv[:3] - (point / COORD_SCALE) * dv[3])
-
-    pos_iter = iter(meta_pos)
-    d_position = np.zeros((len(observations), 3, 2))
-    d_confidence = np.zeros((len(observations), 3))
-    for t, obs in enumerate(observations):
-        if obs.confidence <= 0.0:
-            continue  # its rows vanish from the system
-        c, s, r1, r2, p3 = next(pos_iter)
-        dM_ux = c * c * (np.outer(p3, r1) + np.outer(r1, p3))
-        dM_uy = c * c * (np.outer(p3, r2) + np.outer(r2, p3))
-        d_position[t, :, 0] = _point_grad(dM_ux) * s
-        d_position[t, :, 1] = _point_grad(dM_uy) * s
-        dM_c = 2.0 * c * (np.outer(r1, r1) + np.outer(r2, r2))
-        # c was rescaled by 1/cmax; scale invariance makes treating cmax as a
-        # constant exact (the gradient has no component along the weights).
-        cmax = obs.confidence / c
-        d_confidence[t] = _point_grad(dM_c) / cmax
-    return point, d_position, d_confidence
-
-
-def reprojection_error(point: np.ndarray, observations, rig: CameraRig) -> float:
-    """Mean pixel distance between the point's projections and the observations."""
-    dists = []
-    for obs in observations:
-        uv = project(rig.view_by_id(obs.view_id), point)
-        dists.append(float(np.linalg.norm(uv - obs.position)))
-    return float(np.mean(dists))
-
-
-# ---------------------------------------------------------------------------
-# batched paths used by the refinement pipeline (same math, mask semantics:
-# weight zero rows are algebraically identical to dropping the view)
-# ---------------------------------------------------------------------------
-
 def _normalized_cameras_batch(rig: CameraRig):
     Pt, s, centers = zip(*(_normalized_camera(v) for v in rig.views))
     return np.stack(Pt), np.array(s), np.stack(centers)  # (T, 3, 4), (T,), (T, 2)
 
 
 def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
-                         rig: CameraRig, min_views: int = 2):
+                         rig: CameraRig):
     """Build and factor the weighted DLT systems of B points.
 
     positions: (B, T, 2); confidences: (B, T), zero meaning "masked out",
     which is exactly equivalent to removing the view. Returns (points (B, 3),
     ok (B,), jacobian); points with a degenerate system or fewer than
-    min_views positive weights get ok=False and a zero point. jacobian()
+    two positive weights get ok=False and a zero point. jacobian()
     differentiates from the same factorization and returns (d_pos (B, T, 3, 2),
     d_conf (B, T, 3), ok), with d_pos[b, t, i, k] = dX_bi / du_btk; its ok
     also requires the two smallest singular values to be separated by
@@ -354,10 +195,12 @@ def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
     r1 = un[..., 0:1] * Pt[None, :, 2, :] - Pt[None, :, 0, :]  # (B, T, 4)
     r2 = un[..., 1:2] * Pt[None, :, 2, :] - Pt[None, :, 1, :]
     cmax = np.max(confidences, axis=1)  # (B,)
-    ok = np.sum(confidences > 0.0, axis=1) >= min_views
+    ok = np.sum(confidences > 0.0, axis=1) >= 2
     safe_cmax = np.where(cmax > 0.0, cmax, 1.0)
     cn = confidences / safe_cmax[:, None]  # (B, T)
     A = np.concatenate([cn[..., None] * r1, cn[..., None] * r2], axis=1)  # (B, 2T, 4)
+    # dividing by the RMS row norm leaves the homogeneous minimizer (and every
+    # gradient) unchanged and keeps the singular values near unity
     g = np.linalg.norm(A, axis=(1, 2)) / np.sqrt(A.shape[1])
     g = np.where(g > 0.0, g, 1.0)[:, None, None]
     _, sv, Vt = np.linalg.svd(A / g)  # singular values descending
@@ -394,6 +237,7 @@ def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
         outer_r1 = r1g[..., :, None] * r1g[..., None, :]
         outer_r2 = r2g[..., :, None] * r2g[..., None, :]
         dM_c = (2.0 * cn)[..., None, None] * (outer_r1 + outer_r2)
+        # scale invariance makes treating cmax as a constant exact
         d_conf = _grads(dM_c) / safe_cmax[:, None, None]
         return (np.where(ok_j[:, None, None, None], d_pos, 0.0),
                 np.where(ok_j[:, None, None], d_conf, 0.0), ok_j)
@@ -402,20 +246,20 @@ def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
 
 
 def triangulate_batch(positions: np.ndarray, confidences: np.ndarray,
-                      rig: CameraRig, min_views: int = 2):
+                      rig: CameraRig):
     """Triangulate B points; returns (points (B, 3), ok (B,)) as
     factor_triangulation does."""
-    return factor_triangulation(positions, confidences, rig, min_views)[:2]
+    return factor_triangulation(positions, confidences, rig)[:2]
 
 
 def triangulation_jacobian_batch(positions: np.ndarray, confidences: np.ndarray,
-                                 rig: CameraRig, min_views: int = 2):
-    """Batched analytic Jacobians mirroring triangulation_jacobian.
+                                 rig: CameraRig):
+    """Batched analytic Jacobians of triangulate_batch.
 
     Returns (points (B,3), d_pos (B,T,3,2), d_conf (B,T,3), ok (B,)).
     Degenerate or gap-deficient points get ok=False with zero gradients
     instead of raising, so the caller can keep previous geometry.
     """
-    pts, _, jacobian = factor_triangulation(positions, confidences, rig, min_views)
+    pts, _, jacobian = factor_triangulation(positions, confidences, rig)
     d_pos, d_conf, ok = jacobian()
     return np.where(ok[:, None], pts, 0.0), d_pos, d_conf, ok

@@ -28,10 +28,6 @@ BLOCK_VARIANTS = ("pss", "proj_attention_only", "cross_attention", "mean")
 MASK_MARGIN = 1.5
 
 
-class AllViewsMasked(Exception):
-    """No view produced a valid anchor for some joint."""
-
-
 @dataclass(frozen=True)
 class FeaturePyramid:
     """Per-view multi-scale feature grids: levels[s] is (H_s, W_s, L) and
@@ -340,8 +336,12 @@ def _attention_samples(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
 
 def _scan_branch(x1: ad.Tensor, per_view: ad.Tensor, p: dict, prefix: str,
                  config: PipelineConfig, num_views: int):
-    """GTBS selective scan over per-view sampled tokens conditioned on the
-    current features; outputs per-joint features merged over views."""
+    """GTBS bidirectional selective scan over per-view sampled tokens
+    conditioned on the current features.
+
+    The forward and the reversed pass along the scan order have their own
+    input projections ('f' and 'b') and share A and D; their outputs are
+    un-permuted and summed, then averaged over views per joint."""
     n, J, L = x1.shape
     T = num_views
     order = scanning.build_gtbs_orders(T, J, config.scan_grouping)
@@ -424,14 +424,15 @@ class LayerOutput:
 
 
 def refine_layer(visual: ad.Tensor, geom: ad.Tensor, pyramids, rig,
-                 p: dict, prefix: str, config: PipelineConfig,
-                 strict: bool = False):
-    """One projective state-space refinement layer."""
+                 p: dict, prefix: str, config: PipelineConfig):
+    """One projective state-space refinement layer.
+
+    A joint with no valid anchor in any view gets zero confidences, fails
+    triangulation and keeps its previous geometry; it is returned flagged.
+    """
     n, J, L = visual.shape
     T = len(rig.views)
     anchors, valid = project_op(geom, rig)  # (T, n, J, 2), (T, n, J)
-    if strict and np.any(valid.sum(axis=0) == 0):
-        raise AllViewsMasked("a joint has no valid anchor in any view")
 
     x2, per_view, stencil, n_valid = _block_update(
         visual, anchors, valid, pyramids, p, prefix, config)
@@ -525,61 +526,6 @@ def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
             flagged=flagged))
         visual = x2
     return outputs, geom0
-
-
-def final_token_set(outputs, config: PipelineConfig) -> tokens.TokenSet:
-    """Package the last layer as a TokenSet (detached numpy)."""
-    last = outputs[-1]
-    joint_embeds = np.zeros((config.num_joints, config.feature_dim))
-    toks = tuple(
-        tokens.JointToken(visual=last.visual.data[i], geometry=last.geometry.data[i],
-                          person_embed=np.zeros(config.feature_dim),
-                          score=float(last.scores.data[i]))
-        for i in range(last.geometry.data.shape[0]))
-    return tokens.TokenSet(tokens=toks, capacity=config.num_tokens,
-                           joint_embeds=joint_embeds)
-
-
-# ---------------------------------------------------------------------------
-# single-token convenience surfaces (documented operations)
-# ---------------------------------------------------------------------------
-
-def projective_attention(token: tokens.JointToken, pyramids, rig,
-                         p: dict, prefix: str = "layer0.",
-                         config: PipelineConfig | None = None):
-    """Aggregate deformable samples around one token's projected anchors.
-
-    Returns (features (J, L), anchors (T, J, 2), valid (T, J)). Raises
-    AllViewsMasked when some joint has no valid anchor in any view.
-    """
-    if config is None:
-        config = PipelineConfig(num_tokens=1, num_joints=token.geometry.shape[0],
-                                feature_dim=token.visual.shape[1],
-                                num_scales=len(pyramids[0].levels))
-    tensors = {k: v if isinstance(v, ad.Tensor) else ad.Tensor(v)
-               for k, v in p.items()}
-    visual = ad.Tensor(token.visual[None])
-    geom = ad.Tensor(token.geometry[None])
-    anchors, valid = project_op(geom, rig)
-    if np.any(valid.sum(axis=0) == 0):
-        raise AllViewsMasked("a joint has no valid anchor in any view")
-    _, fused, _, _ = _attention_samples(visual, anchors, valid, pyramids,
-                                        tensors, prefix, config)
-    return fused.data[0], anchors.data[:, 0], valid[:, 0]
-
-
-def pss_block_forward(token: tokens.JointToken, pyramids, rig, p: dict,
-                      config: PipelineConfig, prefix: str = "layer0.") -> np.ndarray:
-    """One feature update for a single token; returns the new (J, L) visual
-    features under the configured block variant."""
-    tensors = {k: v if isinstance(v, ad.Tensor) else ad.Tensor(v)
-               for k, v in p.items()}
-    visual = ad.Tensor(token.visual[None])
-    geom = ad.Tensor(token.geometry[None])
-    anchors, valid = project_op(geom, rig)
-    x2, _, _, _ = _block_update(visual, anchors, valid, pyramids, tensors,
-                                prefix, config)
-    return x2.data[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Scan orders over sampled (view, joint) token grids and the bidirectional
-selective scan that merges a forward and a reversed pass by elementwise sum.
+"""Scan orders over sampled (view, joint) token grids.
 
 Tokens are stored flat with index t * num_joints + j, so the joint-major
 order keeps each view's joint chain contiguous; the view-major order visits
-one joint across all views before moving to the next joint. Directional
-passes may carry independent input projections but share the state matrix
-and feed-through.
+one joint across all views before moving to the next joint. The bidirectional
+scan that runs a forward and a reversed pass along an order and merges them
+by elementwise sum is pipeline._scan_branch.
 """
 
 from __future__ import annotations
@@ -14,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ssm import SelectiveParams, selective_scan
-
 GROUPINGS = ("joint-major", "view-major")
-
-
-class LengthMismatch(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -41,21 +34,6 @@ class ScanOrder:
             raise ValueError(f"grouping must be one of {GROUPINGS}")
         object.__setattr__(self, "forward", fwd)
         object.__setattr__(self, "backward", bwd)
-
-    def __len__(self) -> int:
-        return self.forward.size
-
-
-@dataclass(frozen=True)
-class DirectionalParams:
-    """Per-direction scan projections with shared A and D."""
-    forward: SelectiveParams
-    backward: SelectiveParams
-
-    def __post_init__(self):
-        if not (np.array_equal(self.forward.A, self.backward.A)
-                and np.array_equal(self.forward.D, self.backward.D)):
-            raise ValueError("directional passes must share A and D")
 
 
 def build_gtbs_orders(num_views: int, num_joints: int,
@@ -81,25 +59,3 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     inv[perm] = np.arange(perm.size)
     return inv
 
-
-def bidirectional_scan(sel, tokens, order: ScanOrder) -> np.ndarray:
-    """Sum-merged forward and backward selective scans.
-
-    `sel` is either a single SelectiveParams (shared by both directions) or a
-    DirectionalParams pair. Each directional output is un-permuted back to
-    original token positions before the merge.
-    """
-    tokens = np.asarray(tokens, dtype=float)
-    if tokens.ndim != 2 or tokens.shape[0] != len(order):
-        raise LengthMismatch(
-            f"got {tokens.shape} tokens for an order of length {len(order)}")
-    if isinstance(sel, DirectionalParams):
-        sel_f, sel_b = sel.forward, sel.backward
-    else:
-        sel_f = sel_b = sel
-    out_f = selective_scan(sel_f, tokens[order.forward])
-    out_b = selective_scan(sel_b, tokens[order.backward])
-    merged = np.empty_like(tokens)
-    merged[order.forward] = out_f
-    merged[order.backward] = merged[order.backward] + out_b
-    return merged

@@ -99,16 +99,6 @@ class SSMParams:
         return self.A.shape[0]
 
 
-@dataclass
-class SSMState:
-    h: np.ndarray
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(self.h)):
-            raise ValueError("state must be finite")
-
-
 def discretize_zoh(params: SSMParams):
     """Zero-order hold discretization.
 
@@ -139,14 +129,13 @@ def discretize_zoh(params: SSMParams):
     return E[:n, :n], E[:n, n:]
 
 
-def scan_recurrent(params: SSMParams, x, h0: SSMState | None = None) -> np.ndarray:
-    """Run the discretized recurrence over a scalar input sequence."""
+def scan_recurrent(params: SSMParams, x) -> np.ndarray:
+    """Run the discretized recurrence from a zero state over a scalar input
+    sequence."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size == 0:
         raise EmptySequence("scan_recurrent needs a non-empty sequence")
-    h = np.zeros(params.n) if h0 is None else h0.h.copy()
-    if h.shape != (params.n,):
-        raise ValueError(f"state size {h.shape} does not match N={params.n}")
+    h = np.zeros(params.n)
     y = np.empty_like(x)
     if params.diagonal:
         # expression shapes mirror the selective scan so that a selective scan

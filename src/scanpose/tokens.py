@@ -1,24 +1,20 @@
-"""Joint-token lifecycle: initialization, scoring, filtering, and pose NMS.
+"""Joint-token geometry: the T-pose template, grid initialization and pose NMS.
 
-A token is one person hypothesis: per-joint visual features (the sum of a
-per-token embedding and a shared per-joint table) plus per-joint 3D geometry.
+A token is one person hypothesis: per-joint visual features plus per-joint 3D
+geometry, held by the pipeline as stacked arrays ((n, J, L) and (n, J, 3)).
 Geometry starts as the canonical T-pose translated to grid-jittered ground
-centers. Token dumps and the T-pose template serialize as
-{"joints": [[x, y, z], ...]}.
+centers. Scoring and the score filter live in the pipeline (score_op,
+run_pipeline); nms_keep_mask is the pose NMS it applies after the last layer.
+The T-pose template serializes as {"joints": [[x, y, z], ...], "names": [...],
+"limbs": [[a, b], ...]}.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
-from scipy.special import expit
-
-# the shared per-joint table is a model parameter; when none is supplied the
-# default is drawn from this fixed seed so it does not move with rng_seed
-_JOINT_TABLE_SEED = 90210
 
 _GRID_JITTER = 0.45  # fraction of a grid cell, keeps jittered centers in bounds
 
@@ -43,64 +39,6 @@ def load_tpose(num_joints: int | None = None):
     return joints, names, limbs
 
 
-@dataclass(frozen=True)
-class JointToken:
-    visual: np.ndarray        # (J, L)
-    geometry: np.ndarray      # (J, 3) world mm
-    person_embed: np.ndarray  # (L,)
-    score: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "visual", np.asarray(self.visual, dtype=float))
-        object.__setattr__(self, "geometry", np.asarray(self.geometry, dtype=float))
-        object.__setattr__(self, "person_embed",
-                           np.asarray(self.person_embed, dtype=float))
-        if not np.all(np.isfinite(self.geometry)):
-            raise ValueError("token geometry must be finite")
-
-    def to_json(self) -> str:
-        doc = {"joints": [[float(c) for c in j] for j in self.geometry]}
-        if self.score is not None:
-            doc["score"] = float(self.score)
-        return json.dumps(doc)
-
-
-@dataclass(frozen=True)
-class TokenSet:
-    tokens: tuple[JointToken, ...]
-    capacity: int
-    joint_embeds: np.ndarray  # (J, L), shared
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "joint_embeds",
-                           np.asarray(self.joint_embeds, dtype=float))
-        if len(self.tokens) > self.capacity:
-            raise ValueError(f"{len(self.tokens)} tokens exceed capacity {self.capacity}")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def geometry_array(self) -> np.ndarray:
-        return np.stack([t.geometry for t in self.tokens])
-
-    def visual_array(self) -> np.ndarray:
-        return np.stack([t.visual for t in self.tokens])
-
-    def scores_array(self) -> np.ndarray:
-        if any(t.score is None for t in self.tokens):
-            raise ValueError("scores are not set on every token")
-        return np.array([t.score for t in self.tokens])
-
-    def with_scores(self, scores) -> "TokenSet":
-        scores = np.asarray(scores, dtype=float)
-        if scores.shape != (len(self.tokens),):
-            raise ValueError("one score per token required")
-        new = tuple(replace(t, score=float(s)) for t, s in zip(self.tokens, scores))
-        return TokenSet(tokens=new, capacity=self.capacity,
-                        joint_embeds=self.joint_embeds)
-
-
 def grid_centers(n: int, ground_bounds, rng: np.random.Generator) -> np.ndarray:
     """n ground-plane centers on a uniform grid, jittered within their cells."""
     xmin, ymin, xmax, ymax = (float(v) for v in ground_bounds)
@@ -118,90 +56,21 @@ def grid_centers(n: int, ground_bounds, rng: np.random.Generator) -> np.ndarray:
 
 
 def initial_geometry(n: int, ground_bounds, rng_seed: int,
-                     template: np.ndarray | None = None,
-                     jitter_seed: int | None = None) -> np.ndarray:
+                     template: np.ndarray | None = None) -> np.ndarray:
     """(n, J, 3) geometries: the T-pose translated to jittered grid centers.
 
-    Shares the jitter stream with init_tokens so the pipeline's token
-    initialization and the standalone token op agree for equal seeds.
+    The jitter comes from the first child of SeedSequence(rng_seed), so token
+    grids stay fixed for a given seed.
     """
     if n < 1:
         raise ValueError("need at least one token")
     if template is None:
         template, _, _ = load_tpose()
     template = np.asarray(template, dtype=float)
-    jitter_child = np.random.SeedSequence(rng_seed).spawn(2)[0]
-    jitter_rng = np.random.default_rng(
-        jitter_child if jitter_seed is None else jitter_seed)
+    jitter_rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(2)[0])
     centers = grid_centers(n, ground_bounds, jitter_rng)
     offsets = np.concatenate([centers, np.zeros((n, 1))], axis=1)
     return template[None, :, :] + offsets[:, None, :]
-
-
-def init_tokens(n: int, ground_bounds, rng_seed: int,
-                joint_embeds: np.ndarray | None = None,
-                template: np.ndarray | None = None,
-                feature_dim: int | None = None,
-                jitter_seed: int | None = None,
-                embed_seed: int | None = None) -> TokenSet:
-    """Construct n tokens: T-pose geometry at jittered grid centers, person
-    embeddings drawn from a standard normal, shared joint table.
-
-    rng_seed drives both the grid jitter and the embeddings through separate
-    child streams; jitter_seed / embed_seed override either stream alone.
-    """
-    if template is None:
-        template, _, _ = load_tpose()
-    template = np.asarray(template, dtype=float)
-    J = template.shape[0]
-    embed_child = np.random.SeedSequence(rng_seed).spawn(2)[1]
-    embed_rng = np.random.default_rng(
-        embed_child if embed_seed is None else embed_seed)
-    if joint_embeds is None:
-        if feature_dim is None:
-            raise ValueError("feature_dim is required when joint_embeds is None")
-        table_rng = np.random.default_rng(_JOINT_TABLE_SEED)
-        joint_embeds = table_rng.standard_normal((J, feature_dim))
-    joint_embeds = np.asarray(joint_embeds, dtype=float)
-    if joint_embeds.shape[0] != J:
-        raise ValueError("joint table does not match template joint count")
-    L = joint_embeds.shape[1]
-
-    geometry = initial_geometry(n, ground_bounds, rng_seed, template, jitter_seed)
-    person = embed_rng.standard_normal((n, L))
-    tokens = []
-    for i in range(n):
-        visual = person[i][None, :] + joint_embeds
-        tokens.append(JointToken(visual=visual, geometry=geometry[i],
-                                 person_embed=person[i]))
-    return TokenSet(tokens=tuple(tokens), capacity=n, joint_embeds=joint_embeds)
-
-
-def score_tokens(token_set: TokenSet, classifier_weights) -> np.ndarray:
-    """Per-token scores: sigmoid of the positive logit per joint, averaged.
-
-    classifier_weights is (W (L, 2), b (2,)); column 0 is the positive logit.
-    """
-    W, b = classifier_weights
-    W = np.asarray(W, dtype=float)
-    b = np.asarray(b, dtype=float)
-    visual = token_set.visual_array()  # (n, J, L)
-    logits = visual @ W + b  # (n, J, 2)
-    return expit(logits[..., 0]).mean(axis=1)
-
-
-def score_features(visual: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Array-level scoring used by the pipeline; same formula as score_tokens."""
-    logits = visual @ W + b
-    return expit(logits[..., 0]).mean(axis=-1)
-
-
-def filter_tokens(token_set: TokenSet, epsilon: float) -> TokenSet:
-    """Keep tokens whose score is >= epsilon, preserving order."""
-    scores = token_set.scores_array()
-    kept = tuple(t for t, s in zip(token_set.tokens, scores) if s >= epsilon)
-    return TokenSet(tokens=kept, capacity=token_set.capacity,
-                    joint_embeds=token_set.joint_embeds)
 
 
 def mean_joint_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -225,14 +94,3 @@ def nms_keep_mask(geometry: np.ndarray, scores: np.ndarray,
             keep[idx] = True
     return keep
 
-
-def nms_poses(token_set: TokenSet, radius_mm: float) -> TokenSet:
-    """Suppress tokens whose mean joint distance to a kept, higher-scoring
-    token is below radius_mm."""
-    scores = token_set.scores_array()
-    if len(token_set) == 0:
-        return token_set
-    keep = nms_keep_mask(token_set.geometry_array(), scores, radius_mm)
-    kept = tuple(t for t, k in zip(token_set.tokens, keep) if k)
-    return TokenSet(tokens=kept, capacity=token_set.capacity,
-                    joint_embeds=token_set.joint_embeds)

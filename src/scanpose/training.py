@@ -14,14 +14,12 @@ epoch,pose_loss,cls_loss,val_mpjpe_mm,ap25.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import evalsim, pipeline
+from . import container, evalsim, pipeline
 from .geometry import project_batch
 
 METRIC_COLUMNS = ("epoch", "pose_loss", "cls_loss", "val_mpjpe_mm", "ap25")
@@ -280,17 +278,7 @@ def write_metrics_csv(path: str, rows) -> None:
         lines.append(",".join(
             str(row["epoch"]) if col == "epoch" else repr(float(row[col]))
             for col in METRIC_COLUMNS))
-    text = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-metrics-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    container.atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_metrics_csv(path: str):

@@ -15,10 +15,9 @@ import pytest
 
 from scanpose import autodiff as ad
 from scanpose import cli, evalsim, pipeline, ssm, training
-from scanpose import geometry as geo
 from scanpose.tokens import load_tpose
-from oracles import central_difference, expm_taylor_ld, rel_error, triangulate_ld
-from test_geometry import observe, ring_rig
+from oracles import expm_taylor_ld, rel_error
+from test_geometry import jacobian_and_fd, observe, oracle, ring_rig, triangulate
 from test_ssm import naive_selective_scan, random_selective
 
 SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -132,11 +131,13 @@ def test_criterion_2_zoh_against_matrix_exponential_oracle():
 def test_criterion_3_triangulation():
     rng = np.random.default_rng(103)
     worst_exact = 0.0
+    not_ok = 0
     for _ in range(1000):
         T = int(rng.integers(2, 7))
         rig = ring_rig(T, rng)
         X = rng.uniform(-2000.0, 2000.0, size=3) + np.array([0, 0, 1000.0])
-        out = geo.triangulate_algebraic(observe(rig, X), rig)
+        out, ok = triangulate(*observe(rig, X), rig)
+        not_ok += not ok
         worst_exact = max(worst_exact, float(np.max(np.abs(out - X))))
 
     worst_noisy = 0.0
@@ -145,24 +146,23 @@ def test_criterion_3_triangulation():
         rig = ring_rig(T, rng)
         X = rng.uniform(-1500.0, 1500.0, size=3) + np.array([0, 0, 1000.0])
         confs = rng.uniform(0.2, 1.0, size=T)
-        obs = observe(rig, X, confidences=confs, noise=2.0, rng=rng)
-        out = geo.triangulate_algebraic(obs, rig)
-        expect = triangulate_ld([o.position for o in obs], confs,
-                                [v.projection for v in rig.views],
-                                [(v.image_width, v.image_height) for v in rig.views])
-        worst_noisy = max(worst_noisy, rel_error(out, expect))
+        positions, _ = observe(rig, X, noise=2.0, rng=rng)
+        out, ok = triangulate(positions, confs, rig)
+        not_ok += not ok
+        worst_noisy = max(worst_noisy, rel_error(out, oracle(positions, confs, rig)))
 
     rig = ring_rig(3, rng)
     X = np.array([140.0, -230.0, 1250.0])
-    obs = observe(rig, X)
-    corrupted = geo.ViewObservation(obs[2].view_id,
-                                    obs[2].position + np.array([80.0, -40.0]), 0.0)
-    out = geo.triangulate_algebraic([obs[0], obs[1], corrupted], rig)
+    positions, confs = observe(rig, X, confidences=[1.0, 1.0, 0.0])
+    positions[2] += np.array([80.0, -40.0])  # corrupted, but masked
+    out, ok = triangulate(positions, confs, rig)
+    not_ok += not ok
     zero_conf = float(np.max(np.abs(out - X)))
-    ok = worst_exact < 1e-6 and worst_noisy < 1e-9 and zero_conf < 1e-6
+    ok = (worst_exact < 1e-6 and worst_noisy < 1e-9 and zero_conf < 1e-6
+          and not_ok == 0)
     _report(3, "triangulation", ok,
             f"exact {worst_exact:.2e} mm, noisy {worst_noisy:.2e}, "
-            f"masked {zero_conf:.2e} mm")
+            f"masked {zero_conf:.2e} mm, not ok {not_ok}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +194,14 @@ def test_criterion_4_gradient_suite():
     rng = np.random.default_rng(104)
 
     # triangulation: analytic vs central differences, 100 instances
-    from test_geometry import _pack, _unpack
     worst_tri = 0.0
     for _ in range(100):
         T = int(rng.integers(2, 5))
         rig = ring_rig(T, rng)
         X = rng.uniform(-1200.0, 1200.0, size=3) + np.array([0, 0, 1000.0])
         confs = rng.uniform(0.25, 0.85, size=T)
-        obs = observe(rig, X, confidences=confs, noise=1.5, rng=rng)
-        _, d_pos, d_conf = geo.triangulation_jacobian(obs, rig)
-        fd = central_difference(lambda f: geo.triangulate_algebraic(
-            _unpack(f, obs), rig), _pack(obs), step=1e-4)
-        analytic = np.zeros_like(fd)
-        for t in range(T):
-            analytic[3 * t + 0] = d_pos[t, :, 0]
-            analytic[3 * t + 1] = d_pos[t, :, 1]
-            analytic[3 * t + 2] = d_conf[t]
-        worst_tri = max(worst_tri, rel_error(analytic, fd))
+        positions, _ = observe(rig, X, noise=1.5, rng=rng)
+        worst_tri = max(worst_tri, rel_error(*jacobian_and_fd(positions, confs, rig)))
 
     # selective scan backward vs finite differences
     sel = random_selective(rng, L=3, S=4)

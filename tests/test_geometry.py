@@ -23,14 +23,49 @@ def ring_rig(num_views, rng, width=256, height=192, radius=(4500.0, 6000.0),
 
 
 def observe(rig, point, confidences=None, noise=None, rng=None):
-    obs = []
-    for t, view in enumerate(rig.views):
-        uv = geo.project(view, point)
-        if noise is not None:
-            uv = uv + rng.normal(0.0, noise, size=2)
-        c = 1.0 if confidences is None else confidences[t]
-        obs.append(geo.ViewObservation(view_id=view.view_id, position=uv, confidence=c))
-    return obs
+    """Pixel observations (T, 2) of a world point in every view, optionally
+    noisy, and their confidences (T,)."""
+    positions = np.stack([geo.project(view, point) for view in rig.views])
+    if noise is not None:
+        positions = positions + rng.normal(0.0, noise, size=positions.shape)
+    confs = np.ones(len(rig)) if confidences is None else np.asarray(confidences, float)
+    return positions, confs
+
+
+def triangulate(positions, confidences, rig):
+    """One point through the batched solver: (point (3,), ok)."""
+    pts, ok = geo.triangulate_batch(positions[None], confidences[None], rig)
+    return pts[0], bool(ok[0])
+
+
+def oracle(positions, confidences, rig):
+    return triangulate_ld(positions, confidences, [v.projection for v in rig.views],
+                          [(v.image_width, v.image_height) for v in rig.views])
+
+
+def pack_jacobian(d_pos, d_conf):
+    """Jacobians (T, 3, 2) and (T, 3) of one point as (3T, 3), with row
+    3t + k holding dX / d(u, v, c)_tk."""
+    per_view = np.concatenate([d_pos, d_conf[:, :, None]], axis=2)  # (T, i, k)
+    return per_view.transpose(0, 2, 1).reshape(-1, 3)
+
+
+def fd_jacobian(positions, confidences, rig, step=1e-4):
+    """Central difference of triangulate_batch for one point, packed as
+    pack_jacobian packs the analytic one."""
+    def f(flat):
+        x = flat.reshape(-1, 3)
+        return geo.triangulate_batch(x[None, :, :2], x[None, :, 2], rig)[0][0]
+
+    packed = np.concatenate([positions, confidences[:, None]], axis=1)
+    return central_difference(f, packed.ravel(), step=step)
+
+
+def jacobian_and_fd(positions, confidences, rig):
+    """(analytic, finite-difference) Jacobians of one point, packed."""
+    _, d_pos, d_conf, _ = geo.triangulation_jacobian_batch(
+        positions[None], confidences[None], rig)
+    return pack_jacobian(d_pos[0], d_conf[0]), fd_jacobian(positions, confidences, rig)
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +120,15 @@ def test_project_batch_matches_scalar_and_masks():
 
 
 # ---------------------------------------------------------------------------
-# triangulate_algebraic
+# triangulate_batch
 # ---------------------------------------------------------------------------
 
 def test_triangulate_exact_recovery():
     rng = np.random.default_rng(21)
     X = np.array([100.0, -200.0, 1500.0])
     rig = ring_rig(3, rng)
-    out = geo.triangulate_algebraic(observe(rig, X), rig)
+    out, ok = triangulate(*observe(rig, X), rig)
+    assert ok
     assert np.max(np.abs(out - X)) < 1e-6
 
 
@@ -100,11 +136,10 @@ def test_triangulate_zero_confidence_removes_view():
     rng = np.random.default_rng(22)
     X = np.array([100.0, -200.0, 1500.0])
     rig = ring_rig(3, rng)
-    obs = observe(rig, X, confidences=[1.0, 1.0, 0.0])
-    corrupted = geo.ViewObservation(
-        view_id=obs[2].view_id, position=obs[2].position + np.array([50.0, 0.0]),
-        confidence=0.0)
-    out = geo.triangulate_algebraic([obs[0], obs[1], corrupted], rig)
+    positions, confs = observe(rig, X, confidences=[1.0, 1.0, 0.0])
+    positions[2] += np.array([50.0, 0.0])  # corrupted, but masked
+    out, ok = triangulate(positions, confs, rig)
+    assert ok
     assert np.max(np.abs(out - X)) < 1e-6
 
 
@@ -115,13 +150,10 @@ def test_triangulate_noisy_matches_longdouble_oracle():
         rig = ring_rig(T, rng)
         X = rng.uniform(-1500.0, 1500.0, size=3) + np.array([0, 0, 1000.0])
         confs = rng.uniform(0.2, 1.0, size=T)
-        obs = observe(rig, X, confidences=confs, noise=2.0, rng=rng)
-        out = geo.triangulate_algebraic(obs, rig)
-        expect = triangulate_ld(
-            [o.position for o in obs], confs,
-            [v.projection for v in rig.views],
-            [(v.image_width, v.image_height) for v in rig.views])
-        assert rel_error(out, expect) < 1e-9
+        positions, _ = observe(rig, X, noise=2.0, rng=rng)
+        out, ok = triangulate(positions, confs, rig)
+        assert ok
+        assert rel_error(out, oracle(positions, confs, rig)) < 1e-9
 
 
 def test_triangulate_confidence_scale_invariance():
@@ -129,20 +161,19 @@ def test_triangulate_confidence_scale_invariance():
     rig = ring_rig(4, rng)
     X = np.array([-300.0, 640.0, 900.0])
     confs = rng.uniform(0.3, 0.9, size=4)
-    obs = observe(rig, X, confidences=confs, noise=3.0, rng=rng)
-    base = geo.triangulate_algebraic(obs, rig)
-    scaled = [geo.ViewObservation(o.view_id, o.position, o.confidence * 0.317)
-              for o in obs]
-    assert rel_error(geo.triangulate_algebraic(scaled, rig), base) < 1e-12
+    positions, _ = observe(rig, X, noise=3.0, rng=rng)
+    base, _ = triangulate(positions, confs, rig)
+    scaled, _ = triangulate(positions, confs * 0.317, rig)
+    assert rel_error(scaled, base) < 1e-12
 
 
 def test_triangulate_insufficient_views():
     rng = np.random.default_rng(25)
     rig = ring_rig(3, rng)
     X = np.array([0.0, 0.0, 1000.0])
-    obs = observe(rig, X, confidences=[1.0, 0.0, 0.0])
-    with pytest.raises(geo.InsufficientViews):
-        geo.triangulate_algebraic(obs, rig)
+    out, ok = triangulate(*observe(rig, X, confidences=[1.0, 0.0, 0.0]), rig)
+    assert not ok
+    assert np.all(out == 0.0)
 
 
 def test_triangulate_coincident_centers_singular():
@@ -153,10 +184,9 @@ def test_triangulate_coincident_centers_singular():
                           image_height=view.image_height, view_id=1)
     rig = geo.CameraRig(views=(view, twin))
     X = np.array([200.0, 100.0, 1200.0])
-    obs = [geo.ViewObservation(0, geo.project(view, X), 1.0),
-           geo.ViewObservation(1, geo.project(twin, X), 1.0)]
-    with pytest.raises(geo.SingularSystem):
-        geo.triangulate_algebraic(obs, rig)
+    out, ok = triangulate(*observe(rig, X), rig)
+    assert not ok
+    assert np.all(out == 0.0)
 
 
 def test_exact_recovery_over_many_random_rigs():
@@ -166,26 +196,28 @@ def test_exact_recovery_over_many_random_rigs():
         T = int(rng.integers(2, 7))
         rig = ring_rig(T, rng)
         X = rng.uniform(-2000.0, 2000.0, size=3) + np.array([0, 0, 1000.0])
-        out = geo.triangulate_algebraic(observe(rig, X), rig)
+        out, ok = triangulate(*observe(rig, X), rig)
+        assert ok
         worst = max(worst, float(np.max(np.abs(out - X))))
     assert worst < 1e-6
 
 
+def test_batched_triangulation_matches_longdouble_oracle():
+    rng = np.random.default_rng(51)
+    rig = ring_rig(4, rng)
+    B = 16
+    pts = rng.uniform(-1500.0, 1500.0, size=(B, 3)) + np.array([0, 0, 1000.0])
+    positions = np.stack([observe(rig, X, noise=2.0, rng=rng)[0] for X in pts])
+    confs = rng.uniform(0.2, 1.0, size=(B, 4))
+    out, ok = geo.triangulate_batch(positions, confs, rig)
+    assert ok.all()
+    for b in range(B):
+        assert rel_error(out[b], oracle(positions[b], confs[b], rig)) < 1e-9
+
+
 # ---------------------------------------------------------------------------
-# triangulation_jacobian
+# triangulation_jacobian_batch
 # ---------------------------------------------------------------------------
-
-def _pack(obs):
-    return np.concatenate([np.concatenate([o.position, [o.confidence]]) for o in obs])
-
-
-def _unpack(flat, obs):
-    out = []
-    for t, o in enumerate(obs):
-        chunk = flat[3 * t: 3 * t + 3]
-        out.append(geo.ViewObservation(o.view_id, chunk[:2], float(chunk[2])))
-    return out
-
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(31)
@@ -195,31 +227,43 @@ def test_jacobian_matches_finite_differences():
         rig = ring_rig(T, rng)
         X = rng.uniform(-1200.0, 1200.0, size=3) + np.array([0, 0, 1000.0])
         confs = rng.uniform(0.25, 0.85, size=T)
-        obs = observe(rig, X, confidences=confs, noise=1.5, rng=rng)
-        _, d_pos, d_conf = geo.triangulation_jacobian(obs, rig)
-
-        def f(flat):
-            return geo.triangulate_algebraic(_unpack(flat, obs), rig)
-
-        fd = central_difference(f, _pack(obs), step=1e-4)  # (3T, 3)
-        analytic = np.zeros_like(fd)
-        for t in range(T):
-            analytic[3 * t + 0] = d_pos[t, :, 0]
-            analytic[3 * t + 1] = d_pos[t, :, 1]
-            analytic[3 * t + 2] = d_conf[t]
-        worst = max(worst, rel_error(analytic, fd))
+        positions, _ = observe(rig, X, noise=1.5, rng=rng)
+        worst = max(worst, rel_error(*jacobian_and_fd(positions, confs, rig)))
     assert worst < 1e-5
+
+
+def test_batched_jacobian_matches_finite_differences_per_row():
+    rng = np.random.default_rng(52)
+    rig = ring_rig(3, rng)
+    B = 6
+    pts = rng.uniform(-1000.0, 1000.0, size=(B, 3)) + np.array([0, 0, 1000.0])
+    positions = np.stack([observe(rig, X, noise=1.0, rng=rng)[0] for X in pts])
+    confs = rng.uniform(0.3, 1.0, size=(B, 3))
+    confs[1, 2] = 0.0  # a masked view
+    confs[4, 1:] = 0.0  # a single positive view: not ok
+    out, d_pos, d_conf, ok = geo.triangulation_jacobian_batch(positions, confs, rig)
+    assert list(ok) == [True, True, True, True, False, True]
+    assert np.all(d_pos[1, 2] == 0.0) and np.all(d_conf[1, 2] == 0.0)
+    # the point is not differentiable where a weight crosses zero and ok flips,
+    # so the not-ok row is checked for zeros instead of central differences
+    assert np.all(out[4] == 0.0)
+    assert np.all(d_pos[4] == 0.0) and np.all(d_conf[4] == 0.0)
+    for b in np.nonzero(ok)[0]:
+        fd = fd_jacobian(positions[b], confs[b], rig)
+        assert rel_error(pack_jacobian(d_pos[b], d_conf[b]), fd) < 1e-5
 
 
 def test_jacobian_zero_confidence_view_gets_zero_gradient():
     rng = np.random.default_rng(32)
     rig = ring_rig(3, rng)
     X = np.array([150.0, -400.0, 1100.0])
-    obs = observe(rig, X, confidences=[1.0, 1.0, 0.0])
-    _, d_pos, d_conf = geo.triangulation_jacobian(obs, rig)
-    assert np.all(d_pos[2] == 0.0)
-    assert np.all(d_conf[2] == 0.0)
-    assert np.any(d_pos[0] != 0.0)
+    positions, confs = observe(rig, X, confidences=[1.0, 1.0, 0.0])
+    _, d_pos, d_conf, ok = geo.triangulation_jacobian_batch(
+        positions[None], confs[None], rig)
+    assert ok[0]
+    assert np.all(d_pos[0, 2] == 0.0)
+    assert np.all(d_conf[0, 2] == 0.0)
+    assert np.any(d_pos[0, 0] != 0.0)
 
 
 def test_jacobian_mirror_symmetry():
@@ -234,17 +278,16 @@ def test_jacobian_mirror_symmetry():
                         image_height=h, view_id=1)
     rig = geo.CameraRig(views=(v0, v1))
     X = np.array([0.0, 350.0, 800.0])
-    u0 = geo.project(v0, X)
-    u1 = geo.project(v1, X)
-    assert np.allclose(u1, [w - u0[0], u0[1]])
-    obs = [geo.ViewObservation(0, u0, 1.0), geo.ViewObservation(1, u1, 1.0)]
-    _, d_pos, _ = geo.triangulation_jacobian(obs, rig)
+    positions, confs = observe(rig, X)
+    assert np.allclose(positions[1], [w - positions[0, 0], positions[0, 1]])
+    _, d_pos, _, ok = geo.triangulation_jacobian_batch(positions[None], confs[None], rig)
+    assert ok[0]
     D3 = np.diag([-1.0, 1.0, 1.0])
     D2 = np.diag([-1.0, 1.0])
-    assert rel_error(d_pos[1], D3 @ d_pos[0] @ D2) < 1e-9
+    assert rel_error(d_pos[0, 1], D3 @ d_pos[0, 0] @ D2) < 1e-9
 
 
-def test_jacobian_near_degenerate_gap_raises():
+def test_jacobian_near_degenerate_gap_not_ok():
     # two near-coincident cameras leave the null direction nearly ambiguous
     rng = np.random.default_rng(33)
     view = ring_rig(1, rng).views[0]
@@ -254,82 +297,11 @@ def test_jacobian_near_degenerate_gap_raises():
                           image_height=view.image_height, view_id=1)
     rig = geo.CameraRig(views=(view, twin))
     X = np.array([200.0, 100.0, 1200.0])
-    obs = [geo.ViewObservation(0, geo.project(view, X), 1.0),
-           geo.ViewObservation(1, geo.project(twin, X), 1.0)]
-    with pytest.raises((geo.NonDifferentiablePoint, geo.SingularSystem)):
-        geo.triangulation_jacobian(obs, rig)
-
-
-# ---------------------------------------------------------------------------
-# reprojection error
-# ---------------------------------------------------------------------------
-
-def test_reprojection_error_exact_is_zero():
-    rng = np.random.default_rng(41)
-    rig = ring_rig(4, rng)
-    X = np.array([500.0, -200.0, 1300.0])
-    assert geo.reprojection_error(X, observe(rig, X), rig) < 1e-9
-
-
-def test_reprojection_error_single_offset_view():
-    rng = np.random.default_rng(42)
-    rig = ring_rig(4, rng)
-    X = np.array([500.0, -200.0, 1300.0])
-    obs = observe(rig, X)
-    obs[1] = geo.ViewObservation(obs[1].view_id, obs[1].position + np.array([3.0, 4.0]), 1.0)
-    assert abs(geo.reprojection_error(X, obs, rig) - 5.0 / 4.0) < 1e-9
-
-
-def test_reprojection_error_matches_recomputation():
-    rng = np.random.default_rng(43)
-    rig = ring_rig(3, rng)
-    X = np.array([100.0, 900.0, 700.0])
-    obs = observe(rig, X, noise=5.0, rng=rng)
-    per_view = [np.linalg.norm(geo.project(rig.view_by_id(o.view_id), X) - o.position)
-                for o in obs]
-    assert abs(geo.reprojection_error(X, obs, rig) - np.mean(per_view)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# batched paths and serialization
-# ---------------------------------------------------------------------------
-
-def test_batched_triangulation_matches_scalar_op():
-    rng = np.random.default_rng(51)
-    rig = ring_rig(4, rng)
-    B = 16
-    pts = rng.uniform(-1500.0, 1500.0, size=(B, 3)) + np.array([0, 0, 1000.0])
-    positions = np.zeros((B, 4, 2))
-    confs = rng.uniform(0.2, 1.0, size=(B, 4))
-    for b in range(B):
-        for t, view in enumerate(rig.views):
-            positions[b, t] = geo.project(view, pts[b]) + rng.normal(0, 2.0, 2)
-    out, ok = geo.triangulate_batch(positions, confs, rig)
-    assert ok.all()
-    for b in range(B):
-        obs = [geo.ViewObservation(t, positions[b, t], confs[b, t]) for t in range(4)]
-        assert rel_error(out[b], geo.triangulate_algebraic(obs, rig)) < 1e-9
-
-
-def test_batched_jacobian_matches_scalar_op():
-    rng = np.random.default_rng(52)
-    rig = ring_rig(3, rng)
-    B = 8
-    pts = rng.uniform(-1000.0, 1000.0, size=(B, 3)) + np.array([0, 0, 1000.0])
-    positions = np.zeros((B, 3, 2))
-    confs = rng.uniform(0.3, 1.0, size=(B, 3))
-    confs[0, 2] = 0.0  # masked view keeps zero gradients
-    for b in range(B):
-        for t, view in enumerate(rig.views):
-            positions[b, t] = geo.project(view, pts[b]) + rng.normal(0, 1.0, 2)
-    out, d_pos, d_conf, ok = geo.triangulation_jacobian_batch(positions, confs, rig)
-    assert ok.all()
-    for b in range(B):
-        obs = [geo.ViewObservation(t, positions[b, t], confs[b, t]) for t in range(3)]
-        pt, dp, dc = geo.triangulation_jacobian(obs, rig)
-        assert rel_error(out[b], pt) < 1e-9
-        assert rel_error(d_pos[b], dp) < 1e-8
-        assert rel_error(d_conf[b], dc) < 1e-8
+    positions, confs = observe(rig, X)
+    out, d_pos, d_conf, ok = geo.triangulation_jacobian_batch(
+        positions[None], confs[None], rig)
+    assert not ok[0]
+    assert np.all(out == 0.0) and np.all(d_pos == 0.0) and np.all(d_conf == 0.0)
 
 
 def test_masked_view_rows_equal_removed_view():
@@ -344,6 +316,10 @@ def test_masked_view_rows_equal_removed_view():
     two, ok2 = geo.triangulate_batch(positions[:, :2], confs[:, :2], two_rig)
     assert rel_error(full, two) < 1e-12
 
+
+# ---------------------------------------------------------------------------
+# rig serialization
+# ---------------------------------------------------------------------------
 
 def test_rig_json_roundtrip():
     rng = np.random.default_rng(54)

@@ -1,12 +1,11 @@
 import numpy as np
-import pytest
 
 from scanpose import autodiff as ad
 from scanpose import evalsim as ev
 from scanpose import geometry as geo
 from scanpose import pipeline as pl
 from scanpose import scanning, ssm, tokens
-from oracles import rel_error
+from oracles import rel_error, triangulate_ld
 
 
 def tiny_scene(num_cameras=3, num_actors=1, joints=15, feature_dim=17, seed=7,
@@ -130,11 +129,30 @@ def test_project_op_matches_scalar_and_fd():
 # projective attention
 # ---------------------------------------------------------------------------
 
-def token_from(scene, config, params, idx=0):
-    geom0 = pl.init_token_state(config)
+def token_from(config, params, idx=0):
+    """(visual (J, L), geometry (J, 3)) of initial token idx."""
     visual = params["person_embeds"][idx][None, :] + params["joint_embeds"]
-    return tokens.JointToken(visual=visual, geometry=geom0[idx],
-                             person_embed=params["person_embeds"][idx])
+    return visual, pl.init_token_state(config)[idx]
+
+
+def attend(token, pyramids, rig, params, config):
+    """_attention_samples on one token (n = 1): returns (fused (J, L),
+    anchors (T, J, 2), valid (T, J))."""
+    visual, geometry = token
+    anchors, valid = pl.project_op(ad.Tensor(geometry[None]), rig)
+    _, fused, _, _ = pl._attention_samples(ad.Tensor(visual[None]), anchors, valid,
+                                           pyramids, pl.params_to_tensors(params),
+                                           "layer0.", config)
+    return fused.data[0], anchors.data[:, 0], valid[:, 0]
+
+
+def block(token, pyramids, rig, params, config):
+    """_block_update on one token (n = 1): returns the new (J, L) features."""
+    visual, geometry = token
+    anchors, valid = pl.project_op(ad.Tensor(geometry[None]), rig)
+    x2, _, _, _ = pl._block_update(ad.Tensor(visual[None]), anchors, valid, pyramids,
+                                   pl.params_to_tensors(params), "layer0.", config)
+    return x2.data[0]
 
 
 def test_attention_constant_pyramids_give_constant():
@@ -147,9 +165,8 @@ def test_attention_constant_pyramids_give_constant():
         levels = tuple(np.broadcast_to(value, g.shape).copy() for g in pyr.levels)
         const_pyramids.append(pl.FeaturePyramid(levels=levels,
                                                 scale_factors=pyr.scale_factors))
-    token = token_from(scene, config, params)
-    feats, _, valid = pl.projective_attention(token, const_pyramids, scene.rig,
-                                              params, config=config)
+    token = token_from(config, params)
+    feats, _, valid = attend(token, const_pyramids, scene.rig, params, config)
     assert valid.any(axis=0).all()
     assert np.max(np.abs(feats - value[None, :])) < 1e-12
 
@@ -167,13 +184,10 @@ def test_attention_single_view_zero_offsets_equals_anchor_sample():
     params["layer0.off_w"][:] = 0.0
     params["layer0.off_b"][:] = 0.0
     template, _, _ = tokens.load_tpose(config.num_joints)
-    token = tokens.JointToken(visual=params["person_embeds"][0][None, :]
-                              + params["joint_embeds"],
-                              geometry=template,  # centered, surely in view 0
-                              person_embed=params["person_embeds"][0])
+    token = (params["person_embeds"][0][None, :] + params["joint_embeds"],
+             template)  # centered, surely in view 0
     pyramids = [scene.pyramids[0], scene.pyramids[0]]
-    feats, anchors, valid = pl.projective_attention(token, pyramids, rig,
-                                                    params, config=config)
+    feats, anchors, valid = attend(token, pyramids, rig, params, config)
     assert valid[0].all() and not valid[1].any()
     for j in range(config.num_joints):
         expect = pl.sample_bilinear(scene.pyramids[0].levels[0], anchors[0, j])
@@ -184,26 +198,35 @@ def test_attention_anchors_match_projection():
     scene = tiny_scene()
     config = tiny_config(scene)
     params = pl.init_params(config, rng_seed=3)
-    token = token_from(scene, config, params)
-    _, anchors, valid = pl.projective_attention(token, scene.pyramids, scene.rig,
-                                                params, config=config)
+    _, geometry = token = token_from(config, params)
+    _, anchors, valid = attend(token, scene.pyramids, scene.rig, params, config)
     for t, view in enumerate(scene.rig.views):
         for j in range(config.num_joints):
             if valid[t, j]:
-                assert np.allclose(anchors[t, j], geo.project(view, token.geometry[j]))
+                assert np.allclose(anchors[t, j], geo.project(view, geometry[j]))
 
 
-def test_attention_all_views_masked_raises():
+def test_refine_layer_token_outside_every_view_keeps_geometry():
     scene = tiny_scene()
     config = tiny_config(scene)
+    rng = np.random.default_rng(4)
     params = pl.init_params(config, rng_seed=4)
-    token = token_from(scene, config, params)
-    buried = tokens.JointToken(visual=token.visual,
-                               geometry=token.geometry + np.array([0, 0, 9e7]),
-                               person_embed=token.person_embed)
-    with pytest.raises(pl.AllViewsMasked):
-        pl.projective_attention(buried, scene.pyramids, scene.rig, params,
-                                config=config)
+    for k in params:  # live heads, so refined joints do move
+        params[k] = params[k] + rng.normal(scale=0.05, size=params[k].shape)
+    geom0 = pl.init_token_state(config)
+    geom0[2] += np.array([0.0, 0.0, 9e7])  # lifted out of every view
+    visual = ad.Tensor(params["person_embeds"][:, None, :]
+                       + params["joint_embeds"][None, :, :])
+    _, new_geom, _, conf, valid, flagged = pl.refine_layer(
+        visual, ad.Tensor(geom0), scene.pyramids, scene.rig,
+        pl.params_to_tensors(params), "layer0.", config)
+    assert not valid[:, 2].any()
+    assert np.all(conf.data[:, 2] == 0.0)
+    assert flagged[2].all()
+    assert np.array_equal(new_geom.data[2], geom0[2])
+    others = np.arange(config.num_tokens) != 2
+    assert not flagged[others].all()
+    assert not np.array_equal(new_geom.data[others], geom0[others])
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +237,9 @@ def test_block_zero_output_weights_is_identity():
     scene = tiny_scene()
     config = tiny_config(scene)
     params = pl.init_params(config, rng_seed=5)  # output weights start at zero
-    token = token_from(scene, config, params)
-    x2 = pl.pss_block_forward(token, scene.pyramids, scene.rig, params, config)
-    assert np.max(np.abs(x2 - token.visual)) < 1e-12
+    token = token_from(config, params)
+    x2 = block(token, scene.pyramids, scene.rig, params, config)
+    assert np.max(np.abs(x2 - token[0])) < 1e-12
 
 
 def test_block_proj_attention_only_topology():
@@ -225,12 +248,11 @@ def test_block_proj_attention_only_topology():
     rng = np.random.default_rng(6)
     params = pl.init_params(config, rng_seed=6)
     params["layer0.aout_w"] = rng.normal(scale=0.1, size=params["layer0.aout_w"].shape)
-    token = token_from(scene, config, params)
-    x2 = pl.pss_block_forward(token, scene.pyramids, scene.rig, params, config)
+    token = token_from(config, params)
+    x2 = block(token, scene.pyramids, scene.rig, params, config)
     # straight-line recomputation: the variant is exactly V + out_proj(fused)
-    feats, _, _ = pl.projective_attention(token, scene.pyramids, scene.rig,
-                                          params, config=config)
-    expect = token.visual + feats @ params["layer0.aout_w"] + params["layer0.aout_b"]
+    feats, _, _ = attend(token, scene.pyramids, scene.rig, params, config)
+    expect = token[0] + feats @ params["layer0.aout_w"] + params["layer0.aout_b"]
     assert np.max(np.abs(x2 - expect)) < 1e-12
 
 
@@ -241,8 +263,8 @@ def test_block_full_pss_matches_straight_line_oracle():
     params = pl.init_params(config, rng_seed=7)
     for k in params:  # make every path live
         params[k] = params[k] + rng.normal(scale=0.05, size=params[k].shape)
-    token = token_from(scene, config, params)
-    got = pl.pss_block_forward(token, scene.pyramids, scene.rig, params, config)
+    visual, geometry = token = token_from(config, params)
+    got = block(token, scene.pyramids, scene.rig, params, config)
 
     J, L = config.num_joints, config.feature_dim
     T = len(scene.rig.views)
@@ -251,7 +273,7 @@ def test_block_full_pss_matches_straight_line_oracle():
     valid = np.zeros((T, J), dtype=bool)
     for t, view in enumerate(scene.rig.views):
         for j in range(J):
-            h = view.projection @ np.append(token.geometry[j], 1.0)
+            h = view.projection @ np.append(geometry[j], 1.0)
             if h[2] > geo.DEPTH_EPSILON:
                 uv = h[:2] / h[2]
                 w, hgt = view.image_width, view.image_height
@@ -259,9 +281,9 @@ def test_block_full_pss_matches_straight_line_oracle():
                         and -0.25 * hgt <= uv[1] <= 1.25 * hgt):
                     anchors[t, j] = uv
                     valid[t, j] = True
-    off = (token.visual @ params["layer0.off_w"]
+    off = (visual @ params["layer0.off_w"]
            + params["layer0.off_b"]).reshape(J, S, P, 2)
-    alog = (token.visual @ params["layer0.alog_w"]
+    alog = (visual @ params["layer0.alog_w"]
             + params["layer0.alog_b"]).reshape(J, S * P)
     wsp = np.exp(alog - alog.max(axis=-1, keepdims=True))
     wsp = (wsp / wsp.sum(axis=-1, keepdims=True)).reshape(J, S, P)
@@ -279,7 +301,7 @@ def test_block_full_pss_matches_straight_line_oracle():
                         scene.pyramids[t].levels[s], pos)
             per_view[t, j] = acc
     fused = per_view.sum(axis=0) / np.maximum(valid.sum(axis=0), 1)[:, None]
-    x1 = token.visual + fused @ params["layer0.aout_w"] + params["layer0.aout_b"]
+    x1 = visual + fused @ params["layer0.aout_w"] + params["layer0.aout_b"]
     items = per_view + x1[None, :, :]
     seq = items.reshape(T * J, L)
     order = scanning.build_gtbs_orders(T, J, config.scan_grouping)
@@ -311,12 +333,12 @@ def test_mean_variant_invariant_to_view_permutation():
     scene = tiny_scene(num_cameras=4)
     config = tiny_config(scene, block_variant="mean")
     params = pl.init_params(config, rng_seed=8)
-    token = token_from(scene, config, params)
-    base = pl.pss_block_forward(token, scene.pyramids, scene.rig, params, config)
+    token = token_from(config, params)
+    base = block(token, scene.pyramids, scene.rig, params, config)
     perm = [2, 0, 3, 1]
     rig_p = geo.CameraRig(views=tuple(scene.rig.views[i] for i in perm))
     pyr_p = [scene.pyramids[i] for i in perm]
-    permuted = pl.pss_block_forward(token, pyr_p, rig_p, params, config)
+    permuted = block(token, pyr_p, rig_p, params, config)
     assert np.max(np.abs(base - permuted)) < 1e-12
 
 
@@ -326,10 +348,9 @@ def test_all_variants_run_under_same_interface():
     for variant in pl.BLOCK_VARIANTS:
         config = tiny_config(scene, block_variant=variant)
         params = pl.init_params(config, rng_seed=9)
-        token = token_from(scene, config, params)
-        outs[variant] = pl.pss_block_forward(token, scene.pyramids, scene.rig,
-                                             params, config)
-        assert outs[variant].shape == token.visual.shape
+        token = token_from(config, params)
+        outs[variant] = block(token, scene.pyramids, scene.rig, params, config)
+        assert outs[variant].shape == token[0].shape
         assert np.all(np.isfinite(outs[variant]))
 
 
@@ -341,9 +362,9 @@ def test_attn_order_switch_changes_composition():
     params = pl.init_params(config_a, rng_seed=16)
     for k in params:
         params[k] = params[k] + rng.normal(scale=0.05, size=params[k].shape)
-    token = token_from(scene, config_a, params)
-    out_a = pl.pss_block_forward(token, scene.pyramids, scene.rig, params, config_a)
-    out_b = pl.pss_block_forward(token, scene.pyramids, scene.rig, params, config_b)
+    token = token_from(config_a, params)
+    out_a = block(token, scene.pyramids, scene.rig, params, config_a)
+    out_b = block(token, scene.pyramids, scene.rig, params, config_b)
     assert out_a.shape == out_b.shape
     assert not np.allclose(out_a, out_b)
     # scan_first: x2 = (V + FFN(LN(scan))) + attn residual; check the identity
@@ -351,22 +372,8 @@ def test_attn_order_switch_changes_composition():
     zeroed = {k: v.copy() for k, v in params.items()}
     for k in ("layer0.aout_w", "layer0.aout_b", "layer0.ffn_w2", "layer0.ffn_b2"):
         zeroed[k][:] = 0.0
-    out_id = pl.pss_block_forward(token, scene.pyramids, scene.rig, zeroed, config_b)
-    assert np.max(np.abs(out_id - token.visual)) < 1e-12
-
-
-def test_final_token_set_packages_last_layer():
-    scene = tiny_scene()
-    config = tiny_config(scene)
-    params = pl.init_params(config, rng_seed=17)
-    outputs, _ = pl.run_pipeline(scene.pyramids, scene.rig,
-                                 pl.params_to_tensors(params), config,
-                                 mode="eval")
-    ts = pl.final_token_set(outputs, config)
-    assert len(ts) == outputs[-1].geometry.data.shape[0]
-    for i, t in enumerate(ts.tokens):
-        assert t.score == pytest.approx(float(outputs[-1].scores.data[i]))
-        assert np.array_equal(t.geometry, outputs[-1].geometry.data[i])
+    out_id = block(token, scene.pyramids, scene.rig, zeroed, config_b)
+    assert np.max(np.abs(out_id - token[0])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +407,8 @@ def test_refined_offsets_match_triangulation_oracle():
     refined = anchors + delta
     pts, ok = geo.triangulate_batch(refined[None], conf[None], scene.rig)
     assert ok[0]
-    obs = [geo.ViewObservation(t, refined[t], conf[t]) for t in range(3)]
-    expect = geo.triangulate_algebraic(obs, scene.rig)
+    expect = triangulate_ld(refined, conf, [v.projection for v in scene.rig.views],
+                            [(v.image_width, v.image_height) for v in scene.rig.views])
     assert rel_error(pts[0], expect) < 1e-9
 
 

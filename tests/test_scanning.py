@@ -1,6 +1,7 @@
 import numpy as np
-import pytest
 
+from scanpose import autodiff as ad
+from scanpose import pipeline as pl
 from scanpose import scanning, ssm
 from test_ssm import random_selective
 
@@ -32,12 +33,34 @@ def test_orders_are_permutations_exhaustively():
                 assert np.array_equal(order.backward, order.forward[::-1])
 
 
+# ---------------------------------------------------------------------------
+# the bidirectional scan (pipeline._scan_branch)
+# ---------------------------------------------------------------------------
+
+def scan_params(sel_f, sel_b):
+    """One layer's scan parameters as pipeline tensors (empty prefix): the
+    forward and backward projections, sharing sel_f's A and D."""
+    p = {"A": sel_f.A, "Dss": sel_f.D}
+    for d, sel in (("f", sel_f), ("b", sel_b)):
+        p.update({d + "_wdelta": sel.w_delta, d + "_bdelta": sel.b_delta,
+                  d + "_wb": sel.w_b, d + "_wc": sel.w_c})
+    return {k: ad.Tensor(v) for k, v in p.items()}
+
+
+def branch(p, per_view, grouping="joint-major"):
+    """_scan_branch on one token with zero features: per_view (T, J, L)
+    samples in, per-joint (J, L) view means of the merged scan out."""
+    T, J, L = per_view.shape
+    out = pl._scan_branch(ad.Tensor(np.zeros((1, J, L))), ad.Tensor(per_view[:, None]),
+                          p, "", pl.PipelineConfig(scan_grouping=grouping), T)
+    return out.data[0]
+
+
 def test_single_token_doubles_the_one_step_scan():
     rng = np.random.default_rng(31)
     sel = random_selective(rng, L=4, S=3)
     token = rng.normal(size=(1, 4))
-    order = scanning.build_gtbs_orders(1, 1)
-    out = scanning.bidirectional_scan(sel, token, order)
+    out = branch(scan_params(sel, sel), token[None])
     single = ssm.selective_scan(sel, token)
     assert np.allclose(out, 2.0 * single)
 
@@ -51,56 +74,40 @@ def test_matches_two_pass_oracle():
         w_b=rng.normal(scale=0.5, size=(3, 2)),
         w_c=rng.normal(scale=0.5, size=(3, 2)),
         A=sel_f.A, D=sel_f.D)
-    pair = scanning.DirectionalParams(forward=sel_f, backward=sel_b)
     order = scanning.build_gtbs_orders(3, 4, grouping="view-major")
-    tokens = rng.normal(size=(12, 3))
-    out = scanning.bidirectional_scan(pair, tokens, order)
+    tokens = rng.normal(size=(12, 3))  # flat index t * J + j
+    out = branch(scan_params(sel_f, sel_b), tokens.reshape(3, 4, 3), "view-major")
 
-    expect = np.zeros_like(tokens)
+    merged = np.zeros_like(tokens)
     yf = ssm.selective_scan(sel_f, tokens[order.forward])
     yb = ssm.selective_scan(sel_b, tokens[order.backward])
     for pos, idx in enumerate(order.forward):
-        expect[idx] += yf[pos]
+        merged[idx] += yf[pos]
     for pos, idx in enumerate(order.backward):
-        expect[idx] += yb[pos]
+        merged[idx] += yb[pos]
+    expect = merged.reshape(3, 4, 3).mean(axis=0)
     assert np.max(np.abs(out - expect)) < 1e-12
 
 
 def test_reversal_equivariance_with_shared_params():
     rng = np.random.default_rng(33)
     sel = random_selective(rng, L=3, S=3)
-    n = 9
-    order = scanning.ScanOrder(forward=np.arange(n), backward=np.arange(n)[::-1],
-                               grouping="joint-major")
-    x = rng.normal(size=(n, 3))
-    lhs = scanning.bidirectional_scan(sel, x[::-1], order)
-    rhs = scanning.bidirectional_scan(sel, x, order)[::-1]
+    p = scan_params(sel, sel)
+    x = rng.normal(size=(1, 9, 3))  # one view: the joint chain is the sequence
+    lhs = branch(p, x[:, ::-1])
+    rhs = branch(p, x)[::-1]
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_every_position_influences_every_output():
     rng = np.random.default_rng(34)
     sel = random_selective(rng, L=2, S=2)
-    order = scanning.build_gtbs_orders(2, 3)
-    x = rng.normal(size=(6, 2))
-    base = scanning.bidirectional_scan(sel, x, order)
-    for j in range(6):
-        xp = x.copy()
-        xp[j] += 0.37
-        out = scanning.bidirectional_scan(sel, xp, order)
-        assert np.all(np.any(out != base, axis=1)), f"position {j} has no reach"
-
-
-def test_length_mismatch_raises():
-    sel = random_selective(np.random.default_rng(35), L=2, S=2)
-    order = scanning.build_gtbs_orders(2, 3)
-    with pytest.raises(scanning.LengthMismatch):
-        scanning.bidirectional_scan(sel, np.zeros((5, 2)), order)
-
-
-def test_directional_pair_requires_shared_state_matrix():
-    rng = np.random.default_rng(36)
-    sel_f = random_selective(rng, L=2, S=2)
-    sel_b = random_selective(rng, L=2, S=2)
-    with pytest.raises(ValueError):
-        scanning.DirectionalParams(forward=sel_f, backward=sel_b)
+    p = scan_params(sel, sel)
+    x = rng.normal(size=(2, 3, 2))
+    base = branch(p, x)
+    for t in range(2):
+        for j in range(3):
+            xp = x.copy()
+            xp[t, j] += 0.37
+            out = branch(p, xp)
+            assert np.all(np.any(out != base, axis=1)), f"position {t, j} has no reach"

@@ -1,9 +1,12 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
 
+from scanpose import autodiff as ad
+from scanpose import pipeline as pl
 from scanpose import tokens as tok
+from test_pipeline import tiny_config, tiny_scene
 
 
 BOUNDS = (-4000.0, -4000.0, 4000.0, 4000.0)
@@ -24,39 +27,40 @@ def test_tpose_truncation_for_tiny_configs():
     assert all(a < 3 and b < 3 for a, b in limbs)
 
 
+# ---------------------------------------------------------------------------
+# initial geometry
+# ---------------------------------------------------------------------------
+
 def test_init_single_token_at_degenerate_bounds():
     point = (730.0, -520.0)
-    ts = tok.init_tokens(1, (point[0], point[1], point[0], point[1]),
-                         rng_seed=3, feature_dim=8)
+    geometry = tok.initial_geometry(1, (point[0], point[1], point[0], point[1]),
+                                    rng_seed=3)
     template, _, _ = tok.load_tpose()
-    expect = template + np.array([point[0], point[1], 0.0])
-    assert np.allclose(ts.tokens[0].geometry, expect)
-    assert np.allclose(ts.tokens[0].visual,
-                       ts.tokens[0].person_embed[None, :] + ts.joint_embeds)
+    assert geometry.shape == (1, 15, 3)
+    assert np.allclose(geometry[0], template + np.array([point[0], point[1], 0.0]))
 
 
 def test_init_fixed_seed_is_bitwise_reproducible():
-    a = tok.init_tokens(16, BOUNDS, rng_seed=7, feature_dim=8)
-    b = tok.init_tokens(16, BOUNDS, rng_seed=7, feature_dim=8)
-    for ta, tb in zip(a.tokens, b.tokens):
-        assert np.array_equal(ta.geometry, tb.geometry)
-        assert np.array_equal(ta.visual, tb.visual)
-    assert np.array_equal(a.joint_embeds, b.joint_embeds)
+    a = tok.initial_geometry(16, BOUNDS, rng_seed=7)
+    b = tok.initial_geometry(16, BOUNDS, rng_seed=7)
+    assert np.array_equal(a, b)
 
 
-def test_init_seed_changes_embeddings_only_when_jitter_pinned():
-    a = tok.init_tokens(9, BOUNDS, rng_seed=1, feature_dim=8, jitter_seed=99)
-    b = tok.init_tokens(9, BOUNDS, rng_seed=2, feature_dim=8, jitter_seed=99)
-    for ta, tb in zip(a.tokens, b.tokens):
-        assert np.array_equal(ta.geometry, tb.geometry)
-        assert not np.allclose(ta.person_embed, tb.person_embed)
-    assert np.array_equal(a.joint_embeds, b.joint_embeds)
+def test_init_jitter_is_first_child_of_seed_sequence():
+    # the stream fixes every token grid for a given seed; moving it would
+    # change all fixed-seed outputs
+    template, _, _ = tok.load_tpose()
+    rng = np.random.default_rng(np.random.SeedSequence(1).spawn(2)[0])
+    centers = tok.grid_centers(9, BOUNDS, rng)
+    expect = template[None] + np.concatenate([centers, np.zeros((9, 1))], axis=1)[:, None]
+    assert np.array_equal(tok.initial_geometry(9, BOUNDS, rng_seed=1), expect)
+    assert not np.allclose(tok.initial_geometry(9, BOUNDS, rng_seed=2), expect)
 
 
 def test_init_grid_covers_bounds_with_expected_pitch():
     n = 1024
-    ts = tok.init_tokens(n, BOUNDS, rng_seed=11, feature_dim=4)
-    centers = np.stack([t.geometry[2, :2] for t in ts.tokens])  # mid-hip = center
+    geometry = tok.initial_geometry(n, BOUNDS, rng_seed=11)
+    centers = geometry[:, 2, :2]  # mid-hip = center
     assert np.all(centers[:, 0] >= BOUNDS[0]) and np.all(centers[:, 0] <= BOUNDS[2])
     assert np.all(centers[:, 1] >= BOUNDS[1]) and np.all(centers[:, 1] <= BOUNDS[3])
     pitch = 8000.0 / 32  # 32 x 32 grid
@@ -67,122 +71,138 @@ def test_init_grid_covers_bounds_with_expected_pitch():
         assert np.max(np.abs(c - nominal)) <= 0.45 * pitch + 1e-9
 
 
+# ---------------------------------------------------------------------------
+# scoring (pipeline.score_op)
+# ---------------------------------------------------------------------------
+
+def scores_of(visual, W, b):
+    classifier = {"cls_w": ad.Tensor(W), "cls_b": ad.Tensor(b)}
+    return pl.score_op(ad.Tensor(visual), classifier)[0].data
+
+
 def test_score_zero_classifier_gives_half():
-    ts = tok.init_tokens(5, BOUNDS, rng_seed=4, feature_dim=6)
-    scores = tok.score_tokens(ts, (np.zeros((6, 2)), np.zeros(2)))
-    assert np.allclose(scores, 0.5)
+    visual = np.random.default_rng(4).normal(size=(5, 15, 6))
+    assert np.allclose(scores_of(visual, np.zeros((6, 2)), np.zeros(2)), 0.5)
 
 
 def test_score_saturated_positive_logit():
-    ts = tok.init_tokens(3, BOUNDS, rng_seed=5, feature_dim=6)
-    scores = tok.score_tokens(ts, (np.zeros((6, 2)), np.array([10.0, 0.0])))
+    visual = np.random.default_rng(5).normal(size=(3, 15, 6))
+    scores = scores_of(visual, np.zeros((6, 2)), np.array([10.0, 0.0]))
     assert np.all(scores > 0.9999)
 
 
 def test_score_matches_hand_computed_mean_of_sigmoids():
     rng = np.random.default_rng(6)
-    ts = tok.init_tokens(4, BOUNDS, rng_seed=6, feature_dim=5)
+    visual = rng.normal(size=(4, 15, 5))
     W = rng.normal(size=(5, 2))
     b = rng.normal(size=2)
-    scores = tok.score_tokens(ts, (W, b))
-    for t, s in zip(ts.tokens, scores):
-        per_joint = [1.0 / (1.0 + np.exp(-(v @ W[:, 0] + b[0]))) for v in t.visual]
+    scores = scores_of(visual, W, b)
+    for v, s in zip(visual, scores):
+        per_joint = [1.0 / (1.0 + np.exp(-(row @ W[:, 0] + b[0]))) for row in v]
         assert abs(s - np.mean(per_joint)) < 1e-12
 
 
 def test_score_invariant_to_consistent_joint_permutation():
     rng = np.random.default_rng(7)
-    ts = tok.init_tokens(3, BOUNDS, rng_seed=7, feature_dim=5)
+    visual = rng.normal(size=(3, 15, 5))
     W = rng.normal(size=(5, 2))
     b = rng.normal(size=2)
-    base = tok.score_tokens(ts, (W, b))
     perm = rng.permutation(15)
-    permuted = tok.TokenSet(
-        tokens=tuple(tok.JointToken(visual=t.visual[perm], geometry=t.geometry[perm],
-                                    person_embed=t.person_embed) for t in ts.tokens),
-        capacity=ts.capacity, joint_embeds=ts.joint_embeds[perm])
-    assert np.allclose(tok.score_tokens(permuted, (W, b)), base)
+    assert np.allclose(scores_of(visual[:, perm], W, b), scores_of(visual, W, b))
 
 
-def test_filter_boundary_kept_by_geq_rule():
-    ts = tok.init_tokens(3, BOUNDS, rng_seed=8, feature_dim=4)
-    ts = ts.with_scores([0.05, 0.1, 0.9])
-    kept = tok.filter_tokens(ts, 0.1)
-    assert [t.score for t in kept.tokens] == [0.1, 0.9]
+# ---------------------------------------------------------------------------
+# score filter (eval-mode run_pipeline)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def scored():
+    """A tiny scene and two-layer model with a live classifier, plus the
+    first-layer score of every token (train mode keeps all tokens)."""
+    scene = tiny_scene()
+    config = tiny_config(scene, num_tokens=12)
+    rng = np.random.default_rng(8)
+    params = pl.init_params(config, rng_seed=8)
+    params["cls_w"] = rng.normal(scale=0.8, size=params["cls_w"].shape)
+    params["cls_b"] = rng.normal(scale=0.5, size=2)
+    outputs, _ = pl.run_pipeline(scene.pyramids, scene.rig,
+                                 pl.params_to_tensors(params), config, mode="train")
+    return scene, config, params, outputs[0].scores.data
 
 
-def test_filter_zero_epsilon_keeps_all():
-    ts = tok.init_tokens(4, BOUNDS, rng_seed=9, feature_dim=4)
-    ts = ts.with_scores([0.0, 0.3, 0.6, 1.0])
-    assert len(tok.filter_tokens(ts, 0.0)) == 4
+def first_layer_kept(scored, epsilon):
+    """Token indices the eval-mode filter keeps after the first layer (only
+    the last layer applies NMS)."""
+    scene, config, params, _ = scored
+    config = dataclasses.replace(config, epsilon=epsilon)
+    outputs, _ = pl.run_pipeline(scene.pyramids, scene.rig,
+                                 pl.params_to_tensors(params), config, mode="eval")
+    return list(outputs[0].kept)
 
 
-def test_filter_matches_bruteforce():
-    rng = np.random.default_rng(10)
-    ts = tok.init_tokens(32, BOUNDS, rng_seed=10, feature_dim=4)
-    scores = rng.uniform(size=32)
-    ts = ts.with_scores(scores)
-    eps = 0.4
-    kept = tok.filter_tokens(ts, eps)
+def test_filter_boundary_kept_by_geq_rule(scored):
+    scores = scored[3]
+    k = int(np.argsort(scores)[len(scores) // 2])
+    eps = float(scores[k])
+    assert k in first_layer_kept(scored, eps)
+    assert k not in first_layer_kept(scored, float(np.nextafter(eps, 1.0)))
+
+
+def test_filter_zero_epsilon_keeps_all(scored):
+    assert first_layer_kept(scored, 0.0) == list(range(len(scored[3])))
+
+
+def test_filter_matches_bruteforce(scored):
+    scores = scored[3]
+    eps = float(np.mean(scores))
     expect = [i for i, s in enumerate(scores) if s >= eps]
-    assert len(kept) == len(expect)
-    for t, i in zip(kept.tokens, expect):
-        assert t.score == pytest.approx(scores[i])
+    assert 0 < len(expect) < len(scores)
+    assert first_layer_kept(scored, eps) == expect
 
 
-def _pose_pair_set(offset_mm, scores):
+# ---------------------------------------------------------------------------
+# pose NMS
+# ---------------------------------------------------------------------------
+
+def _pose_row(offset_mm, count):
     template, _, _ = tok.load_tpose()
-    toks = []
-    for i, s in enumerate(scores):
-        geometry = template + np.array([i * offset_mm, 0.0, 0.0])
-        toks.append(tok.JointToken(visual=np.zeros((15, 2)), geometry=geometry,
-                                   person_embed=np.zeros(2), score=s))
-    return tok.TokenSet(tokens=tuple(toks), capacity=len(toks),
-                        joint_embeds=np.zeros((15, 2)))
+    return np.stack([template + np.array([i * offset_mm, 0.0, 0.0])
+                     for i in range(count)])
 
 
 def test_nms_identical_poses_keeps_best():
-    ts = _pose_pair_set(0.0, [0.9, 0.8])
-    kept = tok.nms_poses(ts, radius_mm=500.0)
-    assert len(kept) == 1 and kept.tokens[0].score == 0.9
+    keep = tok.nms_keep_mask(_pose_row(0.0, 2), np.array([0.8, 0.9]), radius_mm=500.0)
+    assert list(keep) == [False, True]
 
 
 def test_nms_distant_poses_both_kept():
-    ts = _pose_pair_set(10000.0, [0.9, 0.8])
-    assert len(tok.nms_poses(ts, radius_mm=500.0)) == 2
+    keep = tok.nms_keep_mask(_pose_row(10000.0, 2), np.array([0.9, 0.8]),
+                             radius_mm=500.0)
+    assert keep.all()
 
 
 def test_nms_chain_keeps_ends():
-    ts = _pose_pair_set(400.0, [0.9, 0.8, 0.7])  # A-B-C spaced 400 mm
-    kept = tok.nms_poses(ts, radius_mm=500.0)
-    assert [t.score for t in kept.tokens] == [0.9, 0.7]
+    # A-B-C spaced 400 mm
+    keep = tok.nms_keep_mask(_pose_row(400.0, 3), np.array([0.9, 0.8, 0.7]),
+                             radius_mm=500.0)
+    assert list(keep) == [True, False, True]
 
 
 def test_filter_then_nms_idempotent():
     rng = np.random.default_rng(12)
     template, _, _ = tok.load_tpose()
-    toks = []
-    for i in range(12):
-        center = rng.uniform(-2000, 2000, size=2)
-        geometry = template + np.array([center[0], center[1], 0.0])
-        toks.append(tok.JointToken(visual=np.zeros((15, 2)), geometry=geometry,
-                                   person_embed=np.zeros(2),
-                                   score=float(rng.uniform())))
-    ts = tok.TokenSet(tokens=tuple(toks), capacity=12,
-                      joint_embeds=np.zeros((15, 2)))
+    centers = rng.uniform(-2000, 2000, size=(12, 2))
+    geometry = template[None] + np.concatenate([centers, np.zeros((12, 1))],
+                                               axis=1)[:, None]
+    scores = rng.uniform(size=12)
 
-    def stage(s):
-        return tok.nms_poses(tok.filter_tokens(s, 0.3), radius_mm=800.0)
+    def stage(g, s):
+        idx = np.nonzero(s >= 0.3)[0]
+        idx = idx[tok.nms_keep_mask(g[idx], s[idx], radius_mm=800.0)]
+        return g[idx], s[idx]
 
-    once = stage(ts)
-    twice = stage(once)
-    assert len(once) == len(twice)
-    for a, b in zip(once.tokens, twice.tokens):
-        assert np.array_equal(a.geometry, b.geometry)
-
-
-def test_token_json_dump():
-    ts = tok.init_tokens(1, BOUNDS, rng_seed=13, feature_dim=4)
-    doc = json.loads(ts.tokens[0].to_json())
-    assert len(doc["joints"]) == 15
-    assert all(len(j) == 3 for j in doc["joints"])
+    once = stage(geometry, scores)
+    twice = stage(*once)
+    assert 0 < len(once[1]) < 12
+    assert np.array_equal(once[0], twice[0])
+    assert np.array_equal(once[1], twice[1])
