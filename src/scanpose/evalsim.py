@@ -164,6 +164,7 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
             H_s = max(int(round(cfg.image_height * f_s)), 1)
             cols, rows = np.meshgrid(np.arange(W_s), np.arange(H_s))
             grid = np.zeros((H_s, W_s, cfg.feature_dim))
+            heat = np.zeros((J, H_s, W_s))
             sig2 = 2.0 * cfg.heatmap_sigma_px ** 2
             for z in range(Z):
                 for j in range(J):
@@ -171,8 +172,9 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
                     if not valid[t, idx]:
                         continue
                     ux, uy = uv[t, idx] * f_s
-                    d2 = (cols - ux) ** 2 + (rows - uy) ** 2
-                    grid[:, :, j] += np.exp(-d2 / sig2)
+                    d2 = (cols[:1] - ux) ** 2 + (rows[:, :1] - uy) ** 2
+                    heat[j] += np.exp(-d2 / sig2)
+            grid[:, :, :J] = heat.transpose(1, 2, 0)
             xn = (cols / f_s) / cfg.image_width
             yn = (rows / f_s) / cfg.image_height
             for c, channel in enumerate(_positional_channels(cfg, xn, yn)):

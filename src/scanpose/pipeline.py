@@ -167,6 +167,8 @@ def sample_bilinear(grid: np.ndarray, position) -> np.ndarray:
 
 
 def _bilinear_forward(grid: np.ndarray, pos: np.ndarray):
+    """Returns the sampled values and the corner indices, fractions and
+    corner values that the derivatives are built from."""
     H, W = grid.shape[:2]
     x = np.clip(pos[..., 0], 0.0, W - 1.0)
     y = np.clip(pos[..., 1], 0.0, H - 1.0)
@@ -180,21 +182,26 @@ def _bilinear_forward(grid: np.ndarray, pos: np.ndarray):
     g10, g11 = grid[y1, x0], grid[y1, x1]
     value = ((1 - fy) * ((1 - fx) * g00 + fx * g01)
              + fy * ((1 - fx) * g10 + fx * g11))
-    # d value / d x is zero where the clamp is active
-    in_x = ((pos[..., 0] > 0.0) & (pos[..., 0] < W - 1.0))[..., None]
-    in_y = ((pos[..., 1] > 0.0) & (pos[..., 1] < H - 1.0))[..., None]
-    dvdx = np.where(in_x, (1 - fy) * (g01 - g00) + fy * (g11 - g10), 0.0)
-    dvdy = np.where(in_y, (1 - fx) * (g10 - g00) + fx * (g11 - g01), 0.0)
-    cache = (x0, y0, x1, y1, fx, fy, dvdx, dvdy, grid.shape)
-    return value, cache
+    return value, (x0, y0, x1, y1, fx, fy, g00, g01, g10, g11)
 
 
 def bilinear_op(grid, pos: ad.Tensor) -> ad.Tensor:
     """Autodiff bilinear sampling; differentiates through both the grid (when
-    it is a Tensor) and the positions."""
+    it is a Tensor) and the positions. When neither needs a gradient (eval),
+    it returns the values alone and builds no derivatives."""
     grid_t = grid if isinstance(grid, ad.Tensor) else ad.Tensor(grid)
-    value, cache = _bilinear_forward(grid_t.data, pos.data)
-    x0, y0, x1, y1, fx, fy, dvdx, dvdy, gshape = cache
+    value, corners = _bilinear_forward(grid_t.data, pos.data)
+    if not (ad._needs_grad(pos) or ad._needs_grad(grid_t)):
+        return ad.Tensor(value)
+    x0, y0, x1, y1, fx, fy, g00, g01, g10, g11 = corners
+    gshape = grid_t.shape
+    H, W = gshape[:2]
+    # d value / d x is zero where the clamp is active
+    px, py = pos.data[..., 0], pos.data[..., 1]
+    in_x = ((px > 0.0) & (px < W - 1.0))[..., None]
+    in_y = ((py > 0.0) & (py < H - 1.0))[..., None]
+    dvdx = np.where(in_x, (1 - fy) * (g01 - g00) + fy * (g11 - g10), 0.0)
+    dvdy = np.where(in_y, (1 - fx) * (g10 - g00) + fx * (g11 - g01), 0.0)
 
     def backward(g):
         gpos = np.stack([np.sum(g * dvdx, axis=-1), np.sum(g * dvdy, axis=-1)],

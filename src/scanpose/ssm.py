@@ -194,8 +194,7 @@ class SelectiveParams:
 
 def _selective_forward(sel: SelectiveParams, x: np.ndarray):
     """Core scan over x (batch, steps, L). Returns (y, cache)."""
-    B_, T, L = x.shape
-    S = sel.d_state
+    T = x.shape[1]
     pre = x @ sel.w_delta + sel.b_delta  # (B, T, L)
     delta = np.logaddexp(0.0, pre)  # softplus keeps every step size positive
     Bm = x @ sel.w_b  # (B, T, S)
@@ -203,13 +202,16 @@ def _selective_forward(sel: SelectiveParams, x: np.ndarray):
     m = delta[..., None] * sel.A  # (B, T, L, S)
     abar = np.exp(m)
     g = delta[..., None] * _phi1(m)  # ZOH input factor, per channel and state
-    h = np.zeros((B_, L, S))
-    hs = np.empty((B_, T, L, S))
-    y = np.empty_like(x)
-    for t in range(T):
-        h = abar[:, t] * h + g[:, t] * Bm[:, t, None, :] * x[:, t, :, None]
-        hs[:, t] = h
-        y[:, t] = np.sum(h * Cm[:, t, None, :], axis=-1) + sel.D * x[:, t]
+    # hs starts as the input term; the loop adds only the carried state
+    hs = g * Bm[:, :, None, :]  # (B, T, L, S)
+    hs *= x[..., None]
+    for t in range(1, T):
+        hs[:, t] += abar[:, t] * hs[:, t - 1]
+    # y keeps x's memory layout (x = seq[:, order] is not C-contiguous): the
+    # backward's dD = sum(upstream * x) sums in an order that follows the
+    # layout of y's cotangent, and a C-ordered y changes the Dss gradients
+    y = np.sum(hs * Cm[:, :, None, :], axis=-1, out=np.empty_like(x))
+    y += sel.D * x
     cache = {"x": x, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm,
              "m": m, "abar": abar, "g": g, "hs": hs}
     return y, cache

@@ -73,24 +73,16 @@ def initial_geometry(n: int, ground_bounds, rng_seed: int,
     return template[None, :, :] + offsets[:, None, :]
 
 
-def mean_joint_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean per-joint Euclidean distance between two (J, 3) geometries."""
-    return float(np.mean(np.linalg.norm(np.asarray(a) - np.asarray(b), axis=-1)))
-
-
 def nms_keep_mask(geometry: np.ndarray, scores: np.ndarray,
                   radius_mm: float) -> np.ndarray:
-    """Greedy pose NMS on stacked geometry (n, J, 3); ties by lower index."""
-    n = len(scores)
+    """Greedy pose NMS on stacked geometry (n, J, 3); ties by lower index.
+    A pose is dropped when its mean per-joint distance to a kept pose is
+    below radius_mm."""
+    geometry = np.asarray(geometry)
     order = np.argsort(-np.asarray(scores), kind="stable")
-    keep = np.zeros(n, dtype=bool)
+    keep = np.zeros(len(order), dtype=bool)
     for idx in order:
-        close = False
-        for kept_idx in np.nonzero(keep)[0]:
-            if mean_joint_distance(geometry[idx], geometry[kept_idx]) < radius_mm:
-                close = True
-                break
-        if not close:
-            keep[idx] = True
+        dist = np.mean(np.linalg.norm(geometry[idx] - geometry[keep], axis=-1),
+                       axis=-1)
+        keep[idx] = not np.any(dist < radius_mm)
     return keep
-

@@ -201,8 +201,9 @@ def scene_loss(param_tensors: dict, scene: evalsim.Scene,
 
 def evaluate_model(params: dict, config: pipeline.PipelineConfig, scenes):
     """Eval-mode pipeline + metric report per scene; returns per-scene reports
-    and the (nan-aware) mean MPJPE and mean AP25."""
-    tensors = pipeline.params_to_tensors(params)
+    and the (nan-aware) mean MPJPE and mean AP25. The weights are plain
+    Tensors, so the forward records no tape and keeps no backward caches."""
+    tensors = {k: ad.Tensor(v) for k, v in params.items()}
     reports = []
     for scene in scenes:
         outputs, _ = pipeline.run_pipeline(scene.pyramids, scene.rig, tensors,

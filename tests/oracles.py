@@ -5,6 +5,8 @@ on separate code paths from the library (longdouble arithmetic, cyclic
 Jacobi rotations, Taylor series), so that agreement is meaningful.
 """
 
+import math
+
 import numpy as np
 
 LD = np.longdouble
@@ -122,3 +124,22 @@ def rel_error(a, b, floor=1e-12):
     b = np.asarray(b, dtype=float)
     denom = max(np.linalg.norm(a.ravel()), np.linalg.norm(b.ravel()), floor)
     return np.linalg.norm((a - b).ravel()) / denom
+
+
+def greedy_pose_nms(geometry, scores, radius_mm):
+    """Greedy pose NMS from its definition, in pure Python: visit poses by
+    descending score (ties to the lower index) and keep one unless its mean
+    per-joint distance to a pose kept before it is below the radius."""
+    n = len(scores)
+    order = sorted(range(n), key=lambda i: (-float(scores[i]), i))
+    kept = []
+    for i in order:
+        pose = [tuple(map(float, joint)) for joint in geometry[i]]
+        near = False
+        for k in kept:
+            other = [tuple(map(float, joint)) for joint in geometry[k]]
+            dist = math.fsum(math.dist(a, b) for a, b in zip(pose, other)) / len(pose)
+            near = near or dist < radius_mm
+        if not near:
+            kept.append(i)
+    return [i in kept for i in range(n)]

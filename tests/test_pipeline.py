@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from scanpose import autodiff as ad
 from scanpose import evalsim as ev
@@ -54,6 +55,21 @@ def test_bilinear_border_clamp():
     grid = rng.normal(size=(4, 5, 2))
     assert np.allclose(pl.sample_bilinear(grid, np.array([-2.0, -2.0])), grid[0, 0])
     assert np.allclose(pl.sample_bilinear(grid, np.array([99.0, 99.0])), grid[-1, -1])
+
+
+def test_bilinear_without_gradient_records_no_closure(monkeypatch):
+    rng = np.random.default_rng(4)
+    grid = rng.normal(size=(6, 8, 3)).astype(np.float32)  # pyramids are float32
+    pos = rng.uniform(-1.0, 9.0, size=(4, 5, 2))
+    made = []
+    from_op = ad.from_op
+    monkeypatch.setattr(ad, "from_op", lambda *args: made.append(args) or from_op(*args))
+    out = pl.bilinear_op(grid, ad.Tensor(pos))
+    assert made == [] and out._backward is None and out._parents == ()
+    assert np.array_equal(out.data, pl.sample_bilinear(grid, pos))
+    taped = pl.bilinear_op(grid, ad.parameter(pos))
+    assert len(made) == 1 and taped._backward is not None
+    assert np.array_equal(taped.data, out.data)
 
 
 def test_bilinear_gradients_match_fd():
@@ -470,6 +486,43 @@ def test_pipeline_token_count_non_increasing_in_eval():
     counts = [o.geometry.data.shape[0] for o in outputs]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert counts[0] <= config.num_tokens
+
+
+def seeded_head_params(config, seed):
+    """init_params with non-zero output heads, so every layer refines."""
+    params = pl.init_params(config, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in sorted(params):
+        if name.split(".")[-1] in ("head_w2", "head_b2", "cls_w", "aout_w", "ffn_w2"):
+            params[name] = rng.normal(scale=0.5, size=params[name].shape)
+    return params
+
+
+@pytest.mark.parametrize("cameras", [3, 5, 7])
+def test_eval_on_plain_tensors_matches_taped_eval(cameras):
+    scene = tiny_scene(num_cameras=cameras, num_actors=2)
+    config = tiny_config(scene, num_tokens=12, epsilon=0.4, nms_radius_mm=1500.0)
+    params = seeded_head_params(config, 40 + cameras)
+    plain, _ = pl.run_pipeline(scene.pyramids, scene.rig,
+                               {k: ad.Tensor(v) for k, v in params.items()},
+                               config, mode="eval", init_seed=5)
+    taped, _ = pl.run_pipeline(scene.pyramids, scene.rig,
+                               pl.params_to_tensors(params), config,
+                               mode="eval", init_seed=5)
+    fields = ("positions_2d", "confidences", "geometry", "visual", "scores",
+              "score_logits")
+    for a, b in zip(plain, taped):
+        for name in fields:
+            assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
+            assert getattr(a, name)._backward is None
+        assert np.array_equal(a.kept, b.kept)
+        assert b.geometry._backward is not None  # the taped run records
+    # the seeded heads move the joints and spread the scores
+    init = pl.init_token_state(config, 5)[plain[-1].kept]
+    moved = np.linalg.norm(plain[-1].geometry.data - init, axis=-1)
+    assert np.mean(moved > 1.0) > 0.5
+    assert 0 < len(plain[-1].kept) < config.num_tokens
+    assert np.ptp(plain[0].scores.data) > 0.05
 
 
 def test_model_container_roundtrip(tmp_path):

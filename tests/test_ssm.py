@@ -372,6 +372,20 @@ def test_batched_scan_matches_per_sequence():
         assert np.array_equal(yb[b], ssm.selective_scan(sel, xb[b]))
 
 
+def test_batched_scan_output_keeps_input_layout():
+    # the pipeline scans seq[:, order], which is not C-contiguous; y must keep
+    # that layout, because the backward's dD sum follows the layout of y's
+    # cotangent and a C-ordered y reorders it
+    rng = np.random.default_rng(23)
+    sel = random_selective(rng)
+    seq = rng.normal(size=(4, 9, 3))
+    x = seq[:, rng.permutation(9)]
+    assert not x.flags.c_contiguous
+    y, _ = ssm.selective_scan_batch(sel, x)
+    assert list(np.argsort(y.strides)) == list(np.argsort(x.strides))
+    assert np.array_equal(y, ssm.selective_scan_batch(sel, np.ascontiguousarray(x))[0])
+
+
 def _mixed_selective(rng, L=3):
     """Selective parameters whose m = delta * A lands below SERIES_THRESHOLD
     (first state), between the thresholds (second) and above both (rest)."""

@@ -6,6 +6,7 @@ import pytest
 from scanpose import autodiff as ad
 from scanpose import pipeline as pl
 from scanpose import tokens as tok
+from oracles import greedy_pose_nms
 from test_pipeline import tiny_config, tiny_scene
 
 
@@ -186,6 +187,32 @@ def test_nms_chain_keeps_ends():
     keep = tok.nms_keep_mask(_pose_row(400.0, 3), np.array([0.9, 0.8, 0.7]),
                              radius_mm=500.0)
     assert list(keep) == [True, False, True]
+
+
+def test_nms_matches_bruteforce_oracle():
+    # integer joints and lattice shifts of radius / 2 along one axis put many
+    # pairs at exactly the radius; four score values give many ties
+    radius = 500.0
+    at_radius = tied = 0
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        n, J = int(rng.integers(1, 25)), int(rng.integers(1, 16))
+        base = rng.integers(-300, 301, size=(J, 3)).astype(float)
+        geometry = np.empty((n, J, 3))
+        for i in range(n):
+            if rng.uniform() < 0.6:
+                geometry[i] = base
+                geometry[i, :, rng.integers(0, 3)] += 250.0 * rng.integers(-4, 5)
+            else:
+                geometry[i] = base + rng.integers(-1000, 1001, size=(J, 3))
+        scores = rng.choice([0.2, 0.5, 0.7, 0.9], size=n)
+        keep = tok.nms_keep_mask(geometry, scores, radius_mm=radius)
+        assert keep.dtype == bool
+        assert list(keep) == greedy_pose_nms(geometry, scores, radius)
+        dist = np.linalg.norm(geometry[:, None] - geometry[None], axis=-1).mean(-1)
+        at_radius += bool(np.any(dist == radius))
+        tied += len(np.unique(scores)) < n
+    assert at_radius > 100 and tied > 150
 
 
 def test_filter_then_nms_idempotent():

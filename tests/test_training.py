@@ -283,6 +283,27 @@ def test_divergence_detected_on_nonfinite_loss():
                  train_cfg=tr.TrainConfig(steps=1), initial_params=bad)
 
 
+def test_evaluate_model_builds_no_tape(monkeypatch):
+    scene = small_scene()
+    config = small_config(scene, num_layers=2)
+    params = pl.init_params(config, rng_seed=3)
+    seen = []
+    run_pipeline = pl.run_pipeline
+
+    def spy(pyramids, rig, tensors, cfg, **kw):
+        seen.append(any(t.requires_grad for t in tensors.values()))
+        outputs, geom0 = run_pipeline(pyramids, rig, tensors, cfg, **kw)
+        seen.extend(getattr(out, name)._backward is not None for out in outputs
+                    for name in ("positions_2d", "confidences", "geometry",
+                                 "visual", "scores", "score_logits"))
+        return outputs, geom0
+
+    monkeypatch.setattr(pl, "run_pipeline", spy)
+    reports, _, _ = tr.evaluate_model(params, config, [scene, scene])
+    assert len(reports) == 2 and len(seen) == 2 * (1 + 2 * 6)
+    assert not any(seen)
+
+
 def test_metrics_csv_roundtrip(tmp_path):
     rows = [{"epoch": 0, "pose_loss": 12.5, "cls_loss": 0.7,
              "val_mpjpe_mm": 1234.5678, "ap25": 0.125},
