@@ -34,13 +34,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self, seed=None):
         if seed is None:
             if self.data.size != 1:
@@ -163,33 +156,37 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 # -- arithmetic ---------------------------------------------------------------
 
+# binary ops return no gradient for a constant operand (a mask, a denominator)
 def add(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
     return from_op(a.data + b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                   lambda g: (_unbroadcast(g, a.shape) if _needs_grad(a) else None,
+                              _unbroadcast(g, b.shape) if _needs_grad(b) else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
     return from_op(a.data * b.data, (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.shape),
-                              _unbroadcast(g * a.data, b.shape)))
+                   lambda g: (_unbroadcast(g * b.data, a.shape) if _needs_grad(a) else None,
+                              _unbroadcast(g * a.data, b.shape) if _needs_grad(b) else None))
 
 
 def div(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
     return from_op(a.data / b.data, (a, b),
-                   lambda g: (_unbroadcast(g / b.data, a.shape),
-                              _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+                   lambda g: (_unbroadcast(g / b.data, a.shape) if _needs_grad(a) else None,
+                              _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                              if _needs_grad(b) else None))
 
 
 def matmul(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+                if _needs_grad(a) else None,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+                if _needs_grad(b) else None)
 
     return from_op(a.data @ b.data, (a, b), backward)
 
@@ -263,8 +260,10 @@ def where(cond, a, b) -> Tensor:
     cond = np.asarray(cond, dtype=bool)
     a, b = Tensor._lift(a), Tensor._lift(b)
     return from_op(np.where(cond, a.data, b.data), (a, b),
-                   lambda g: (_unbroadcast(np.where(cond, g, 0.0), a.shape),
-                              _unbroadcast(np.where(cond, 0.0, g), b.shape)))
+                   lambda g: (_unbroadcast(np.where(cond, g, 0.0), a.shape)
+                              if _needs_grad(a) else None,
+                              _unbroadcast(np.where(cond, 0.0, g), b.shape)
+                              if _needs_grad(b) else None))
 
 
 # -- reductions ---------------------------------------------------------------

@@ -203,7 +203,7 @@ def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
     # gradient) unchanged and keeps the singular values near unity
     g = np.linalg.norm(A, axis=(1, 2)) / np.sqrt(A.shape[1])
     g = np.where(g > 0.0, g, 1.0)[:, None, None]
-    _, sv, Vt = np.linalg.svd(A / g)  # singular values descending
+    _, sv, Vt = np.linalg.svd(A / g, full_matrices=False)  # U unused; sv descending
     ok = ok & (sv[:, 0] > 0.0) & (sv[:, 2] > RANK_RATIO_TOL * sv[:, 0])
     v = Vt[:, -1, :]  # (B, 4)
     ok = ok & (np.abs(v[:, 3]) > 1e-12)

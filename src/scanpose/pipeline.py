@@ -161,8 +161,7 @@ def params_to_tensors(params: dict) -> dict:
 def sample_bilinear(grid: np.ndarray, position) -> np.ndarray:
     """Bilinear interpolation of grid (H, W, C) at positions (..., 2) given as
     (x, y) in grid units; out-of-range positions clamp to the border."""
-    value, _ = _bilinear_forward(np.asarray(grid, dtype=float),
-                                 np.asarray(position, dtype=float))
+    value, _ = _bilinear_forward(np.asarray(grid), np.asarray(position, dtype=float))
     return value
 
 
@@ -180,34 +179,55 @@ def _bilinear_forward(grid: np.ndarray, pos: np.ndarray):
     fy = (y - y0)[..., None]
     g00, g01 = grid[y0, x0], grid[y0, x1]
     g10, g11 = grid[y1, x0], grid[y1, x1]
-    value = ((1 - fy) * ((1 - fx) * g00 + fx * g01)
-             + fy * ((1 - fx) * g10 + fx * g11))
+    # (1-fy)((1-fx) g00 + fx g01) + fy((1-fx) g10 + fx g11) in place, in that
+    # order; float32 corners are promoted exactly inside each product
+    value = np.multiply(1 - fx, g00)
+    tmp = np.multiply(fx, g01)
+    value += tmp
+    value *= 1 - fy
+    lower = np.multiply(1 - fx, g10)
+    lower += np.multiply(fx, g11, out=tmp)
+    lower *= fy
+    value += lower
     return value, (x0, y0, x1, y1, fx, fy, g00, g01, g10, g11)
 
 
+def _bilinear_slope(hi0, lo0, hi1, lo1, w, inside):
+    """(1-w)(hi0-lo0) + w(hi1-lo1), +0.0 where the clamp is active. The
+    differences are taken in float64: float32 corners would round them."""
+    d = np.subtract(hi0, lo0, dtype=float)
+    d *= 1 - w
+    tmp = np.subtract(hi1, lo1, dtype=float)
+    tmp *= w
+    d += tmp
+    np.copyto(d, 0.0, where=~inside)
+    return d
+
+
 def bilinear_op(grid, pos: ad.Tensor) -> ad.Tensor:
-    """Autodiff bilinear sampling; differentiates through both the grid (when
-    it is a Tensor) and the positions. When neither needs a gradient (eval),
-    it returns the values alone and builds no derivatives."""
-    grid_t = grid if isinstance(grid, ad.Tensor) else ad.Tensor(grid)
-    value, corners = _bilinear_forward(grid_t.data, pos.data)
-    if not (ad._needs_grad(pos) or ad._needs_grad(grid_t)):
+    """Autodiff bilinear sampling through the positions and a Tensor grid; a
+    constant grid (the pyramids) is neither copied nor kept on the tape. When
+    nothing needs a gradient (eval), it returns the values alone."""
+    grid_grad = isinstance(grid, ad.Tensor) and ad._needs_grad(grid)
+    grid_data = grid.data if isinstance(grid, ad.Tensor) else np.asarray(grid)
+    value, corners = _bilinear_forward(grid_data, pos.data)
+    if not (ad._needs_grad(pos) or grid_grad):
         return ad.Tensor(value)
     x0, y0, x1, y1, fx, fy, g00, g01, g10, g11 = corners
-    gshape = grid_t.shape
+    gshape = grid_data.shape
     H, W = gshape[:2]
     # d value / d x is zero where the clamp is active
     px, py = pos.data[..., 0], pos.data[..., 1]
     in_x = ((px > 0.0) & (px < W - 1.0))[..., None]
     in_y = ((py > 0.0) & (py < H - 1.0))[..., None]
-    dvdx = np.where(in_x, (1 - fy) * (g01 - g00) + fy * (g11 - g10), 0.0)
-    dvdy = np.where(in_y, (1 - fx) * (g10 - g00) + fx * (g11 - g01), 0.0)
+    dvdx = _bilinear_slope(g01, g00, g11, g10, fy, in_x)
+    dvdy = _bilinear_slope(g10, g00, g11, g01, fx, in_y)
 
     def backward(g):
         gpos = np.stack([np.sum(g * dvdx, axis=-1), np.sum(g * dvdy, axis=-1)],
                         axis=-1)
-        if not ad._needs_grad(grid_t):
-            return None, gpos  # constant grids (the pyramids) take no gradient
+        if not grid_grad:
+            return (gpos,)
         ggrid = np.zeros(gshape)
         np.add.at(ggrid, (y0, x0), g * (1 - fy) * (1 - fx))
         np.add.at(ggrid, (y0, x1), g * (1 - fy) * fx)
@@ -215,7 +235,7 @@ def bilinear_op(grid, pos: ad.Tensor) -> ad.Tensor:
         np.add.at(ggrid, (y1, x1), g * fy * fx)
         return ggrid, gpos
 
-    return ad.from_op(value, (grid_t, pos), backward)
+    return ad.from_op(value, (grid, pos) if grid_grad else (pos,), backward)
 
 
 def project_op(geometry_t: ad.Tensor, rig: geometry.CameraRig,

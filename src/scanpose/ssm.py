@@ -45,9 +45,9 @@ def _phi1(m: np.ndarray) -> np.ndarray:
     """Elementwise (exp(m) - 1) / m with a 6-term series below the threshold."""
     m = np.asarray(m, dtype=float)
     small = np.abs(m) < SERIES_THRESHOLD
-    safe = np.where(small, 1.0, m)
-    out = np.expm1(safe)
-    out /= safe
+    with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 gets the series below
+        out = np.expm1(m)
+        out /= m
     out[small] = _series(_PHI1_COEFF, m[small])
     return out
 
@@ -55,12 +55,12 @@ def _phi1(m: np.ndarray) -> np.ndarray:
 def _phi1_prime(m: np.ndarray, abar: np.ndarray) -> np.ndarray:
     """Elementwise d/dm phi1(m) given abar = exp(m); 8-term series below the threshold."""
     small = np.abs(m) < _PHI1P_THRESHOLD
-    safe = np.where(small, 1.0, m)
     # (abar (m - 1) + 1) / m^2 in place: a new temporary costs more than its arithmetic
-    out = safe - 1.0
+    out = m - 1.0
     out *= abar
     out += 1.0
-    out /= np.multiply(safe, safe, out=safe)
+    with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 gets the series below
+        out /= np.multiply(m, m)
     out[small] = _series(_PHI1P_COEFF, m[small])
     return out
 
@@ -201,16 +201,22 @@ def _selective_forward(sel: SelectiveParams, x: np.ndarray):
     Cm = x @ sel.w_c  # (B, T, S)
     m = delta[..., None] * sel.A  # (B, T, L, S)
     abar = np.exp(m)
-    g = delta[..., None] * _phi1(m)  # ZOH input factor, per channel and state
+    g = _phi1(m)
+    g *= delta[..., None]  # ZOH input factor, per channel and state
     # hs starts as the input term; the loop adds only the carried state
     hs = g * Bm[:, :, None, :]  # (B, T, L, S)
     hs *= x[..., None]
+    step = np.empty_like(hs[:, 0])
     for t in range(1, T):
-        hs[:, t] += abar[:, t] * hs[:, t - 1]
-    # y keeps x's memory layout (x = seq[:, order] is not C-contiguous): the
-    # backward's dD = sum(upstream * x) sums in an order that follows the
-    # layout of y's cotangent, and a C-ordered y changes the Dss gradients
-    y = np.sum(hs * Cm[:, :, None, :], axis=-1, out=np.empty_like(x))
+        hs[:, t] += np.multiply(abar[:, t], hs[:, t - 1], out=step)
+    # y = sum_s hs[..., s] Cm[..., s] in np.sum's order for S < 8, in x's memory
+    # layout (x = seq[:, order] is not C-contiguous): the backward's
+    # dD = sum(upstream * x) sums in an order that follows the layout of y's
+    # cotangent, and a C-ordered y changes the Dss gradients
+    y = np.multiply(hs[..., 0], Cm[:, :, None, 0], out=np.empty_like(x))
+    term = np.empty_like(y)
+    for s in range(1, hs.shape[-1]):
+        y += np.multiply(hs[..., s], Cm[:, :, None, s], out=term)
     y += sel.D * x
     cache = {"x": x, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm,
              "m": m, "abar": abar, "g": g, "hs": hs}
@@ -226,8 +232,9 @@ def _selective_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
 
     # only dh is recurrent: dh_t = dy_t C_t + Abar_{t+1} dh_{t+1}
     dh = upstream[..., None] * Cm[:, :, None, :]  # (B, T, L, S)
+    step = np.empty_like(dh[:, 0])
     for t in range(T - 2, -1, -1):
-        dh[:, t] += dh[:, t + 1] * abar[:, t + 1]
+        dh[:, t] += np.multiply(dh[:, t + 1], abar[:, t + 1], out=step)
     dCm = np.einsum("btl,btls->bts", upstream, hs)
     dhg = dh * g
     dBm = np.einsum("btls,btl->bts", dhg, x)

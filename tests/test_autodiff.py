@@ -163,3 +163,33 @@ def test_take_backward_assigns_or_accumulates(idx, expected):
     g = rng.normal(size=out.shape)
     out.backward(g)
     assert np.array_equal(a.grad, expected(g))
+
+
+_BINARY = {
+    "add": (ad.add, (3, 4), (1, 4)),
+    "mul": (ad.mul, (3, 4), (3, 1)),
+    "div": (ad.div, (2, 3, 4), (4,)),
+    "where": (lambda a, b: ad.where(np.arange(12).reshape(3, 4) % 3 == 0, a, b),
+              (3, 4), (1, 4)),
+    "matmul": (ad.matmul, (2, 3, 4), (4, 5)),
+}
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+@pytest.mark.parametrize("op", sorted(_BINARY))
+def test_constant_operand_gets_no_gradient(op, constant):
+    """A constant operand (a plain array or an untracked Tensor) gets None
+    from the backward; the other operand's gradient is bit-equal to the one
+    it gets when both operands are parameters."""
+    fn, shape_a, shape_b = _BINARY[op]
+    rng = np.random.default_rng(10)
+    data = [rng.normal(size=shape_a), rng.uniform(0.5, 2.0, size=shape_b)]
+    both = fn(*(ad.parameter(d) for d in data))
+    upstream = rng.normal(size=both.shape)
+    want = both._backward(upstream)
+    for const in (data[constant], ad.Tensor(data[constant])):
+        operands = [ad.parameter(d) for d in data]
+        operands[constant] = const
+        got = fn(*operands)._backward(upstream)
+        assert got[constant] is None
+        assert np.array_equal(got[1 - constant], want[1 - constant])

@@ -113,6 +113,59 @@ def test_bilinear_constant_grid_gives_same_position_gradient():
     assert np.array_equal(grads[0], grads[1])
 
 
+def _textbook_bilinear(grid, pos):
+    """Bilinear value and its position derivatives, written out in float64
+    from the definition; a derivative is zero where its clamp is active."""
+    g = np.asarray(grid, dtype=np.float64)
+    H, W = g.shape[:2]
+    x = np.clip(pos[..., 0], 0.0, W - 1.0)
+    y = np.clip(pos[..., 1], 0.0, H - 1.0)
+    x0 = np.clip(np.floor(x), 0, W - 2).astype(int)
+    y0 = np.clip(np.floor(y), 0, H - 2).astype(int)
+    fx, fy = (x - x0)[..., None], (y - y0)[..., None]
+    g00, g01 = g[y0, x0], g[y0, x0 + 1]
+    g10, g11 = g[y0 + 1, x0], g[y0 + 1, x0 + 1]
+    value = (1 - fy) * ((1 - fx) * g00 + fx * g01) + fy * ((1 - fx) * g10 + fx * g11)
+    in_x = ((pos[..., 0] > 0.0) & (pos[..., 0] < W - 1.0))[..., None]
+    in_y = ((pos[..., 1] > 0.0) & (pos[..., 1] < H - 1.0))[..., None]
+    dvdx = np.where(in_x, (1 - fy) * (g01 - g00) + fy * (g11 - g10), 0.0)
+    dvdy = np.where(in_y, (1 - fx) * (g10 - g00) + fx * (g11 - g01), 0.0)
+    return value, dvdx, dvdy
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_matches_textbook_expression_bit_for_bit(dtype):
+    """Value and position gradient equal the float64 textbook expression
+    exactly: on grid lines, inside, clamped at the borders and outside the
+    image, where the position gradient is +0.0. A constant grid is not on
+    the tape."""
+    rng = np.random.default_rng(11)
+    H, W = 9, 12
+    grid = rng.normal(scale=3.0, size=(H, W, 17)).astype(dtype)
+    xs = np.array([-4.0, 0.0, 1.0, 2.5, W - 2.0, W - 1.0, W + 3.0])
+    ys = np.array([-2.0, 0.0, 3.0, 4.75, H - 1.0, H + 0.5])
+    lattice = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    inside = rng.uniform([0.0, 0.0], [W - 1.0, H - 1.0], size=(60, 2))
+    pos = np.concatenate([lattice, inside]).reshape(6, -1, 2)
+    value, dvdx, dvdy = _textbook_bilinear(grid, pos)
+    assert np.array_equal(pl.sample_bilinear(grid, pos), value)
+    assert np.array_equal(pl.bilinear_op(grid, ad.Tensor(pos)).data, value)
+
+    p_t = ad.parameter(pos)
+    node = pl.bilinear_op(grid, p_t)
+    assert np.array_equal(node.data, value)
+    assert len(node._parents) == 1 and node._parents[0] is p_t  # no grid copy
+    up = rng.normal(size=value.shape)
+    (gpos,) = node._backward(up)
+    want = np.stack([np.sum(up * dvdx, axis=-1), np.sum(up * dvdy, axis=-1)], axis=-1)
+    assert np.array_equal(gpos, want)
+    (gpos,) = node._backward(np.ones_like(value))
+    clamped = np.stack([(pos[..., 0] <= 0.0) | (pos[..., 0] >= W - 1.0),
+                        (pos[..., 1] <= 0.0) | (pos[..., 1] >= H - 1.0)], axis=-1)
+    assert clamped.any() and not clamped.all()
+    assert np.all(gpos[clamped] == 0.0) and not np.signbit(gpos[clamped]).any()
+
+
 # ---------------------------------------------------------------------------
 # projection primitive
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -482,12 +483,18 @@ def test_phi1_and_derivative_match_scalar_definitions_on_mixed_arrays():
             d = decimal.Decimal(m)
             return float((d.exp() * (d - 1) + 1) / (d * d))
 
-    base = [0.0, 1e-5, 5e-4, 9.9e-4, 2e-3, 0.03, 0.049, 0.2, 2.5, 40.0]
-    m = np.array(base + [-v for v in base[1:]])
+    # m = +-0 and m exactly at either threshold (where the direct branch takes
+    # over) are included; a divide or invalid warning raises
+    base = [0.0, 1e-5, 5e-4, 9.9e-4, ssm.SERIES_THRESHOLD, 2e-3, 0.03, 0.049,
+            ssm._PHI1P_THRESHOLD, 0.2, 2.5, 40.0]
+    m = np.array(base + [-v for v in base])
     m = np.stack([m, m[::-1]])  # both thresholds are crossed within each row
-    got = ssm._phi1(m)
+    assert np.any(np.signbit(m) & (m == 0.0))  # -0.0 is present
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ssm._phi1(m)
+        got_p = ssm._phi1_prime(m, np.exp(m))
     want = np.vectorize(phi1_def)(m)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
-    got_p = ssm._phi1_prime(m, np.exp(m))
     want_p = np.vectorize(phi1p_def)(m)
     assert np.max(np.abs(got_p - want_p) / np.abs(want_p)) < 1e-13
