@@ -1,10 +1,18 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray and remembers how it was produced; backward()
-replays the graph in reverse topological order accumulating gradients. Every
-operation stores an explicit closure computing its input gradients, so custom
-primitives (bilinear sampling, the selective scan, triangulation) plug in
-through from_op with their own analytic backward passes.
+A Tensor wraps a float64 ndarray and the _Node that records how it was
+produced; backward() replays the nodes in reverse topological order
+accumulating gradients. Every operation stores an explicit closure computing
+its input gradients, so custom primitives (bilinear sampling, the selective
+scan, triangulation) plug in through from_op with their own analytic backward
+passes.
+
+Retention rule: the tape holds nodes, never Tensors, and a closure captures
+the arrays, shapes and flags it reads, never a Tensor. An intermediate's data
+is therefore freed as soon as the forward drops its name, unless a backward
+reads it. The one layout-dependent case is take: its gradient starts from
+zeros in the input's memory layout, so it keeps the input array when that is
+not C-contiguous and only the shape otherwise.
 
 Broadcasting follows numpy; gradients are summed back over broadcast axes.
 """
@@ -14,15 +22,24 @@ from __future__ import annotations
 import numpy as np
 
 
+class _Node:
+    """The parents' nodes (None for a constant), the backward closure (None
+    for a leaf) and a leaf's accumulated gradient."""
+    __slots__ = ("parents", "backward", "grad")
+
+    def __init__(self, parents=(), backward=None):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=float)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = _Node() if requires_grad else None  # None: a constant
 
     # -- graph construction ------------------------------------------------
 
@@ -34,23 +51,28 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
     def backward(self, seed=None):
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without seed needs a scalar output")
             seed = np.ones_like(self.data)
-        order = _toposort(self)
-        grads = {id(self): np.asarray(seed, dtype=float)}
+        if self._node is None:
+            return
+        order = _toposort(self._node)
+        grads = {id(self._node): np.asarray(seed, dtype=float)}
         for node in order:
             g = grads.pop(id(node), None)
-            if g is None or node._backward is None:
-                if g is not None and node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
+            if g is None:
                 continue
-            if node.requires_grad:
+            if node.backward is None:
                 node.grad = g if node.grad is None else node.grad + g
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not _needs_grad(parent):
+                continue
+            for parent, pg in zip(node.parents, node.backward(g)):
+                if pg is None or parent is None:
                     continue
                 key = id(parent)
                 if key in grads:
@@ -105,10 +127,11 @@ class Tensor:
 
 
 def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._backward is not None
+    return t._node is not None
 
 
-def _toposort(root: Tensor):
+def _toposort(root: _Node):
+    """Reverse DFS post-order over the nodes; constants are not walked."""
     seen = set()
     order = []
     stack = [(root, False)]
@@ -121,8 +144,8 @@ def _toposort(root: Tensor):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
+        for p in node.parents:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return list(reversed(order))
 
@@ -131,10 +154,9 @@ def from_op(data: np.ndarray, parents, backward) -> Tensor:
     """Create a graph node: `backward(upstream)` must return one gradient
     (ndarray or None) per parent, in order."""
     out = Tensor(data)
-    tracked = tuple(Tensor._lift(p) for p in parents)
-    if any(_needs_grad(p) for p in tracked):
-        out._parents = tracked
-        out._backward = backward
+    nodes = tuple(p._node if isinstance(p, Tensor) else None for p in parents)
+    if any(n is not None for n in nodes):
+        out._node = _Node(nodes, backward)
     return out
 
 
@@ -156,37 +178,42 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 # -- arithmetic ---------------------------------------------------------------
 
-# binary ops return no gradient for a constant operand (a mask, a denominator)
+# binary ops return no gradient for a constant operand (a mask, a denominator),
+# and keep an operand's data only when the other operand's gradient reads it
 def add(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
+    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
     return from_op(a.data + b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape) if _needs_grad(a) else None,
-                              _unbroadcast(g, b.shape) if _needs_grad(b) else None))
+                   lambda g: (_unbroadcast(g, sa) if ga else None,
+                              _unbroadcast(g, sb) if gb else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
+    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
+    xa, xb = a.data if gb else None, b.data if ga else None
     return from_op(a.data * b.data, (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.shape) if _needs_grad(a) else None,
-                              _unbroadcast(g * a.data, b.shape) if _needs_grad(b) else None))
+                   lambda g: (_unbroadcast(g * xb, sa) if ga else None,
+                              _unbroadcast(g * xa, sb) if gb else None))
 
 
 def div(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
+    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
+    xa, xb = a.data if gb else None, b.data
     return from_op(a.data / b.data, (a, b),
-                   lambda g: (_unbroadcast(g / b.data, a.shape) if _needs_grad(a) else None,
-                              _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-                              if _needs_grad(b) else None))
+                   lambda g: (_unbroadcast(g / xb, sa) if ga else None,
+                              _unbroadcast(-g * xa / (xb * xb), sb) if gb else None))
 
 
 def matmul(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
+    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
+    xa, xb = a.data if gb else None, b.data if ga else None
 
     def backward(g):
-        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-                if _needs_grad(a) else None,
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-                if _needs_grad(b) else None)
+        return (_unbroadcast(g @ np.swapaxes(xb, -1, -2), sa) if ga else None,
+                _unbroadcast(np.swapaxes(xa, -1, -2) @ g, sb) if gb else None)
 
     return from_op(a.data @ b.data, (a, b), backward)
 
@@ -195,8 +222,9 @@ def matmul(a, b) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = Tensor._lift(a)
+    in_shape = a.shape
     return from_op(a.data.reshape(shape), (a,),
-                   lambda g: (g.reshape(a.shape),))
+                   lambda g: (g.reshape(in_shape),))
 
 
 def transpose(a, axes) -> Tensor:
@@ -221,9 +249,11 @@ def take(a, idx) -> Tensor:
     """Indexing / gather. Backward assigns when no element is reached twice
     and scatter-adds otherwise."""
     a = Tensor._lift(a)
+    # the gradient has a's memory layout, as zeros_like gives it
+    like = a.shape if a.data.flags.c_contiguous else a.data
 
     def backward(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(like) if isinstance(like, tuple) else np.zeros_like(like)
         if _selects_once(idx):
             out[idx] = g
         else:
@@ -259,35 +289,36 @@ def where(cond, a, b) -> Tensor:
     """cond is a constant boolean array."""
     cond = np.asarray(cond, dtype=bool)
     a, b = Tensor._lift(a), Tensor._lift(b)
+    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
     return from_op(np.where(cond, a.data, b.data), (a, b),
-                   lambda g: (_unbroadcast(np.where(cond, g, 0.0), a.shape)
-                              if _needs_grad(a) else None,
-                              _unbroadcast(np.where(cond, 0.0, g), b.shape)
-                              if _needs_grad(b) else None))
+                   lambda g: (_unbroadcast(np.where(cond, g, 0.0), sa) if ga else None,
+                              _unbroadcast(np.where(cond, 0.0, g), sb) if gb else None))
 
 
 # -- reductions ---------------------------------------------------------------
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = Tensor._lift(a)
+    in_shape = a.shape
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, in_shape).copy(),)
 
     return from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def mean(a, axis=None, keepdims=False) -> Tensor:
     a = Tensor._lift(a)
+    in_shape = a.shape
     count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in np.atleast_1d(axis)])
+        [in_shape[ax] for ax in np.atleast_1d(axis)])
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / count,)
+        return (np.broadcast_to(g, in_shape) / count,)
 
     return from_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -302,7 +333,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = Tensor._lift(a)
-    return from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return from_op(np.log(x), (a,), lambda g: (g / x,))
 
 
 def sqrt(a) -> Tensor:
@@ -324,16 +356,10 @@ def sigmoid(a) -> Tensor:
     return from_op(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
 
 
-def softplus(a) -> Tensor:
-    a = Tensor._lift(a)
-    sig = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-    return from_op(np.logaddexp(0.0, a.data), (a,),
-                   lambda g: (g * np.where(a.data >= 0, sig, 1.0 - sig),))
-
-
 def abs_(a) -> Tensor:
     a = Tensor._lift(a)
-    return from_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    x = a.data
+    return from_op(np.abs(x), (a,), lambda g: (g * np.sign(x),))
 
 
 def masked_softmax(logits: Tensor, mask, axis: int) -> Tensor:

@@ -243,10 +243,10 @@ def load_scene_dir(path: str):
 
 
 def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
-              resume: str | None = None) -> int:
+              resume: str | None = None, workers: int = 1) -> int:
     os.makedirs(out_dir, exist_ok=True)
     scenes = (load_scene_dir(scenes_dir) if scenes_dir
-              else build_scenes(cfg))
+              else build_scenes(cfg, workers=workers))
     initial_params = None
     epoch_offset = 0
     prior_metrics = []
@@ -343,9 +343,9 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
     return 0
 
 
-def cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
+def cmd_ablate(cfg: RunConfig, out_dir: str, workers: int = 1) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    scenes = build_scenes(cfg)
+    scenes = build_scenes(cfg, workers=workers)
     rows = []
     for variant in VARIANT_ORDER:
         pipe_cfg = dataclasses.replace(cfg.pipeline, block_variant=variant)
@@ -382,19 +382,20 @@ def _parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    common.add_argument("--set", action="append", dest="overrides",
-                        metavar="KEY=VALUE", help="config override (dotted keys)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallel scene generation workers")
+    # eval reads no config, so it takes none of these options
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--seed", type=int, default=None,
+                            help="override the config seed")
+    configured.add_argument("--set", action="append", dest="overrides",
+                            metavar="KEY=VALUE", help="config override (dotted keys)")
+    configured.add_argument("--workers", type=int, default=1,
+                            help="parallel scene generation workers")
 
-    gen = sub.add_parser("generate", parents=[common],
-                         help="write synthetic scene files")
-    gen.add_argument("--config", required=True)
+    sub.add_parser("generate", parents=[configured],
+                   help="write synthetic scene files")
 
-    tr = sub.add_parser("train", parents=[common], help="train a model")
-    tr.add_argument("--config", required=True)
+    tr = sub.add_parser("train", parents=[configured], help="train a model")
     tr.add_argument("--scenes", default=None,
                     help="use pre-generated scenes from this directory")
     tr.add_argument("--resume", default=None,
@@ -406,9 +407,8 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--cameras", default=None,
                     help="camera-count override(s), e.g. 3 or 3,5,7")
 
-    ab = sub.add_parser("ablate", parents=[common],
-                        help="train and compare all block variants")
-    ab.add_argument("--config", required=True)
+    sub.add_parser("ablate", parents=[configured],
+                   help="train and compare all block variants")
     return parser
 
 
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             cfg = load_config(args.config, args.overrides, args.seed)
             return cmd_train(cfg, args.out, scenes_dir=args.scenes,
-                             resume=args.resume)
+                             resume=args.resume, workers=max(1, args.workers))
         if args.command == "eval":
             cameras = None
             if args.cameras:
@@ -434,7 +434,7 @@ def main(argv=None) -> int:
             return cmd_eval(args.model, args.scenes, args.out, cameras=cameras)
         if args.command == "ablate":
             cfg = load_config(args.config, args.overrides, args.seed)
-            return cmd_ablate(cfg, args.out)
+            return cmd_ablate(cfg, args.out, workers=max(1, args.workers))
         raise ConfigError(f"unknown command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -255,10 +255,11 @@ def project_op(geometry_t: ad.Tensor, rig: geometry.CameraRig,
                   & (uv[t, ..., 1] >= lo_y) & (uv[t, ..., 1] <= hi_y))
         valid[t] &= inside
     safe_depth = np.where(valid, depth, 1.0)
+    gdata = geometry_t.data  # small; the gradient takes its layout
 
     def backward(g):
         # u = (P[0] X~) / w, v = (P[1] X~) / w with w = P[2] X~
-        gx = np.zeros_like(geometry_t.data)
+        gx = np.zeros_like(gdata)
         for t in range(len(rig.views)):
             P = projections[t]
             du = (P[0, :3][None] - uv[t][..., 0:1] * P[2, :3][None]) / safe_depth[t][..., None]

@@ -6,6 +6,9 @@ benchmark run breaking later. The tracer source is only read, never changed.
 import importlib
 import os
 import runpy
+import time
+
+from scanpose import cli, pipeline, training
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 MODULES = ("autodiff", "evalsim", "geometry", "pipeline", "ssm", "tokens", "training")
@@ -33,3 +36,32 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert all(getattr(modules[m], a) is fn for (m, a), fn in before.items())
+
+
+def test_tracer_sees_the_tape():
+    """Every graph node is made through autodiff.from_op, so the tracer
+    counts the tape and times the four primitives' backward closures."""
+    tracing = load_tracer()
+    modules = {m: importlib.import_module(f"scanpose.{m}") for m in MODULES}
+    cfg = cli.RunConfig.from_doc({
+        "seed": 7, "num_scenes": 1,
+        "scene": {"num_actors": 1, "num_cameras": 3, "image_width": 64,
+                  "image_height": 48, "num_joints": 6, "feature_dim": 8},
+        # two layers: the second projects the first one's tracked geometry
+        "pipeline": {"num_layers": 2, "num_tokens": 6, "num_points": 2,
+                     "d_state": 2, "head_hidden": 8, "ffn_hidden": 8}})
+    (scene,) = cli.build_scenes(cfg)
+    tensors = pipeline.params_to_tensors(pipeline.init_params(cfg.pipeline, cfg.seed))
+    tracer = tracing["Tracer"](modules)
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        total, _, _ = training.scene_loss(tensors, scene, cfg.pipeline, cfg.train)
+        total.backward()
+        per_op = tracer.per_op(1, time.perf_counter() - start)
+    finally:
+        tracer.uninstall()
+    assert per_op["autodiff.tape_nodes"] > 0
+    for primitive in tracing["PRIMITIVES"]:
+        assert per_op[primitive + ".bwd.calls"] > 0, primitive
+    assert all(tensors[k].grad is not None for k in ("layer0.head_w1", "layer0.A"))

@@ -227,3 +227,29 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     db = json.loads((b / "scenes_manifest.json").read_text())
     assert da["seed"] == 21 and db["seed"] == 22
     assert da["scenes"][0]["seed"] == 21
+
+
+@pytest.mark.parametrize("option", [["--seed", "3"], ["--set", "scene.focal_scale=0.7"],
+                                    ["--workers", "2"]])
+def test_eval_rejects_options_it_would_ignore(tmp_path, option):
+    """A missing model is a runtime error (exit 3); the option is rejected
+    first, with exit 2, before anything is read or written."""
+    out = tmp_path / "eval"
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--model", str(tmp_path / "missing_model.bin"),
+             "--scenes", str(tmp_path / "scenes"), "--out", str(out)] + option)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_train_with_workers_matches_serial(tmp_path):
+    cfg = write_config(tmp_path, tiny_config_doc())
+    serial = tmp_path / "serial"
+    parallel = tmp_path / "parallel"
+    assert run(["train", "--config", cfg, "--out", str(serial)]) == 0
+    assert run(["train", "--config", cfg, "--out", str(parallel),
+                "--workers", "2"]) == 0
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(parallel)) and "model.bin" in names
+    for name in names:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()

@@ -65,10 +65,10 @@ def test_bilinear_without_gradient_records_no_closure(monkeypatch):
     from_op = ad.from_op
     monkeypatch.setattr(ad, "from_op", lambda *args: made.append(args) or from_op(*args))
     out = pl.bilinear_op(grid, ad.Tensor(pos))
-    assert made == [] and out._backward is None and out._parents == ()
+    assert made == [] and out._node is None
     assert np.array_equal(out.data, pl.sample_bilinear(grid, pos))
     taped = pl.bilinear_op(grid, ad.parameter(pos))
-    assert len(made) == 1 and taped._backward is not None
+    assert len(made) == 1 and taped._node.backward is not None
     assert np.array_equal(taped.data, out.data)
 
 
@@ -154,12 +154,12 @@ def test_bilinear_matches_textbook_expression_bit_for_bit(dtype):
     p_t = ad.parameter(pos)
     node = pl.bilinear_op(grid, p_t)
     assert np.array_equal(node.data, value)
-    assert len(node._parents) == 1 and node._parents[0] is p_t  # no grid copy
+    assert node._node.parents == (p_t._node,)  # no grid copy
     up = rng.normal(size=value.shape)
-    (gpos,) = node._backward(up)
+    (gpos,) = node._node.backward(up)
     want = np.stack([np.sum(up * dvdx, axis=-1), np.sum(up * dvdy, axis=-1)], axis=-1)
     assert np.array_equal(gpos, want)
-    (gpos,) = node._backward(np.ones_like(value))
+    (gpos,) = node._node.backward(np.ones_like(value))
     clamped = np.stack([(pos[..., 0] <= 0.0) | (pos[..., 0] >= W - 1.0),
                         (pos[..., 1] <= 0.0) | (pos[..., 1] >= H - 1.0)], axis=-1)
     assert clamped.any() and not clamped.all()
@@ -567,9 +567,9 @@ def test_eval_on_plain_tensors_matches_taped_eval(cameras):
     for a, b in zip(plain, taped):
         for name in fields:
             assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
-            assert getattr(a, name)._backward is None
+            assert getattr(a, name)._node is None
         assert np.array_equal(a.kept, b.kept)
-        assert b.geometry._backward is not None  # the taped run records
+        assert b.geometry._node.backward is not None  # the taped run records
     # the seeded heads move the joints and spread the scores
     init = pl.init_token_state(config, 5)[plain[-1].kept]
     moved = np.linalg.norm(plain[-1].geometry.data - init, axis=-1)

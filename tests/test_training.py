@@ -1,7 +1,11 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scanpose import autodiff as ad
+from scanpose import cli
 from scanpose import evalsim as ev
 from scanpose import pipeline as pl
 from scanpose import training as tr
@@ -293,7 +297,7 @@ def test_evaluate_model_builds_no_tape(monkeypatch):
     def spy(pyramids, rig, tensors, cfg, **kw):
         seen.append(any(t.requires_grad for t in tensors.values()))
         outputs, geom0 = run_pipeline(pyramids, rig, tensors, cfg, **kw)
-        seen.extend(getattr(out, name)._backward is not None for out in outputs
+        seen.extend(getattr(out, name)._node is not None for out in outputs
                     for name in ("positions_2d", "confidences", "geometry",
                                  "visual", "scores", "score_logits"))
         return outputs, geom0
@@ -302,6 +306,27 @@ def test_evaluate_model_builds_no_tape(monkeypatch):
     reports, _, _ = tr.evaluate_model(params, config, [scene, scene])
     assert len(reports) == 2 and len(seen) == 2 * (1 + 2 * 6)
     assert not any(seen)
+
+
+# the forward of one smoke step leaves 38.5 MB live when the tape keeps only
+# what the backward reads, and 63.3 MB when every intermediate stays alive
+SMOKE_TAPE_BOUND_MB = 45.0
+
+
+def test_smoke_forward_tape_stays_small():
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "smoke.json"), seed_override=1)
+    scene = ev.generate_scene(cfg.scene, seed=cfg.seed)  # the first training scene
+    tensors = pl.params_to_tensors(pl.init_params(cfg.pipeline, cfg.seed))
+    tracemalloc.start()
+    try:
+        total, _, _ = tr.scene_loss(tensors, scene, cfg.pipeline, cfg.train)
+        live_mb = tracemalloc.get_traced_memory()[0] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert live_mb <= SMOKE_TAPE_BOUND_MB, f"{live_mb:.1f} MB live after the forward"
+    total.backward()
+    assert tensors["layer0.off_w"].grad is not None
 
 
 def test_metrics_csv_roundtrip(tmp_path):
