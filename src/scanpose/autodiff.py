@@ -362,23 +362,12 @@ def abs_(a) -> Tensor:
     return from_op(np.abs(x), (a,), lambda g: (g * np.sign(x),))
 
 
-def masked_softmax(logits: Tensor, mask, axis: int) -> Tensor:
-    """Softmax over `axis` with weight 0 at masked-out (False) positions.
-
-    Positions where the mask is all-False along the axis come out as zeros.
-    The shift constant is detached, which is exact for softmax gradients.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    shifted = np.where(mask, logits.data, -np.inf)
-    cmax = np.max(shifted, axis=axis, keepdims=True)
-    cmax = np.where(np.isfinite(cmax), cmax, 0.0)
-    # masked positions are pinned to exponent 0 so huge masked logits cannot
-    # overflow; their weight is zeroed right after
-    z = where(mask, logits - Tensor(cmax), Tensor(np.zeros_like(logits.data)))
-    e = mul(exp(z), mask.astype(float))
-    denom = sum_(e, axis=axis, keepdims=True)
-    safe = where(denom.data > 0.0, denom, Tensor(np.ones_like(denom.data)))
-    return div(e, safe)
+def softmax(logits: Tensor, axis: int) -> Tensor:
+    """Softmax over `axis`. The max shift keeps exp from overflowing; it is
+    detached, which is exact for softmax gradients."""
+    cmax = np.max(logits.data, axis=axis, keepdims=True)
+    e = exp(logits - Tensor(cmax))
+    return div(e, sum_(e, axis=axis, keepdims=True))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:

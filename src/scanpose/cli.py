@@ -31,9 +31,6 @@ import numpy as np
 from . import evalsim, pipeline, training
 from .container import atomic_write
 
-VARIANT_ORDER = ("pss", "proj_attention_only", "cross_attention", "mean")
-
-
 class ConfigError(Exception):
     pass
 
@@ -71,10 +68,15 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"config: unknown top-level keys {sorted(unknown)}")
-        seed = int(doc.get("seed", 0))
-        num_scenes = int(doc.get("num_scenes", 10))
+        seed, num_scenes = doc.get("seed", 0), doc.get("num_scenes", 10)
+        for key, value in (("seed", seed), ("num_scenes", num_scenes)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if num_scenes < 0:
             raise ConfigError("num_scenes must be >= 0")
+        for key in ("scene", "pipeline", "train"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise ConfigError(f"{key} must be an object, got {doc[key]!r}")
         scene_doc = dict(doc.get("scene", {}))
         scene_doc.setdefault("rng_seed", seed)
         scene = _build_dataclass(evalsim.SceneConfig, scene_doc, "scene")
@@ -89,6 +91,9 @@ class RunConfig:
             raise ConfigError("pipeline.feature_dim must match scene.feature_dim")
         if pipe.num_joints != scene.num_joints:
             raise ConfigError("pipeline.num_joints must match scene.num_joints")
+        if pipe.num_scales > scene.num_scales:
+            raise ConfigError(f"pipeline.num_scales ({pipe.num_scales}) exceeds "
+                              f"scene.num_scales ({scene.num_scales})")
         train = _build_dataclass(training.TrainConfig, dict(doc.get("train", {})),
                                  "train")
         return RunConfig(seed=seed, num_scenes=num_scenes, scene=scene,
@@ -127,7 +132,9 @@ def load_config(path: str, overrides=None, seed_override=None) -> RunConfig:
     doc = _apply_overrides(doc, overrides)
     if seed_override is not None:
         doc["seed"] = seed_override
-        doc.setdefault("scene", {})["rng_seed"] = seed_override
+        scene_doc = doc.setdefault("scene", {})
+        if isinstance(scene_doc, dict):  # from_doc rejects any other section
+            scene_doc["rng_seed"] = seed_override
     return RunConfig.from_doc(doc)
 
 
@@ -347,7 +354,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: str, workers: int = 1) -> int:
     os.makedirs(out_dir, exist_ok=True)
     scenes = build_scenes(cfg, workers=workers)
     rows = []
-    for variant in VARIANT_ORDER:
+    for variant in pipeline.BLOCK_VARIANTS:
         pipe_cfg = dataclasses.replace(cfg.pipeline, block_variant=variant)
         params, metrics = training.train(pipe_cfg, scenes, rng_seed=cfg.seed,
                                          train_cfg=cfg.train)

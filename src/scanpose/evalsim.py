@@ -307,12 +307,6 @@ def ap_at(preds: np.ndarray, scores: np.ndarray, gts: np.ndarray,
     return float(ap)
 
 
-def mean_ap(preds: np.ndarray, scores: np.ndarray, gts: np.ndarray) -> float:
-    """Mean of ap_at over the fixed thresholds 25..150 mm."""
-    return float(np.mean([ap_at(preds, scores, gts, thr)
-                          for thr in MAP_THRESHOLDS_MM]))
-
-
 def pcp(pred: np.ndarray, gt: np.ndarray, limb_table) -> float:
     """Fraction of limbs whose mean endpoint error is under half the ground
     truth limb length (strict)."""

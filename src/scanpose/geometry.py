@@ -32,14 +32,6 @@ COORD_SCALE = 1000.0
 RANK_RATIO_TOL = 1e-9
 
 
-class GeometryError(Exception):
-    pass
-
-
-class DegenerateDepth(GeometryError):
-    """Point is at or behind the camera's principal plane."""
-
-
 @dataclass(frozen=True)
 class CameraView:
     projection: np.ndarray  # (3, 4)
@@ -119,21 +111,6 @@ def look_at_camera(position, target, focal: float, width: int, height: int,
     P = K @ np.concatenate([R, t[:, None]], axis=1)
     return CameraView(projection=P, image_width=width, image_height=height,
                       view_id=view_id)
-
-
-def project(view: CameraView, point: np.ndarray) -> np.ndarray:
-    """Project a world point (mm) to pixel coordinates.
-
-    Raises DegenerateDepth when the homogeneous depth is not strictly greater
-    than DEPTH_EPSILON (point at or behind the camera plane).
-    """
-    p = np.asarray(point, dtype=float)
-    h = view.projection @ np.append(p, 1.0)
-    if h[2] <= DEPTH_EPSILON:
-        raise DegenerateDepth(
-            f"view {view.view_id}: homogeneous depth {h[2]:.3e} <= {DEPTH_EPSILON}"
-        )
-    return h[:2] / h[2]
 
 
 def project_batch(projections: np.ndarray, points: np.ndarray,

@@ -158,16 +158,11 @@ def params_to_tensors(params: dict) -> dict:
 # differentiable primitives
 # ---------------------------------------------------------------------------
 
-def sample_bilinear(grid: np.ndarray, position) -> np.ndarray:
-    """Bilinear interpolation of grid (H, W, C) at positions (..., 2) given as
-    (x, y) in grid units; out-of-range positions clamp to the border."""
-    value, _ = _bilinear_forward(np.asarray(grid), np.asarray(position, dtype=float))
-    return value
-
-
 def _bilinear_forward(grid: np.ndarray, pos: np.ndarray):
-    """Returns the sampled values and the corner indices, fractions and
-    corner values that the derivatives are built from."""
+    """Bilinear interpolation of grid (H, W, C) at positions (..., 2) given as
+    (x, y) in grid units; out-of-range positions clamp to the border.
+    Returns the sampled values and the corner indices, fractions and corner
+    values that the derivatives are built from."""
     H, W = grid.shape[:2]
     x = np.clip(pos[..., 0], 0.0, W - 1.0)
     y = np.clip(pos[..., 1], 0.0, H - 1.0)
@@ -301,7 +296,7 @@ def selective_scan_op(x: ad.Tensor, p: dict, prefix: str, direction: str) -> ad.
     y, cache = ssm.selective_scan_batch(sel, x.data)
 
     def backward(g):
-        grads = ssm._selective_backward(sel, cache, g)
+        grads = ssm.selective_scan_backward(sel, cache, g)
         return (grads["x"], grads["w_delta"], grads["b_delta"], grads["w_b"],
                 grads["w_c"], grads["A"], grads["D"])
 
@@ -329,7 +324,7 @@ def _attention_samples(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
     S, P = config.num_scales, config.num_points
     off = (visual @ p[prefix + "off_w"] + p[prefix + "off_b"]).reshape((n, J, S, P, 2))
     alog = (visual @ p[prefix + "alog_w"] + p[prefix + "alog_b"]).reshape((n, J, S * P))
-    w_sp = ad.masked_softmax(alog, np.ones((n, J, S * P), bool), axis=-1)
+    w_sp = ad.softmax(alog, axis=-1)
     w_sp = w_sp.reshape((n, J, S, P))
 
     per_view = []
@@ -339,7 +334,7 @@ def _attention_samples(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
         anchor_t = anchors[t].reshape((n, J, 1, 2))
         per_scale = []
         raw_scale = []
-        for s in range(min(S, len(pyr.levels))):
+        for s in range(S):
             f_s = pyr.scale_factors[s]
             pos = anchor_t * f_s + off[:, :, s]  # (n, J, P, 2)
             samples = bilinear_op(pyr.levels[s], pos)  # (n, J, P, L)
@@ -373,12 +368,13 @@ def _scan_branch(x1: ad.Tensor, per_view: ad.Tensor, p: dict, prefix: str,
     n, J, L = x1.shape
     T = num_views
     order = scanning.build_gtbs_orders(T, J, config.scan_grouping)
+    reverse = order[::-1]
     items = per_view + x1.reshape((1, n, J, L))  # (T, n, J, L)
     seq = items.transpose((1, 0, 2, 3)).reshape((n, T * J, L))
-    fwd = selective_scan_op(seq[:, order.forward], p, prefix, "f")
-    bwd = selective_scan_op(seq[:, order.backward], p, prefix, "b")
-    merged = (fwd[:, scanning.invert_permutation(order.forward)]
-              + bwd[:, scanning.invert_permutation(order.backward)])
+    fwd = selective_scan_op(seq[:, order], p, prefix, "f")
+    bwd = selective_scan_op(seq[:, reverse], p, prefix, "b")
+    # argsort of a permutation is its inverse: un-permute both passes
+    merged = fwd[:, np.argsort(order)] + bwd[:, np.argsort(reverse)]
     per_joint = merged.reshape((n, T, J, L)).mean(axis=1)  # (n, J, L)
     return per_joint
 
@@ -392,7 +388,7 @@ def _cross_attention_branch(x1: ad.Tensor, per_view: ad.Tensor, p: dict,
     k = kv @ p[prefix + "wk"]
     v = kv @ p[prefix + "wv"]
     logits = ad.mul(q @ k.transpose((0, 2, 1)), 1.0 / np.sqrt(L))  # (n, J, TJ)
-    att = ad.masked_softmax(logits, np.ones(logits.shape, bool), axis=-1)
+    att = ad.softmax(logits, axis=-1)
     ctx = att @ v  # (n, J, L)
     return ctx @ p[prefix + "wo"]
 
@@ -516,6 +512,12 @@ def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
+    for pyr in pyramids:
+        if len(pyr.levels) < config.num_scales or pyr.feature_dim != config.feature_dim:
+            raise ValueError(
+                f"the model needs {config.num_scales} pyramid levels of "
+                f"{config.feature_dim} channels, got {len(pyr.levels)} levels of "
+                f"{pyr.feature_dim} channels")
     p = param_tensors
     geom0 = init_token_state(config, init_seed)
     n = config.num_tokens

@@ -9,8 +9,10 @@ The selective variant recomputes (delta_t, B_t, C_t) from each input token
 through learned projections (delta through a softplus to stay positive),
 applies the same per-step discretization with a diagonal state matrix shared
 across steps, and scans channelwise: each of the L feature channels carries
-its own d_state-dimensional latent state. selective_scan_backward is the
-exact reverse accumulation of that recurrence.
+its own d_state-dimensional latent state. The public scan API is two
+functions: selective_scan_batch scans (batch, steps, L) sequences and returns
+the outputs with a cache, and selective_scan_backward is the exact reverse
+accumulation of that recurrence from the cache.
 """
 
 from __future__ import annotations
@@ -183,17 +185,13 @@ class SelectiveParams:
                 or self.D.shape != (L,):
             raise ValueError("inconsistent selective parameter shapes")
 
-    @property
-    def dim(self) -> int:
-        return self.b_delta.shape[0]
 
-    @property
-    def d_state(self) -> int:
-        return self.A.shape[1]
-
-
-def _selective_forward(sel: SelectiveParams, x: np.ndarray):
-    """Core scan over x (batch, steps, L). Returns (y, cache)."""
+def selective_scan_batch(sel: SelectiveParams, x):
+    """Batched scan over (batch, steps, L); returns outputs plus the cache
+    needed for the exact backward pass."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 or x.shape[1] == 0:
+        raise EmptySequence(f"expected non-empty (batch, steps, L), got {x.shape}")
     T = x.shape[1]
     pre = x @ sel.w_delta + sel.b_delta  # (B, T, L)
     delta = np.logaddexp(0.0, pre)  # softplus keeps every step size positive
@@ -223,9 +221,10 @@ def _selective_forward(sel: SelectiveParams, x: np.ndarray):
     return y, cache
 
 
-def _selective_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
-    """Reverse accumulation through the cached scan. Returns a dict of
-    gradients for the inputs and every parameter."""
+def selective_scan_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
+    """Reverse accumulation through the cache of selective_scan_batch;
+    upstream is dLoss/dy, shaped like y. Returns a dict of gradients for the
+    inputs and every parameter."""
     x, T = cache["x"], upstream.shape[1]
     delta, Bm, Cm = cache["delta"], cache["Bm"], cache["Cm"]
     m, abar, g, hs = cache["m"], cache["abar"], cache["g"], cache["hs"]
@@ -257,7 +256,7 @@ def _selective_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
     dx += dpre @ sel.w_delta.T
     dx += dBm @ sel.w_b.T
     dx += dCm @ sel.w_c.T
-    grads = {
+    return {
         "x": dx,
         "w_delta": np.tensordot(x, dpre, axes=([0, 1], [0, 1])),
         "b_delta": np.sum(dpre, axis=(0, 1)),
@@ -266,39 +265,3 @@ def _selective_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
         "A": dA,
         "D": dD,
     }
-    return grads
-
-
-def selective_scan(sel: SelectiveParams, x) -> np.ndarray:
-    """Scan a (steps, L) token sequence; channels run independent recurrences."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptySequence(f"expected a non-empty (steps, L) sequence, got {x.shape}")
-    y, _ = _selective_forward(sel, x[None])
-    return y[0]
-
-
-def selective_scan_batch(sel: SelectiveParams, x) -> np.ndarray:
-    """Batched scan over (batch, steps, L); returns outputs plus the cache
-    needed for the exact backward pass."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 3 or x.shape[1] == 0:
-        raise EmptySequence(f"expected non-empty (batch, steps, L), got {x.shape}")
-    return _selective_forward(sel, x)
-
-
-def selective_scan_backward(sel: SelectiveParams, x, upstream):
-    """Gradients of selective_scan for the inputs and all parameters.
-
-    upstream carries dLoss/dy with the same (steps, L) shape as the output.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptySequence(f"expected a non-empty (steps, L) sequence, got {x.shape}")
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != x.shape:
-        raise ValueError(f"upstream shape {upstream.shape} != input shape {x.shape}")
-    _, cache = _selective_forward(sel, x[None])
-    grads = _selective_backward(sel, cache, upstream[None])
-    grads["x"] = grads["x"][0]
-    return grads

@@ -67,6 +67,13 @@ def expm_taylor_ld(M, scale_pow=None):
     return E
 
 
+def project_ld(P, X):
+    """Pixel coordinates of the world point X (3,) through the camera P
+    (3, 4): the homogeneous division, in longdouble."""
+    h = np.array(P, dtype=LD) @ np.append(np.array(X, dtype=LD), LD(1))
+    return np.asarray(h[:2] / h[2], dtype=float)
+
+
 def triangulation_system_ld(positions, confidences, projections, sizes,
                             coord_scale=1000.0):
     """Rebuild the normalized weighted DLT system in longdouble.

@@ -18,7 +18,7 @@ from scanpose import cli, evalsim, pipeline, ssm, training
 from scanpose.tokens import load_tpose
 from oracles import expm_taylor_ld, rel_error
 from test_geometry import jacobian_and_fd, observe, oracle, ring_rig, triangulate
-from test_ssm import naive_selective_scan, random_selective
+from test_ssm import naive_selective_scan, random_selective, scan, scan_backward
 
 SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                             "smoke.json")
@@ -46,7 +46,7 @@ def test_criterion_1_scan_oracle_equivalence():
         sel = random_selective(rng, L=L, S=S)
         x = rng.normal(size=(T, L))
         worst_sel = max(worst_sel,
-                        rel_error(ssm.selective_scan(sel, x),
+                        rel_error(scan(sel, x),
                                   naive_selective_scan(sel, x)))
     worst_lti = 0.0
     for _ in range(50):
@@ -207,14 +207,14 @@ def test_criterion_4_gradient_suite():
     sel = random_selective(rng, L=3, S=4)
     x = rng.normal(size=(8, 3))
     upstream = rng.normal(size=(8, 3))
-    grads = ssm.selective_scan_backward(sel, x, upstream)
+    grads = scan_backward(sel, x, upstream)
     step = 1e-6
     fd_x = np.zeros_like(x)
     for i in range(x.size):
         d = np.zeros_like(x)
         d.flat[i] = step
-        fd_x.flat[i] = (np.sum(ssm.selective_scan(sel, x + d) * upstream)
-                        - np.sum(ssm.selective_scan(sel, x - d) * upstream)) / (2 * step)
+        fd_x.flat[i] = (np.sum(scan(sel, x + d) * upstream)
+                        - np.sum(scan(sel, x - d) * upstream)) / (2 * step)
     worst_scan = rel_error(grads["x"], fd_x)
 
     # bilinear sampling
@@ -229,8 +229,8 @@ def test_criterion_4_gradient_suite():
         d = np.zeros_like(pos)
         d.flat[i] = step
         fd_pos.flat[i] = float(
-            np.sum(pipeline.sample_bilinear(grid, pos + d) * up)
-            - np.sum(pipeline.sample_bilinear(grid, pos - d) * up)) / (2 * step)
+            np.sum(pipeline.bilinear_op(grid, ad.Tensor(pos + d)).data * up)
+            - np.sum(pipeline.bilinear_op(grid, ad.Tensor(pos - d)).data * up)) / (2 * step)
     worst_bil = rel_error(p_t.grad, fd_pos)
 
     # projective attention parameters through the attention surface
@@ -445,7 +445,7 @@ def test_criterion_8_metric_suite():
             ok &= abs(got - acc / Z) < 1e-12
         parts = [evalsim.ap_at(preds, scores, gts, t)
                  for t in evalsim.MAP_THRESHOLDS_MM]
-        ok &= evalsim.mean_ap(preds, scores, gts) == np.mean(parts)
+        ok &= evalsim.evaluate(preds, scores, gts, limbs).map == np.mean(parts)
     _report(8, "metric suite", bool(ok))
 
 

@@ -177,7 +177,7 @@ def test_ablate_emits_four_rows_deterministically(tmp_path):
     assert run(["ablate", "--config", cfg, "--out", str(out2)]) == 0
     table = (out1 / "ablation.csv").read_text().splitlines()
     assert table[0] == "variant,val_mpjpe_mm,ap25,pose_loss,cls_loss"
-    assert [line.split(",")[0] for line in table[1:]] == list(cli.VARIANT_ORDER)
+    assert [line.split(",")[0] for line in table[1:]] == list(pipeline.BLOCK_VARIANTS)
     assert (out1 / "ablation.csv").read_bytes() == (out2 / "ablation.csv").read_bytes()
 
 
@@ -189,6 +189,18 @@ def test_config_error_exits_2_and_writes_nothing(tmp_path):
     bad2 = write_config(tmp_path, tiny_config_doc(num_scenes=-1), "bad2.json")
     assert run(["generate", "--config", bad2, "--out", str(out)]) == 2
     assert not out.exists()
+    good = write_config(tmp_path, tiny_config_doc(), "good.json")
+    bad3 = write_config(tmp_path, tiny_config_doc(train=[1]), "bad3.json")
+    # a section that is not an object, a seed that is not an integer, and a
+    # model with more scales than the scenes' pyramids have levels
+    for argv in (["generate", "--config", good, "--set", "scene=3"],
+                 ["generate", "--config", good, "--set", "scene=3", "--seed", "5"],
+                 ["generate", "--config", bad3],
+                 ["generate", "--config", good, "--set", "seed=abc"],
+                 ["generate", "--config", good, "--set", "num_scenes=2.5"],
+                 ["train", "--config", good, "--set", "pipeline.num_scales=3"]):
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
 
 
 def test_unknown_section_key_rejected(tmp_path):
@@ -215,6 +227,20 @@ def test_runtime_error_exits_3(tmp_path):
     missing = str(tmp_path / "missing_model.bin")
     assert run(["eval", "--model", missing, "--scenes", str(scenes_dir),
                 "--out", str(tmp_path / "z")]) == 3
+
+
+def test_eval_on_scenes_with_fewer_levels_exits_3(tmp_path, capsys):
+    doc = tiny_config_doc(num_scenes=1)
+    doc["train"]["steps"] = 0
+    cfg = write_config(tmp_path, doc)
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
+    doc["scene"]["num_scales"] = 1
+    one_level = write_config(tmp_path, doc, "one_level.json")
+    assert run(["generate", "--config", one_level, "--out", str(tmp_path / "s1")]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--model", str(tmp_path / "model" / "model.bin"),
+                "--scenes", str(tmp_path / "s1"), "--out", str(tmp_path / "ev")]) == 3
+    assert "needs 2 pyramid levels of 8 channels, got 1 levels" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):

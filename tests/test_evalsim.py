@@ -255,19 +255,23 @@ def test_ap_monotone_in_threshold():
 
 
 def test_map_is_exact_mean_of_six_thresholds():
+    # evaluate scores PCP too, so the poses are skeletons with real limbs
     rng = np.random.default_rng(5)
-    gts = np.stack([_skel(rng.uniform(-2000, 2000, 3)) for _ in range(3)])
+    template, _, limbs = load_tpose()
+    gts = np.stack([template + rng.uniform(-2000, 2000, 3) for _ in range(3)])
     preds = gts + rng.normal(scale=60.0, size=gts.shape)
     scores = rng.uniform(size=3)
     parts = [ev.ap_at(preds, scores, gts, t) for t in ev.MAP_THRESHOLDS_MM]
-    assert ev.mean_ap(preds, scores, gts) == np.mean(parts)
+    assert len(set(parts)) > 1  # the thresholds disagree
+    assert ev.evaluate(preds, scores, gts, limbs).map == np.mean(parts)
     assert ev.MAP_THRESHOLDS_MM == (25.0, 50.0, 75.0, 100.0, 125.0, 150.0)
 
 
 def test_map_perfect_and_empty():
-    gts = np.stack([_skel([100, 0, 0]), _skel([-3000, 0, 0])])
-    assert ev.mean_ap(gts.copy(), np.array([0.9, 0.8]), gts) == 1.0
-    assert ev.mean_ap(np.zeros((0, 1, 3)), np.zeros(0), gts) == 0.0
+    template, _, limbs = load_tpose()
+    gts = np.stack([template + [100, 0, 0], template + [-3000, 0, 0]])
+    assert ev.evaluate(gts.copy(), np.array([0.9, 0.8]), gts, limbs).map == 1.0
+    assert ev.evaluate(np.zeros((0, 15, 3)), np.zeros(0), gts, limbs).map == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +345,8 @@ def test_evaluate_matches_component_metrics():
     report = ev.evaluate(preds, scores, gts, limbs)
     for thr in ev.MAP_THRESHOLDS_MM:
         assert report.ap[thr] == ev.ap_at(preds, scores, gts, thr)
-    assert report.map == ev.mean_ap(preds, scores, gts)
+    assert report.map == np.mean([ev.ap_at(preds, scores, gts, thr)
+                                  for thr in ev.MAP_THRESHOLDS_MM])
     matches = ev.greedy_match(preds, scores, gts)
     dists = [d for _, zi, d in matches if zi >= 0]
     assert abs(report.mpjpe_mm - np.mean(dists)) < 1e-12

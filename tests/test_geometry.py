@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scanpose import geometry as geo
-from oracles import central_difference, rel_error, triangulate_ld
+from oracles import central_difference, project_ld, rel_error, triangulate_ld
 
 
 def identity_view(view_id=0):
@@ -25,7 +25,7 @@ def ring_rig(num_views, rng, width=256, height=192, radius=(4500.0, 6000.0),
 def observe(rig, point, confidences=None, noise=None, rng=None):
     """Pixel observations (T, 2) of a world point in every view, optionally
     noisy, and their confidences (T,)."""
-    positions = np.stack([geo.project(view, point) for view in rig.views])
+    positions = np.stack([project_ld(view.projection, point) for view in rig.views])
     if noise is not None:
         positions = positions + rng.normal(0.0, noise, size=positions.shape)
     confs = np.ones(len(rig)) if confidences is None else np.asarray(confidences, float)
@@ -72,14 +72,20 @@ def jacobian_and_fd(positions, confidences, rig):
 # project
 # ---------------------------------------------------------------------------
 
+def project_one(view, point):
+    """(uv (2,), valid) of one point in one view through project_batch."""
+    uv, _, valid = geo.project_batch(view.projection[None], point)
+    return uv[0], bool(valid[0])
+
+
 def test_project_optical_axis_maps_to_principal_point():
-    uv = geo.project(identity_view(), np.array([0.0, 0.0, 2000.0]))
-    assert np.allclose(uv, [0.0, 0.0])
+    uv, valid = project_one(identity_view(), np.array([0.0, 0.0, 2000.0]))
+    assert valid and np.allclose(uv, [0.0, 0.0])
 
 
 def test_project_pinhole_division():
-    uv = geo.project(identity_view(), np.array([1000.0, 1000.0, 2000.0]))
-    assert np.allclose(uv, [0.5, 0.5])
+    uv, valid = project_one(identity_view(), np.array([1000.0, 1000.0, 2000.0]))
+    assert valid and np.allclose(uv, [0.5, 0.5])
 
 
 def test_project_matches_extended_precision_oracle():
@@ -91,16 +97,8 @@ def test_project_matches_extended_precision_oracle():
         if h[2] <= 1e-3:  # keep clear of the depth cutoff
             continue
         view = geo.CameraView(projection=P, image_width=64, image_height=64, view_id=0)
-        expect = np.asarray(h[:2] / h[2], dtype=float)
-        assert rel_error(geo.project(view, p), expect) < 1e-12
-
-
-def test_project_degenerate_depth_raises():
-    view = identity_view()
-    with pytest.raises(geo.DegenerateDepth):
-        geo.project(view, np.array([0.0, 0.0, 0.0]))
-    with pytest.raises(geo.DegenerateDepth):
-        geo.project(view, np.array([100.0, 0.0, -500.0]))
+        uv, valid = project_one(view, p)
+        assert valid and rel_error(uv, project_ld(P, p)) < 1e-12
 
 
 def test_project_batch_matches_scalar_and_masks():
@@ -112,11 +110,12 @@ def test_project_batch_matches_scalar_and_masks():
     assert valid.all()
     for t, view in enumerate(rig.views):
         for b in range(len(pts)):
-            assert np.allclose(uv[t, b], geo.project(view, pts[b]))
-    # a point behind the camera plane is masked, not raised
+            assert np.allclose(uv[t, b], project_ld(view.projection, pts[b]))
+    # points on and behind the camera plane are masked with uv = 0, not raised
     ident = np.hstack([np.eye(3), np.zeros((3, 1))])[None]
-    _, _, valid2 = geo.project_batch(ident, np.array([[0.0, 0.0, -500.0]]))
-    assert not valid2.any()
+    behind = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, -500.0], [0.0, 0.0, -500.0]])
+    uv2, _, valid2 = geo.project_batch(ident, behind)
+    assert not valid2.any() and np.all(uv2 == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ def test_masked_view_rows_equal_removed_view():
     rng = np.random.default_rng(53)
     rig = ring_rig(3, rng)
     X = np.array([420.0, -80.0, 1500.0])
-    positions = np.stack([geo.project(v, X) for v in rig.views])[None]
+    positions = np.stack([project_ld(v.projection, X) for v in rig.views])[None]
     confs = np.array([[1.0, 1.0, 0.0]])
     full, ok = geo.triangulate_batch(positions, confs, rig)
     assert ok.all()

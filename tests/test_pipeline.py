@@ -6,7 +6,8 @@ from scanpose import evalsim as ev
 from scanpose import geometry as geo
 from scanpose import pipeline as pl
 from scanpose import scanning, ssm, tokens
-from oracles import rel_error, triangulate_ld
+from oracles import project_ld, rel_error, triangulate_ld
+from test_ssm import naive_selective_scan
 
 
 def tiny_scene(num_cameras=3, num_actors=1, joints=15, feature_dim=17, seed=7,
@@ -30,22 +31,27 @@ def tiny_config(scene, **kw):
 # bilinear sampling
 # ---------------------------------------------------------------------------
 
+def sample(grid, pos):
+    """bilinear_op values at constant positions: no derivative caches."""
+    return pl.bilinear_op(grid, ad.Tensor(pos)).data
+
+
 def test_bilinear_grid_node_value():
     rng = np.random.default_rng(0)
     grid = rng.normal(size=(5, 7, 3))
-    assert np.allclose(pl.sample_bilinear(grid, np.array([4.0, 2.0])), grid[2, 4])
+    assert np.allclose(sample(grid, np.array([4.0, 2.0])), grid[2, 4])
 
 
 def test_bilinear_constant_grid():
     grid = np.full((4, 4, 2), 3.25)
     for pos in ([0.3, 1.7], [2.5, 2.5], [-3.0, 9.0]):
-        assert np.allclose(pl.sample_bilinear(grid, np.array(pos)), 3.25)
+        assert np.allclose(sample(grid, np.array(pos)), 3.25)
 
 
 def test_bilinear_midpoint_is_four_node_mean():
     rng = np.random.default_rng(1)
     grid = rng.normal(size=(3, 3, 4))
-    got = pl.sample_bilinear(grid, np.array([0.5, 1.5]))
+    got = sample(grid, np.array([0.5, 1.5]))
     expect = (grid[1, 0] + grid[1, 1] + grid[2, 0] + grid[2, 1]) / 4.0
     assert np.allclose(got, expect)
 
@@ -53,8 +59,8 @@ def test_bilinear_midpoint_is_four_node_mean():
 def test_bilinear_border_clamp():
     rng = np.random.default_rng(2)
     grid = rng.normal(size=(4, 5, 2))
-    assert np.allclose(pl.sample_bilinear(grid, np.array([-2.0, -2.0])), grid[0, 0])
-    assert np.allclose(pl.sample_bilinear(grid, np.array([99.0, 99.0])), grid[-1, -1])
+    assert np.allclose(sample(grid, np.array([-2.0, -2.0])), grid[0, 0])
+    assert np.allclose(sample(grid, np.array([99.0, 99.0])), grid[-1, -1])
 
 
 def test_bilinear_without_gradient_records_no_closure(monkeypatch):
@@ -66,7 +72,7 @@ def test_bilinear_without_gradient_records_no_closure(monkeypatch):
     monkeypatch.setattr(ad, "from_op", lambda *args: made.append(args) or from_op(*args))
     out = pl.bilinear_op(grid, ad.Tensor(pos))
     assert made == [] and out._node is None
-    assert np.array_equal(out.data, pl.sample_bilinear(grid, pos))
+    assert np.array_equal(out.data, _textbook_bilinear(grid, pos)[0])
     taped = pl.bilinear_op(grid, ad.parameter(pos))
     assert len(made) == 1 and taped._node.backward is not None
     assert np.array_equal(taped.data, out.data)
@@ -83,7 +89,7 @@ def test_bilinear_gradients_match_fd():
     step = 1e-6
 
     def loss(gr, po):
-        return float(np.sum(pl.sample_bilinear(gr, po) * up))
+        return float(np.sum(sample(gr, po) * up))
 
     fd_pos = np.zeros_like(pos)
     for i in range(pos.size):
@@ -148,8 +154,7 @@ def test_bilinear_matches_textbook_expression_bit_for_bit(dtype):
     inside = rng.uniform([0.0, 0.0], [W - 1.0, H - 1.0], size=(60, 2))
     pos = np.concatenate([lattice, inside]).reshape(6, -1, 2)
     value, dvdx, dvdy = _textbook_bilinear(grid, pos)
-    assert np.array_equal(pl.sample_bilinear(grid, pos), value)
-    assert np.array_equal(pl.bilinear_op(grid, ad.Tensor(pos)).data, value)
+    assert np.array_equal(sample(grid, pos), value)
 
     p_t = ad.parameter(pos)
     node = pl.bilinear_op(grid, p_t)
@@ -179,7 +184,7 @@ def test_project_op_matches_scalar_and_fd():
     for t, view in enumerate(scene.rig.views):
         for b in range(4):
             if valid[t, b]:
-                assert np.allclose(anchors.data[t, b], geo.project(view, pts[b]))
+                assert np.allclose(anchors.data[t, b], project_ld(view.projection, pts[b]))
     up = rng.normal(size=anchors.shape)
     (anchors * up).sum().backward()
     step = 1e-4
@@ -259,7 +264,7 @@ def test_attention_single_view_zero_offsets_equals_anchor_sample():
     feats, anchors, valid = attend(token, pyramids, rig, params, config)
     assert valid[0].all() and not valid[1].any()
     for j in range(config.num_joints):
-        expect = pl.sample_bilinear(scene.pyramids[0].levels[0], anchors[0, j])
+        expect, _, _ = _textbook_bilinear(scene.pyramids[0].levels[0], anchors[0, j])
         assert np.max(np.abs(feats[j] - expect)) < 1e-12
 
 
@@ -272,7 +277,7 @@ def test_attention_anchors_match_projection():
     for t, view in enumerate(scene.rig.views):
         for j in range(config.num_joints):
             if valid[t, j]:
-                assert np.allclose(anchors[t, j], geo.project(view, geometry[j]))
+                assert np.allclose(anchors[t, j], project_ld(view.projection, geometry[j]))
 
 
 def test_refine_layer_token_outside_every_view_keeps_geometry():
@@ -366,8 +371,8 @@ def test_block_full_pss_matches_straight_line_oracle():
                 f = scene.pyramids[t].scale_factors[s]
                 for q in range(P):
                     pos = anchors[t, j] * f + off[j, s, q]
-                    acc += wsp[j, s, q] * pl.sample_bilinear(
-                        scene.pyramids[t].levels[s], pos)
+                    acc += wsp[j, s, q] * _textbook_bilinear(
+                        scene.pyramids[t].levels[s], pos)[0]
             per_view[t, j] = acc
     fused = per_view.sum(axis=0) / np.maximum(valid.sum(axis=0), 1)[:, None]
     x1 = visual + fused @ params["layer0.aout_w"] + params["layer0.aout_b"]
@@ -384,9 +389,8 @@ def test_block_full_pss_matches_straight_line_oracle():
             A=params["layer0.A"], D=params["layer0.Dss"])
 
     merged = np.zeros_like(seq)
-    merged[order.forward] = ssm.selective_scan(sel("f"), seq[order.forward])
-    back = ssm.selective_scan(sel("b"), seq[order.backward])
-    merged[order.backward] += back
+    merged[order] = naive_selective_scan(sel("f"), seq[order])
+    merged[order[::-1]] += naive_selective_scan(sel("b"), seq[order[::-1]])
     per_joint = merged.reshape(T, J, L).mean(axis=0)
     mu = per_joint.mean(-1, keepdims=True)
     var = ((per_joint - mu) ** 2).mean(-1, keepdims=True)
@@ -469,7 +473,7 @@ def test_refine_layer_zero_offsets_keeps_geometry():
 def test_refined_offsets_match_triangulation_oracle():
     scene = tiny_scene(num_cameras=3)
     X = np.array([250.0, -400.0, 1100.0])
-    anchors = np.stack([geo.project(v, X) for v in scene.rig.views])
+    anchors = np.stack([project_ld(v.projection, X) for v in scene.rig.views])
     delta = np.zeros((3, 2))
     delta[1] = [5.0, 0.0]
     conf = np.full(3, 0.7)
@@ -484,7 +488,7 @@ def test_refined_offsets_match_triangulation_oracle():
 def test_zero_confidence_view_reproduces_two_view_solution():
     scene = tiny_scene(num_cameras=3)
     X = np.array([-150.0, 300.0, 1400.0])
-    anchors = np.stack([geo.project(v, X) for v in scene.rig.views])
+    anchors = np.stack([project_ld(v.projection, X) for v in scene.rig.views])
     anchors[2] += [40.0, -25.0]  # corrupted outlier
     conf = np.array([1.0, 1.0, 0.0])
     u = ad.Tensor(anchors[None])
@@ -510,6 +514,25 @@ def test_pipeline_single_layer_composition():
     assert np.allclose(outputs[0].geometry.data, new_geom.data)
     assert np.allclose(outputs[0].visual.data, x2.data)
     assert np.allclose(outputs[0].positions_2d.data, refined.data)
+
+
+def test_pipeline_rejects_pyramids_that_do_not_fit_the_model():
+    scene = tiny_scene()  # 2 levels of 17 channels
+    params = pl.params_to_tensors(pl.init_params(tiny_config(scene), rng_seed=12))
+    one_level = [pl.FeaturePyramid(levels=p.levels[:1], scale_factors=p.scale_factors[:1])
+                 for p in scene.pyramids]
+    with pytest.raises(ValueError, match="needs 2 pyramid levels of 17 channels, "
+                                         "got 1 levels of 17 channels"):
+        pl.run_pipeline(one_level, scene.rig, params, tiny_config(scene))
+    narrow = [pl.FeaturePyramid(levels=tuple(g[..., :9] for g in p.levels),
+                                scale_factors=p.scale_factors) for p in scene.pyramids]
+    with pytest.raises(ValueError, match="got 2 levels of 9 channels"):
+        pl.run_pipeline(narrow, scene.rig, params, tiny_config(scene))
+    # more levels than the model reads are fine
+    config = tiny_config(scene, num_scales=1)
+    params = pl.params_to_tensors(pl.init_params(config, rng_seed=12))
+    outputs, _ = pl.run_pipeline(scene.pyramids, scene.rig, params, config)
+    assert np.all(np.isfinite(outputs[-1].geometry.data))
 
 
 def test_pipeline_deterministic():

@@ -20,6 +20,20 @@ def random_selective(rng, L=3, S=4, scale=0.5):
     )
 
 
+def scan(sel, x):
+    """One (steps, L) sequence through the batched scan."""
+    return ssm.selective_scan_batch(sel, np.asarray(x, dtype=float)[None])[0][0]
+
+
+def scan_backward(sel, x, upstream):
+    """Gradients of scan(sel, x) for the input and every parameter, given
+    dLoss/dy = upstream of shape (steps, L)."""
+    _, cache = ssm.selective_scan_batch(sel, np.asarray(x, dtype=float)[None])
+    grads = ssm.selective_scan_backward(sel, cache, np.asarray(upstream, dtype=float)[None])
+    grads["x"] = grads["x"][0]
+    return grads
+
+
 def naive_selective_scan(sel, x):
     """Literal per-step, per-channel, per-state recurrence from the
     definitions; no vectorization shared with the implementation."""
@@ -203,7 +217,7 @@ def test_scan_empty_sequence_raises():
 
 
 # ---------------------------------------------------------------------------
-# selective_scan
+# selective_scan_batch
 # ---------------------------------------------------------------------------
 
 def test_selective_constant_projections_reduce_to_lti():
@@ -220,7 +234,7 @@ def test_selective_constant_projections_reduce_to_lti():
                               w_b=w_b, w_c=w_c, A=-rng.uniform(0.2, 1.0, (L, S)),
                               D=rng.normal(size=L))
     x = rng.normal(size=(9, L))
-    y = ssm.selective_scan(sel, x)
+    y = scan(sel, x)
     # with B_t = C_t = 0 the recurrence reduces to the pure feed-through
     assert rel_error(y, x * sel.D) < 1e-12
 
@@ -244,7 +258,7 @@ def test_selective_constant_delta_matches_scan_recurrent_exactly():
                               w_b=w_b, w_c=w_c, A=A, D=D)
     xs = rng.normal(size=10)
     tokens = np.stack([xs, np.ones(10)], axis=1)
-    y = ssm.selective_scan(sel, tokens)
+    y = scan(sel, tokens)
     delta0 = float(np.logaddexp(0.0, b_delta[0]))
     ref = ssm.SSMParams(A=np.diag(A[0]), B=Bconst, C=Cconst, D=float(D[0]),
                         delta=delta0, diagonal=True)
@@ -260,24 +274,24 @@ def test_selective_matches_naive_oracle():
         T = int(rng.integers(1, 12))
         sel = random_selective(rng, L=L, S=S)
         x = rng.normal(size=(T, L))
-        assert rel_error(ssm.selective_scan(sel, x), naive_selective_scan(sel, x)) < 1e-10
+        assert rel_error(scan(sel, x), naive_selective_scan(sel, x)) < 1e-10
 
 
 def test_selective_zero_input_zero_bias_is_zero():
     rng = np.random.default_rng(16)
     sel = random_selective(rng, L=3, S=2)
     x = np.zeros((7, 3))
-    assert np.all(ssm.selective_scan(sel, x) == 0.0)
+    assert np.all(scan(sel, x) == 0.0)
 
 
 def test_selective_causality():
     rng = np.random.default_rng(17)
     sel = random_selective(rng, L=3, S=3)
     x = rng.normal(size=(10, 3))
-    y = ssm.selective_scan(sel, x)
+    y = scan(sel, x)
     x2 = x.copy()
     x2[6:] += rng.normal(size=(4, 3))  # future-only perturbation
-    y2 = ssm.selective_scan(sel, x2)
+    y2 = scan(sel, x2)
     assert np.array_equal(y[:6], y2[:6])
     assert not np.allclose(y[6:], y2[6:])
 
@@ -285,7 +299,9 @@ def test_selective_causality():
 def test_selective_empty_raises():
     sel = random_selective(np.random.default_rng(18))
     with pytest.raises(ssm.EmptySequence):
-        ssm.selective_scan(sel, np.zeros((0, 3)))
+        ssm.selective_scan_batch(sel, np.zeros((1, 0, 3)))
+    with pytest.raises(ssm.EmptySequence):
+        ssm.selective_scan_batch(sel, np.zeros((0, 3)))  # one unbatched sequence
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +333,13 @@ def test_backward_matches_finite_differences():
     sel = random_selective(rng, L=L, S=S)
     x = rng.normal(size=(T, L))
     upstream = rng.normal(size=(T, L))
-    grads = ssm.selective_scan_backward(sel, x, upstream)
+    grads = scan_backward(sel, x, upstream)
 
     def loss_wrt_x(xf):
-        return float(np.sum(ssm.selective_scan(sel, xf.reshape(T, L)) * upstream))
+        return float(np.sum(scan(sel, xf.reshape(T, L)) * upstream))
 
     def loss_wrt_p(pf):
-        return float(np.sum(ssm.selective_scan(_rebuild(pf, L, S), x) * upstream))
+        return float(np.sum(scan(_rebuild(pf, L, S), x) * upstream))
 
     step = 1e-6
     fd_x = np.array([
@@ -348,7 +364,7 @@ def test_backward_zero_upstream_zero_grads():
     rng = np.random.default_rng(20)
     sel = random_selective(rng)
     x = rng.normal(size=(6, 3))
-    grads = ssm.selective_scan_backward(sel, x, np.zeros((6, 3)))
+    grads = scan_backward(sel, x, np.zeros((6, 3)))
     for v in grads.values():
         assert np.all(v == 0.0)
 
@@ -359,7 +375,7 @@ def test_backward_causality_of_input_gradients():
     x = rng.normal(size=(9, 3))
     upstream = np.zeros((9, 3))
     upstream[4] = rng.normal(size=3)  # loss reads only step 4
-    grads = ssm.selective_scan_backward(sel, x, upstream)
+    grads = scan_backward(sel, x, upstream)
     assert np.all(grads["x"][5:] == 0.0)
     assert np.any(grads["x"][:5] != 0.0)
 
@@ -370,7 +386,8 @@ def test_batched_scan_matches_per_sequence():
     xb = rng.normal(size=(5, 7, 3))
     yb, _ = ssm.selective_scan_batch(sel, xb)
     for b in range(5):
-        assert np.array_equal(yb[b], ssm.selective_scan(sel, xb[b]))
+        assert np.array_equal(yb[b], scan(sel, xb[b]))  # rows do not interact
+        assert rel_error(yb[b], naive_selective_scan(sel, xb[b])) < 1e-10
 
 
 def test_batched_scan_output_keeps_input_layout():
@@ -440,12 +457,12 @@ def test_batched_backward_matches_loop_per_sample_and_fd():
     assert np.any(small < ssm.SERIES_THRESHOLD)
     assert np.any((small >= ssm.SERIES_THRESHOLD) & (small < ssm._PHI1P_THRESHOLD))
     assert np.any(small >= ssm._PHI1P_THRESHOLD)
-    grads = ssm._selective_backward(sel, cache, upstream)
+    grads = ssm.selective_scan_backward(sel, cache, upstream)
     reference = loop_selective_backward(sel, cache, upstream)
     for name, value in reference.items():
         assert rel_error(grads[name], value) < 1e-12, name
 
-    per_sample = [ssm.selective_scan_backward(sel, x[b], upstream[b]) for b in range(B)]
+    per_sample = [scan_backward(sel, x[b], upstream[b]) for b in range(B)]
     assert rel_error(grads["x"], np.stack([g["x"] for g in per_sample])) < 1e-12
     for name in ("w_delta", "b_delta", "w_b", "w_c", "A", "D"):
         assert rel_error(grads[name], sum(g[name] for g in per_sample)) < 1e-12, name

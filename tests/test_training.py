@@ -10,6 +10,7 @@ from scanpose import evalsim as ev
 from scanpose import pipeline as pl
 from scanpose import training as tr
 from scanpose.tokens import load_tpose
+from oracles import project_ld
 
 
 def small_scene(seed=7, **kw):
@@ -235,13 +236,12 @@ def test_classification_loss_matches_scalar_recomputation():
 def test_gts_projections_recomputed_from_rig():
     scene = small_scene()
     gts = gts_of(scene)
-    from scanpose import geometry as geo
     for z in range(scene.gt_poses.shape[0]):
         for t, view in enumerate(scene.rig.views):
             for j in range(scene.config.num_joints):
                 if gts.valid_2d[z, t, j]:
                     assert np.allclose(gts.positions_2d[z, t, j],
-                                       geo.project(view, scene.gt_poses[z, j]))
+                                       project_ld(view.projection, scene.gt_poses[z, j]))
 
 
 # ---------------------------------------------------------------------------
