@@ -111,11 +111,27 @@ def test_project_batch_matches_scalar_and_masks():
     for t, view in enumerate(rig.views):
         for b in range(len(pts)):
             assert np.allclose(uv[t, b], project_ld(view.projection, pts[b]))
-    # points on and behind the camera plane are masked with uv = 0, not raised
+    # a point behind the camera plane is masked with uv = 0, not raised
     ident = np.hstack([np.eye(3), np.zeros((3, 1))])[None]
-    behind = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, -500.0], [0.0, 0.0, -500.0]])
-    uv2, _, valid2 = geo.project_batch(ident, behind)
+    uv2, _, valid2 = geo.project_batch(ident, np.array([[0.0, 0.0, -500.0]]))
     assert not valid2.any() and np.all(uv2 == 0.0)
+
+
+def test_project_degenerate_depth_raises():
+    """A point on the camera plane or behind it has no image. The projector
+    no longer raises for it: it reports the point invalid, with uv = 0 and
+    its true depth, so no division by a depth at or below the cutoff leaks
+    a non-finite anchor to the callers that mask on valid."""
+    view = identity_view()
+    degenerate = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, -500.0]])
+    uv, depth, valid = geo.project_batch(view.projection[None], degenerate)
+    assert not valid.any()
+    assert np.all(uv == 0.0)
+    assert np.array_equal(depth, [[0.0, -500.0]])
+    # just past the cutoff the same ray projects again
+    uv, _, valid = geo.project_batch(view.projection[None],
+                                     np.array([[0.0, 0.0, 2.0 * geo.DEPTH_EPSILON]]))
+    assert valid.all() and np.all(np.isfinite(uv))
 
 
 # ---------------------------------------------------------------------------
