@@ -34,11 +34,10 @@ class _Node:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "_node")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=float)
-        self.requires_grad = bool(requires_grad)
         self._node = _Node() if requires_grad else None  # None: a constant
 
     # -- graph construction ------------------------------------------------
@@ -52,18 +51,21 @@ class Tensor:
         return self.data.shape
 
     @property
+    def requires_grad(self) -> bool:
+        """True for a parameter and for every op output on the tape."""
+        return self._node is not None
+
+    @property
     def grad(self):
         return None if self._node is None else self._node.grad
 
-    def backward(self, seed=None):
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without seed needs a scalar output")
-            seed = np.ones_like(self.data)
+    def backward(self):
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar output")
         if self._node is None:
             return
         order = _toposort(self._node)
-        grads = {id(self._node): np.asarray(seed, dtype=float)}
+        grads = {id(self._node): np.ones_like(self.data)}
         for node in order:
             g = grads.pop(id(node), None)
             if g is None:
@@ -126,10 +128,6 @@ class Tensor:
         return mean(self, axis, keepdims)
 
 
-def _needs_grad(t: Tensor) -> bool:
-    return t._node is not None
-
-
 def _toposort(root: _Node):
     """Reverse DFS post-order over the nodes; constants are not walked."""
     seen = set()
@@ -182,7 +180,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # and keep an operand's data only when the other operand's gradient reads it
 def add(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
-    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
+    ga, gb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
     return from_op(a.data + b.data, (a, b),
                    lambda g: (_unbroadcast(g, sa) if ga else None,
                               _unbroadcast(g, sb) if gb else None))
@@ -190,7 +188,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
-    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
+    ga, gb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
     xa, xb = a.data if gb else None, b.data if ga else None
     return from_op(a.data * b.data, (a, b),
                    lambda g: (_unbroadcast(g * xb, sa) if ga else None,
@@ -199,7 +197,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
-    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
+    ga, gb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
     xa, xb = a.data if gb else None, b.data
     return from_op(a.data / b.data, (a, b),
                    lambda g: (_unbroadcast(g / xb, sa) if ga else None,
@@ -208,7 +206,7 @@ def div(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
-    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
+    ga, gb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
     xa, xb = a.data if gb else None, b.data if ga else None
 
     def backward(g):
@@ -289,7 +287,7 @@ def where(cond, a, b) -> Tensor:
     """cond is a constant boolean array."""
     cond = np.asarray(cond, dtype=bool)
     a, b = Tensor._lift(a), Tensor._lift(b)
-    ga, gb, sa, sb = _needs_grad(a), _needs_grad(b), a.shape, b.shape
+    ga, gb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
     return from_op(np.where(cond, a.data, b.data), (a, b),
                    lambda g: (_unbroadcast(np.where(cond, g, 0.0), sa) if ga else None,
                               _unbroadcast(np.where(cond, 0.0, g), sb) if gb else None))
@@ -370,8 +368,8 @@ def softmax(logits: Tensor, axis: int) -> Tensor:
     return div(e, sum_(e, axis=axis, keepdims=True))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     mu = mean(x, axis=-1, keepdims=True)
     xc = x - mu
     var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    return mul(div(xc, sqrt(var + eps)), gamma) + beta
+    return mul(div(xc, sqrt(var + 1e-6)), gamma) + beta

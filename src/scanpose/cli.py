@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import evalsim, pipeline, training
-from .container import atomic_write
+from .container import atomic_write, build_dataclass
 
 class ConfigError(Exception):
     pass
@@ -38,21 +38,6 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-def _build_dataclass(cls, doc: dict, where: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - fields
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    fixed = dict(doc)
-    for f in dataclasses.fields(cls):
-        if f.name in fixed and isinstance(fixed[f.name], list):
-            fixed[f.name] = tuple(fixed[f.name])
-    try:
-        return cls(**fixed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -79,14 +64,14 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an object, got {doc[key]!r}")
         scene_doc = dict(doc.get("scene", {}))
         scene_doc.setdefault("rng_seed", seed)
-        scene = _build_dataclass(evalsim.SceneConfig, scene_doc, "scene")
+        scene = build_dataclass(evalsim.SceneConfig, scene_doc, "scene")
         pipe_doc = dict(doc.get("pipeline", {}))
         pipe_doc.setdefault("ground_bounds", scene.ground_bounds)
         pipe_doc.setdefault("init_seed", seed)
         pipe_doc.setdefault("num_joints", scene.num_joints)
         pipe_doc.setdefault("feature_dim", scene.feature_dim)
         pipe_doc.setdefault("num_scales", scene.num_scales)
-        pipe = _build_dataclass(pipeline.PipelineConfig, pipe_doc, "pipeline")
+        pipe = build_dataclass(pipeline.PipelineConfig, pipe_doc, "pipeline")
         if pipe.feature_dim != scene.feature_dim:
             raise ConfigError("pipeline.feature_dim must match scene.feature_dim")
         if pipe.num_joints != scene.num_joints:
@@ -94,8 +79,7 @@ class RunConfig:
         if pipe.num_scales > scene.num_scales:
             raise ConfigError(f"pipeline.num_scales ({pipe.num_scales}) exceeds "
                               f"scene.num_scales ({scene.num_scales})")
-        train = _build_dataclass(training.TrainConfig, dict(doc.get("train", {})),
-                                 "train")
+        train = build_dataclass(training.TrainConfig, doc.get("train", {}), "train")
         return RunConfig(seed=seed, num_scenes=num_scenes, scene=scene,
                          pipeline=pipe, train=train)
 
@@ -135,7 +119,10 @@ def load_config(path: str, overrides=None, seed_override=None) -> RunConfig:
         scene_doc = doc.setdefault("scene", {})
         if isinstance(scene_doc, dict):  # from_doc rejects any other section
             scene_doc["rng_seed"] = seed_override
-    return RunConfig.from_doc(doc)
+    try:
+        return RunConfig.from_doc(doc)
+    except ValueError as exc:  # a section that build_dataclass rejects
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +133,9 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def write_line_svg(path: str, series: dict, title: str, xlabel: str,
-                   ylabel: str, width: int = 640, height: int = 400) -> None:
+                   ylabel: str) -> None:
     """series: name -> (xs, ys). Lines share axes; NaNs are skipped."""
-    margin = 56
+    width, height, margin = 640, 400, 56
     pts = [(x, y) for xs, ys in series.values() for x, y in zip(xs, ys)
            if np.isfinite(y)]
     if not pts:
@@ -208,13 +195,12 @@ def write_line_svg(path: str, series: dict, title: str, xlabel: str,
 # ---------------------------------------------------------------------------
 
 def _scene_for_index(args):
-    cfg, seed, index, num_cameras = args
-    return evalsim.generate_scene(cfg, seed=seed + index, num_cameras=num_cameras)
+    cfg, seed, index = args
+    return evalsim.generate_scene(cfg, seed=seed + index)
 
 
-def build_scenes(cfg: RunConfig, num_cameras: int | None = None,
-                 workers: int = 1):
-    jobs = [(cfg.scene, cfg.seed, i, num_cameras) for i in range(cfg.num_scenes)]
+def build_scenes(cfg: RunConfig, workers: int = 1):
+    jobs = [(cfg.scene, cfg.seed, i) for i in range(cfg.num_scenes)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_scene_for_index, jobs))
@@ -333,18 +319,16 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
         sweep.append((K, mean_mpjpe, mean_ap25,
                       float(np.mean([r.map for r in reports]))))
         print(f"eval[{tag}]: mpjpe_mm={mean_mpjpe} ap25={mean_ap25}")
-    if len([k for k, *_ in sweep if k is not None]) >= 2:
-        ks = [float(k) for k, *_ in sweep if k is not None]
-        aps = [a for k, _, a, _ in sweep if k is not None]
-        maps = [m for k, _, _, m in sweep if k is not None]
+    if len(sweep) >= 2:  # --cameras with two or more counts, all ints
+        ks = [float(k) for k, *_ in sweep]
+        _, _, aps, maps = zip(*sweep)
         write_line_svg(os.path.join(out_dir, "ap_vs_cameras.svg"),
                        {"ap25": (ks, aps), "map": (ks, maps)},
                        title="score vs camera count", xlabel="cameras",
                        ylabel="score")
         lines = ["cameras,mpjpe_mm,ap25,map"]
         for k, mp, ap, mv in sweep:
-            if k is not None:
-                lines.append(f"{k},{mp!r},{ap!r},{mv!r}")
+            lines.append(f"{k},{mp!r},{ap!r},{mv!r}")
         atomic_write(os.path.join(out_dir, "sweep.csv"),
                      ("\n".join(lines) + "\n").encode())
     return 0

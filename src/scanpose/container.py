@@ -6,6 +6,7 @@ identical files. Writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -30,6 +31,36 @@ def atomic_write(path: str, *chunks: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _fits(value, default) -> bool:
+    """Whether a config value has the type of its field's default: an int
+    field takes no float or bool, a float field also takes an int, and a
+    tuple field takes a list of numbers as long as its default."""
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(_fits(v, 0.0) for v in value))
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
+
+
+def build_dataclass(cls, doc: dict, where: str):
+    """Config dataclass `cls` from the JSON object `doc`, every value checked
+    by _fits. Raises ValueError naming `where`."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(defaults)
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    for name, value in doc.items():
+        default = defaults[name]
+        if not _fits(value, default):
+            raise ValueError(f"{where}: {name} must be {type(default).__name__} "
+                             f"like {default!r}, got {value!r}")
+    try:  # only a tuple field can hold a list here
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def save_container(path: str, arrays: dict, meta: dict | None = None) -> None:

@@ -72,6 +72,8 @@ class SceneConfig:
                              "two coordinate channels")
         if self.num_scales < 1:
             raise ValueError("need at least one pyramid level")
+        if np.dtype(self.grid_dtype).kind != "f":
+            raise ValueError(f"grid_dtype must be a float dtype, got {self.grid_dtype!r}")
 
     @property
     def ground_bounds(self) -> tuple:
@@ -221,7 +223,7 @@ def save_scene(scene: Scene, path_prefix: str) -> tuple[str, str]:
         "kind": "scanpose-scene",
         "seed": scene.seed,
         "config": asdict(scene.config),
-        "rig": json.loads(scene.rig.to_json()),
+        "rig": scene.rig.to_doc(),
         "gt_poses": scene.gt_poses.tolist(),
         "grids_file": os.path.basename(grids_path),
     }
@@ -235,11 +237,8 @@ def load_scene(manifest_path: str) -> Scene:
         doc = json.load(fh)
     if doc.get("kind") != "scanpose-scene":
         raise ValueError(f"{manifest_path} is not a scene manifest")
-    cfg_doc = dict(doc["config"])
-    for key in ("space_size", "camera_radius", "camera_height"):
-        cfg_doc[key] = tuple(cfg_doc[key])
-    cfg = SceneConfig(**cfg_doc)
-    rig = CameraRig.from_json(json.dumps(doc["rig"]))
+    cfg = container.build_dataclass(SceneConfig, doc["config"], manifest_path)
+    rig = CameraRig.from_doc(doc["rig"])
     grids_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),
                               doc["grids_file"])
     arrays, meta = container.load_container(grids_path)
@@ -355,10 +354,10 @@ class EvalReport:
 
 
 def evaluate(pred_poses: np.ndarray, pred_scores: np.ndarray,
-             gt_poses: np.ndarray, limb_table=None) -> EvalReport:
-    """Aggregate metric report under the same greedy matching as ap_at."""
-    if limb_table is None:
-        _, _, limb_table = load_tpose(np.asarray(gt_poses).shape[1])
+             gt_poses: np.ndarray) -> EvalReport:
+    """Aggregate metric report under the same greedy matching as ap_at; PCP
+    uses the limbs of the T-pose template truncated to the poses' joints."""
+    _, _, limb_table = load_tpose(np.asarray(gt_poses).shape[1])
     Z = len(gt_poses)
     ap = {thr: ap_at(pred_poses, pred_scores, gt_poses, thr)
           for thr in MAP_THRESHOLDS_MM}

@@ -17,7 +17,6 @@ Rig JSON schema::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,42 +60,30 @@ class CameraRig:
     def __len__(self) -> int:
         return len(self.views)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "views": [
-                {
-                    "id": v.view_id,
-                    "P": [float(x) for x in v.projection.ravel()],
-                    "w": v.image_width,
-                    "h": v.image_height,
-                }
-                for v in self.views
-            ]
-        })
+    def to_doc(self) -> dict:
+        """The rig as a JSON object in the schema above."""
+        return {"views": [
+            {"id": v.view_id, "P": [float(x) for x in v.projection.ravel()],
+             "w": v.image_width, "h": v.image_height}
+            for v in self.views]}
 
     @staticmethod
-    def from_json(text: str) -> "CameraRig":
-        doc = json.loads(text)
-        views = tuple(
-            CameraView(
-                projection=np.asarray(item["P"], dtype=float).reshape(3, 4),
-                image_width=int(item["w"]),
-                image_height=int(item["h"]),
-                view_id=int(item["id"]),
-            )
-            for item in doc["views"]
-        )
-        return CameraRig(views=views)
+    def from_doc(doc: dict) -> "CameraRig":
+        return CameraRig(views=tuple(
+            CameraView(projection=np.asarray(item["P"], dtype=float).reshape(3, 4),
+                       image_width=int(item["w"]), image_height=int(item["h"]),
+                       view_id=int(item["id"]))
+            for item in doc["views"]))
 
 
 def look_at_camera(position, target, focal: float, width: int, height: int,
-                   view_id: int, up=(0.0, 0.0, 1.0)) -> CameraView:
+                   view_id: int) -> CameraView:
     """Pinhole camera at `position` aimed at `target`, principal point at the
-    image center, pixel y growing downward. `up` breaks the roll ambiguity."""
+    image center, pixel y growing downward and the roll fixed by world +z."""
     pos = np.asarray(position, dtype=float)
     fwd = np.asarray(target, dtype=float) - pos
     fwd = fwd / np.linalg.norm(fwd)
-    right = np.cross(fwd, np.asarray(up, dtype=float))
+    right = np.cross(fwd, np.array([0.0, 0.0, 1.0]))
     if np.linalg.norm(right) < 1e-9:
         right = np.cross(fwd, np.array([1.0, 0.0, 0.0]))
     right = right / np.linalg.norm(right)
@@ -113,12 +100,11 @@ def look_at_camera(position, target, focal: float, width: int, height: int,
                       view_id=view_id)
 
 
-def project_batch(projections: np.ndarray, points: np.ndarray,
-                  depth_epsilon: float = DEPTH_EPSILON):
+def project_batch(projections: np.ndarray, points: np.ndarray):
     """Project points (..., 3) through stacked cameras (T, 3, 4).
 
     Returns (uv, depth, valid): uv is (T, ..., 2), depth (T, ...) and
-    valid (T, ...) marks depth > depth_epsilon. Invalid entries get uv = 0
+    valid (T, ...) marks depth > DEPTH_EPSILON. Invalid entries get uv = 0
     instead of raising, so callers can mask.
     """
     pts = np.asarray(points, dtype=float)
@@ -126,7 +112,7 @@ def project_batch(projections: np.ndarray, points: np.ndarray,
     # (T, 3, 4) @ (..., 4) -> (T, ..., 3)
     h = np.einsum("tij,...j->t...i", np.asarray(projections, dtype=float), ph)
     depth = h[..., 2]
-    valid = depth > depth_epsilon
+    valid = depth > DEPTH_EPSILON
     safe = np.where(valid, depth, 1.0)
     uv = h[..., :2] / safe[..., None]
     uv = np.where(valid[..., None], uv, 0.0)

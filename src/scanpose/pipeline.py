@@ -161,8 +161,8 @@ def params_to_tensors(params: dict) -> dict:
 def _bilinear_forward(grid: np.ndarray, pos: np.ndarray):
     """Bilinear interpolation of grid (H, W, C) at positions (..., 2) given as
     (x, y) in grid units; out-of-range positions clamp to the border.
-    Returns the sampled values and the corner indices, fractions and corner
-    values that the derivatives are built from."""
+    Returns the sampled values and the fractions and corner values that the
+    position derivatives are built from."""
     H, W = grid.shape[:2]
     x = np.clip(pos[..., 0], 0.0, W - 1.0)
     y = np.clip(pos[..., 1], 0.0, H - 1.0)
@@ -184,7 +184,7 @@ def _bilinear_forward(grid: np.ndarray, pos: np.ndarray):
     lower += np.multiply(fx, g11, out=tmp)
     lower *= fy
     value += lower
-    return value, (x0, y0, x1, y1, fx, fy, g00, g01, g10, g11)
+    return value, (fx, fy, g00, g01, g10, g11)
 
 
 def _bilinear_slope(hi0, lo0, hi1, lo1, w, inside):
@@ -199,18 +199,14 @@ def _bilinear_slope(hi0, lo0, hi1, lo1, w, inside):
     return d
 
 
-def bilinear_op(grid, pos: ad.Tensor) -> ad.Tensor:
-    """Autodiff bilinear sampling through the positions and a Tensor grid; a
-    constant grid (the pyramids) is neither copied nor kept on the tape. When
-    nothing needs a gradient (eval), it returns the values alone."""
-    grid_grad = isinstance(grid, ad.Tensor) and ad._needs_grad(grid)
-    grid_data = grid.data if isinstance(grid, ad.Tensor) else np.asarray(grid)
-    value, corners = _bilinear_forward(grid_data, pos.data)
-    if not (ad._needs_grad(pos) or grid_grad):
+def bilinear_op(grid: np.ndarray, pos: ad.Tensor) -> ad.Tensor:
+    """Autodiff bilinear sampling of a constant grid (a pyramid level) through
+    the positions; the grid is neither copied nor kept on the tape. When the
+    positions need no gradient (eval), it returns the values alone."""
+    value, (fx, fy, g00, g01, g10, g11) = _bilinear_forward(grid, pos.data)
+    if not pos.requires_grad:
         return ad.Tensor(value)
-    x0, y0, x1, y1, fx, fy, g00, g01, g10, g11 = corners
-    gshape = grid_data.shape
-    H, W = gshape[:2]
+    H, W = grid.shape[:2]
     # d value / d x is zero where the clamp is active
     px, py = pos.data[..., 0], pos.data[..., 1]
     in_x = ((px > 0.0) & (px < W - 1.0))[..., None]
@@ -219,36 +215,26 @@ def bilinear_op(grid, pos: ad.Tensor) -> ad.Tensor:
     dvdy = _bilinear_slope(g10, g00, g11, g01, fx, in_y)
 
     def backward(g):
-        gpos = np.stack([np.sum(g * dvdx, axis=-1), np.sum(g * dvdy, axis=-1)],
-                        axis=-1)
-        if not grid_grad:
-            return (gpos,)
-        ggrid = np.zeros(gshape)
-        np.add.at(ggrid, (y0, x0), g * (1 - fy) * (1 - fx))
-        np.add.at(ggrid, (y0, x1), g * (1 - fy) * fx)
-        np.add.at(ggrid, (y1, x0), g * fy * (1 - fx))
-        np.add.at(ggrid, (y1, x1), g * fy * fx)
-        return ggrid, gpos
+        return (np.stack([np.sum(g * dvdx, axis=-1), np.sum(g * dvdy, axis=-1)],
+                         axis=-1),)
 
-    return ad.from_op(value, (grid, pos) if grid_grad else (pos,), backward)
+    return ad.from_op(value, (pos,), backward)
 
 
-def project_op(geometry_t: ad.Tensor, rig: geometry.CameraRig,
-               margin: float = MASK_MARGIN):
+def project_op(geometry_t: ad.Tensor, rig: geometry.CameraRig):
     """Project token geometry (..., 3) through every view.
 
     Returns (anchors Tensor (T, ..., 2), valid (T, ...) bool). Invalid anchors
-    (degenerate depth or outside margin * image bounds) carry zero gradient.
+    (degenerate depth or outside MASK_MARGIN * image bounds) carry zero
+    gradient.
     """
     projections = np.stack([v.projection for v in rig.views])
     uv, depth, valid = geometry.project_batch(projections, geometry_t.data)
+    pad = (MASK_MARGIN - 1.0) / 2.0  # beyond each border, in image sizes
     for t, view in enumerate(rig.views):
         w, h = view.image_width, view.image_height
-        lo_x, hi_x = -(margin - 1.0) / 2.0 * w, w + (margin - 1.0) / 2.0 * w
-        lo_y, hi_y = -(margin - 1.0) / 2.0 * h, h + (margin - 1.0) / 2.0 * h
-        inside = ((uv[t, ..., 0] >= lo_x) & (uv[t, ..., 0] <= hi_x)
-                  & (uv[t, ..., 1] >= lo_y) & (uv[t, ..., 1] <= hi_y))
-        valid[t] &= inside
+        valid[t] &= ((uv[t, ..., 0] >= -pad * w) & (uv[t, ..., 0] <= w + pad * w)
+                     & (uv[t, ..., 1] >= -pad * h) & (uv[t, ..., 1] <= h + pad * h))
     safe_depth = np.where(valid, depth, 1.0)
     gdata = geometry_t.data  # small; the gradient takes its layout
 
@@ -443,7 +429,7 @@ class LayerOutput:
     visual: ad.Tensor         # (n, J, L) updated features
     scores: ad.Tensor         # (n,) token scores
     score_logits: ad.Tensor   # (n, J, 2)
-    kept: np.ndarray          # indices into the previous layer's tokens
+    kept: np.ndarray          # indices into the initial token set
     flagged: np.ndarray       # (n, J) joints that kept previous geometry
 
 
@@ -579,9 +565,7 @@ def load_model(path: str):
     arrays, meta = container.load_container(path)
     if meta.get("kind") != "scanpose-model":
         raise ValueError(f"{path} is not a model container")
-    cfg_doc = dict(meta["config"])
-    cfg_doc["ground_bounds"] = tuple(cfg_doc["ground_bounds"])
-    config = PipelineConfig(**cfg_doc)
+    config = container.build_dataclass(PipelineConfig, meta["config"], path)
     params = {k[len("param/"):]: v for k, v in arrays.items()
               if k.startswith("param/")}
     return params, config, meta

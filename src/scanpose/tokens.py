@@ -56,7 +56,7 @@ def grid_centers(n: int, ground_bounds, rng: np.random.Generator) -> np.ndarray:
 
 
 def initial_geometry(n: int, ground_bounds, rng_seed: int,
-                     template: np.ndarray | None = None) -> np.ndarray:
+                     template: np.ndarray) -> np.ndarray:
     """(n, J, 3) geometries: the T-pose translated to jittered grid centers.
 
     The jitter comes from the first child of SeedSequence(rng_seed), so token
@@ -64,9 +64,6 @@ def initial_geometry(n: int, ground_bounds, rng_seed: int,
     """
     if n < 1:
         raise ValueError("need at least one token")
-    if template is None:
-        template, _, _ = load_tpose()
-    template = np.asarray(template, dtype=float)
     jitter_rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(2)[0])
     centers = grid_centers(n, ground_bounds, jitter_rng)
     offsets = np.concatenate([centers, np.zeros((n, 1))], axis=1)

@@ -25,6 +25,7 @@ from .geometry import project_batch
 METRIC_COLUMNS = ("epoch", "pose_loss", "cls_loss", "val_mpjpe_mm", "ap25")
 
 _PROB_FLOOR = 1e-12
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and floor
 
 
 class InsufficientTokens(Exception):
@@ -130,9 +131,7 @@ def adam_init(params: dict) -> dict:
             "t": 0}
 
 
-def adam_step(params: dict, grads: dict, state: dict, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> dict:
+def adam_step(params: dict, grads: dict, state: dict, lr: float) -> dict:
     state["t"] += 1
     t = state["t"]
     out = {}
@@ -141,11 +140,11 @@ def adam_step(params: dict, grads: dict, state: dict, lr: float,
         if g is None:
             out[k] = value
             continue
-        state["m"][k] = beta1 * state["m"][k] + (1 - beta1) * g
-        state["v"][k] = beta2 * state["v"][k] + (1 - beta2) * (g * g)
-        mhat = state["m"][k] / (1 - beta1 ** t)
-        vhat = state["v"][k] / (1 - beta2 ** t)
-        out[k] = value - lr * mhat / (np.sqrt(vhat) + eps)
+        state["m"][k] = _BETA1 * state["m"][k] + (1 - _BETA1) * g
+        state["v"][k] = _BETA2 * state["v"][k] + (1 - _BETA2) * (g * g)
+        mhat = state["m"][k] / (1 - _BETA1 ** t)
+        vhat = state["v"][k] / (1 - _BETA2 ** t)
+        out[k] = value - lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
     return out
 
 

@@ -221,9 +221,8 @@ def test_criterion_4_gradient_suite():
     grid = rng.normal(size=(6, 8, 3))
     pos = rng.uniform(0.6, 4.4, size=(5, 2)) + 0.013
     up = rng.normal(size=(5, 3))
-    g_t = ad.parameter(grid)
     p_t = ad.parameter(pos)
-    (pipeline.bilinear_op(g_t, p_t) * up).sum().backward()
+    (pipeline.bilinear_op(grid, p_t) * up).sum().backward()
     fd_pos = np.zeros_like(pos)
     for i in range(pos.size):
         d = np.zeros_like(pos)
@@ -445,7 +444,7 @@ def test_criterion_8_metric_suite():
             ok &= abs(got - acc / Z) < 1e-12
         parts = [evalsim.ap_at(preds, scores, gts, t)
                  for t in evalsim.MAP_THRESHOLDS_MM]
-        ok &= evalsim.evaluate(preds, scores, gts, limbs).map == np.mean(parts)
+        ok &= evalsim.evaluate(preds, scores, gts).map == np.mean(parts)
     _report(8, "metric suite", bool(ok))
 
 

@@ -191,14 +191,21 @@ def test_config_error_exits_2_and_writes_nothing(tmp_path):
     assert not out.exists()
     good = write_config(tmp_path, tiny_config_doc(), "good.json")
     bad3 = write_config(tmp_path, tiny_config_doc(train=[1]), "bad3.json")
-    # a section that is not an object, a seed that is not an integer, and a
-    # model with more scales than the scenes' pyramids have levels
+    # a section that is not an object, a seed that is not an integer, a
+    # model with more scales than the scenes' pyramids have levels, and
+    # section values of the wrong type: a float or bool for an int field, a
+    # tuple of the wrong length, a grid dtype that is not a float dtype
     for argv in (["generate", "--config", good, "--set", "scene=3"],
                  ["generate", "--config", good, "--set", "scene=3", "--seed", "5"],
                  ["generate", "--config", bad3],
                  ["generate", "--config", good, "--set", "seed=abc"],
                  ["generate", "--config", good, "--set", "num_scenes=2.5"],
-                 ["train", "--config", good, "--set", "pipeline.num_scales=3"]):
+                 ["train", "--config", good, "--set", "pipeline.num_scales=3"],
+                 ["train", "--config", good, "--set", "train.steps=1.5"],
+                 ["generate", "--config", good, "--set", "scene.num_cameras=2.5"],
+                 ["train", "--config", good, "--set", "pipeline.num_tokens=true"],
+                 ["generate", "--config", good, "--set", "scene.grid_dtype=foo"],
+                 ["generate", "--config", good, "--set", "pipeline.ground_bounds=[1,2]"]):
         assert run(argv + ["--out", str(out)]) == 2, argv
         assert not out.exists(), argv
 
@@ -218,6 +225,11 @@ def test_set_overrides_apply_and_validate(tmp_path):
     assert json.loads((out / "scenes_manifest.json").read_text())["count"] == 2
     assert run(["generate", "--config", cfg, "--out", str(tmp_path / "y"),
                 "--set", "scene.bogus=1"]) == 2
+    # a float field takes an int, and the config echo keeps it as given
+    assert run(["generate", "--config", cfg, "--out", str(tmp_path / "z"),
+                "--set", "train.lambda_cls=1000", "--set", "scene.focal_scale=1"]) == 0
+    echo = json.loads((tmp_path / "z" / "scenes_manifest.json").read_text())
+    assert echo["config"]["scene"]["focal_scale"] == 1
 
 
 def test_runtime_error_exits_3(tmp_path):

@@ -257,21 +257,21 @@ def test_ap_monotone_in_threshold():
 def test_map_is_exact_mean_of_six_thresholds():
     # evaluate scores PCP too, so the poses are skeletons with real limbs
     rng = np.random.default_rng(5)
-    template, _, limbs = load_tpose()
+    template, _, _ = load_tpose()
     gts = np.stack([template + rng.uniform(-2000, 2000, 3) for _ in range(3)])
     preds = gts + rng.normal(scale=60.0, size=gts.shape)
     scores = rng.uniform(size=3)
     parts = [ev.ap_at(preds, scores, gts, t) for t in ev.MAP_THRESHOLDS_MM]
     assert len(set(parts)) > 1  # the thresholds disagree
-    assert ev.evaluate(preds, scores, gts, limbs).map == np.mean(parts)
+    assert ev.evaluate(preds, scores, gts).map == np.mean(parts)
     assert ev.MAP_THRESHOLDS_MM == (25.0, 50.0, 75.0, 100.0, 125.0, 150.0)
 
 
 def test_map_perfect_and_empty():
-    template, _, limbs = load_tpose()
+    template, _, _ = load_tpose()
     gts = np.stack([template + [100, 0, 0], template + [-3000, 0, 0]])
-    assert ev.evaluate(gts.copy(), np.array([0.9, 0.8]), gts, limbs).map == 1.0
-    assert ev.evaluate(np.zeros((0, 15, 3)), np.zeros(0), gts, limbs).map == 0.0
+    assert ev.evaluate(gts.copy(), np.array([0.9, 0.8]), gts).map == 1.0
+    assert ev.evaluate(np.zeros((0, 15, 3)), np.zeros(0), gts).map == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +337,12 @@ def test_evaluate_empty_output():
 
 def test_evaluate_matches_component_metrics():
     rng = np.random.default_rng(8)
-    template, _, limbs = load_tpose()
+    template, _, _ = load_tpose()
     gts = np.stack([template + np.array([x, y, 0]) for x, y in
                     ((-2000.0, 0.0), (1800.0, 500.0), (0.0, -2200.0))])
     preds = gts + rng.normal(scale=120.0, size=gts.shape)
     scores = rng.uniform(0.5, 1.0, size=3)
-    report = ev.evaluate(preds, scores, gts, limbs)
+    report = ev.evaluate(preds, scores, gts)
     for thr in ev.MAP_THRESHOLDS_MM:
         assert report.ap[thr] == ev.ap_at(preds, scores, gts, thr)
     assert report.map == np.mean([ev.ap_at(preds, scores, gts, thr)
@@ -354,13 +354,13 @@ def test_evaluate_matches_component_metrics():
 
 def test_metrics_invariant_under_joint_translation():
     rng = np.random.default_rng(9)
-    template, _, limbs = load_tpose()
+    template, _, _ = load_tpose()
     gts = np.stack([template, template + np.array([2000.0, 100.0, 0.0])])
     preds = gts + rng.normal(scale=40.0, size=gts.shape)
     scores = np.array([0.8, 0.6])
     shift = np.array([512.0, -777.0, 123.0])
-    a = ev.evaluate(preds, scores, gts, limbs)
-    b = ev.evaluate(preds + shift, scores, gts + shift, limbs)
+    a = ev.evaluate(preds, scores, gts)
+    b = ev.evaluate(preds + shift, scores, gts + shift)
     assert a.mpjpe_mm == pytest.approx(b.mpjpe_mm, rel=0, abs=1e-9)
     assert a.map == pytest.approx(b.map, abs=1e-12)
     assert a.recall == b.recall

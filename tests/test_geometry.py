@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -339,7 +341,7 @@ def test_masked_view_rows_equal_removed_view():
 def test_rig_json_roundtrip():
     rng = np.random.default_rng(54)
     rig = ring_rig(3, rng)
-    clone = geo.CameraRig.from_json(rig.to_json())
+    clone = geo.CameraRig.from_doc(json.loads(json.dumps(rig.to_doc())))
     assert len(clone) == 3
     for a, b in zip(rig.views, clone.views):
         assert a.view_id == b.view_id

@@ -83,40 +83,19 @@ def test_bilinear_gradients_match_fd():
     grid = rng.normal(size=(6, 8, 3))
     pos = rng.uniform(0.6, 4.4, size=(5, 2)) + 0.017  # keep clear of lattice
     up = rng.normal(size=(5, 3))
-    g_t = ad.parameter(grid)
     p_t = ad.parameter(pos)
-    (pl.bilinear_op(g_t, p_t) * up).sum().backward()
+    (pl.bilinear_op(grid, p_t) * up).sum().backward()
     step = 1e-6
 
-    def loss(gr, po):
-        return float(np.sum(sample(gr, po) * up))
+    def loss(po):
+        return float(np.sum(sample(grid, po) * up))
 
     fd_pos = np.zeros_like(pos)
     for i in range(pos.size):
         dp = np.zeros_like(pos)
         dp.flat[i] = step
-        fd_pos.flat[i] = (loss(grid, pos + dp) - loss(grid, pos - dp)) / (2 * step)
+        fd_pos.flat[i] = (loss(pos + dp) - loss(pos - dp)) / (2 * step)
     assert rel_error(p_t.grad, fd_pos) < 1e-6
-
-    fd_grid = np.zeros_like(grid)
-    for i in range(grid.size):
-        dg = np.zeros_like(grid)
-        dg.flat[i] = step
-        fd_grid.flat[i] = (loss(grid + dg, pos) - loss(grid - dg, pos)) / (2 * step)
-    assert rel_error(g_t.grad, fd_grid) < 1e-6
-
-
-def test_bilinear_constant_grid_gives_same_position_gradient():
-    rng = np.random.default_rng(4)
-    grid = rng.normal(size=(6, 8, 3))
-    pos = rng.uniform(-0.5, 7.5, size=(4, 5, 2))
-    up = rng.normal(size=(4, 5, 3))
-    grads = []
-    for g in (grid, ad.parameter(grid)):
-        p_t = ad.parameter(pos)
-        (pl.bilinear_op(g, p_t) * up).sum().backward()
-        grads.append(p_t.grad)
-    assert np.array_equal(grads[0], grads[1])
 
 
 def _textbook_bilinear(grid, pos):

@@ -3,12 +3,15 @@
 A module-level function or class that nothing else in src/scanpose references
 is code only the tests reach: a second copy of something the pipeline does
 another way, or a wrapper kept for a test. The tests check the code the
-pipeline runs instead, against the oracles in tests/oracles.py.
+pipeline runs instead, against the oracles in tests/oracles.py. The same holds
+one level down: a defaulted parameter that no call in src/scanpose passes is a
+branch only the tests take, and it becomes a constant instead.
 """
 
 import ast
 import os
 import runpy
+from collections import defaultdict
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "scanpose")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -32,14 +35,19 @@ def _identifiers(nodes):
     return names
 
 
-def unreferenced_definitions(src_dir):
-    """(module, name) of each module-level def or class that no code in
-    src_dir outside its own body references."""
+def _parse(src_dir):
     modules = {}
     for filename in sorted(os.listdir(src_dir)):
         if filename.endswith(".py"):
             with open(os.path.join(src_dir, filename)) as fh:
                 modules[filename[:-3]] = ast.parse(fh.read())
+    return modules
+
+
+def unreferenced_definitions(src_dir):
+    """(module, name) of each module-level def or class that no code in
+    src_dir outside its own body references."""
+    modules = _parse(src_dir)
     found = []
     for module, tree in modules.items():
         for node in tree.body:
@@ -57,3 +65,56 @@ def test_src_holds_no_test_only_code():
     unreached = [f"{module}.{name}" for module, name in unreferenced_definitions(SRC)
                  if name not in traced and name not in ALLOWED]
     assert not unreached, f"only tests reach these src/ definitions: {unreached}"
+
+
+# tests drive the CLI in process through main(argv); the console script calls
+# main() with no arguments
+PASSED_BY_TESTS_ONLY = {"main.argv"}
+
+
+def _passes(call, name, index):
+    """Whether a call passes parameter `name`, which sits at positional
+    `index` (None for keyword-only); ** passes every name and * every
+    position from its own on."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    return len(call.args) > index or any(i <= index for i in starred)
+
+
+def unpassed_defaults(src_dir):
+    """`function.parameter` for each defaulted parameter of a function or
+    method in src_dir that no call in src_dir passes, by keyword or by
+    position. Calls match by name alone, and calling a class calls its
+    __init__."""
+    trees = _parse(src_dir).values()
+    calls = defaultdict(list)
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            calls[getattr(node.func, "id", None) or node.func.attr].append(node)
+    found = []
+    for tree in trees:
+        owners = {id(item): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for item in cls.body if isinstance(item, ast.FunctionDef)}
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            owner = owners.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            bound = owner is not None and not static  # self is not passed by position
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = positional[len(positional) - len(fn.args.defaults):]
+            defaulted += [a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            callee = owner.name if owner is not None and fn.name == "__init__" else fn.name
+            for arg in defaulted:
+                index = positional.index(arg) - bound if arg in positional else None
+                if not any(_passes(call, arg.arg, index) for call in calls[callee]):
+                    qual = fn.name if owner is None else f"{owner.name}.{fn.name}"
+                    found.append(f"{qual}.{arg.arg}")
+    return found
+
+
+def test_src_passes_every_defaulted_parameter():
+    unpassed = [p for p in unpassed_defaults(SRC) if p not in PASSED_BY_TESTS_ONLY]
+    assert not unpassed, f"no call in src/ passes these parameters: {unpassed}"

@@ -11,6 +11,7 @@ from test_pipeline import tiny_config, tiny_scene
 
 
 BOUNDS = (-4000.0, -4000.0, 4000.0, 4000.0)
+TEMPLATE = tok.load_tpose()[0]
 
 
 def test_tpose_template_shape_and_limbs():
@@ -35,32 +36,30 @@ def test_tpose_truncation_for_tiny_configs():
 def test_init_single_token_at_degenerate_bounds():
     point = (730.0, -520.0)
     geometry = tok.initial_geometry(1, (point[0], point[1], point[0], point[1]),
-                                    rng_seed=3)
-    template, _, _ = tok.load_tpose()
+                                    rng_seed=3, template=TEMPLATE)
     assert geometry.shape == (1, 15, 3)
-    assert np.allclose(geometry[0], template + np.array([point[0], point[1], 0.0]))
+    assert np.allclose(geometry[0], TEMPLATE + np.array([point[0], point[1], 0.0]))
 
 
 def test_init_fixed_seed_is_bitwise_reproducible():
-    a = tok.initial_geometry(16, BOUNDS, rng_seed=7)
-    b = tok.initial_geometry(16, BOUNDS, rng_seed=7)
+    a = tok.initial_geometry(16, BOUNDS, rng_seed=7, template=TEMPLATE)
+    b = tok.initial_geometry(16, BOUNDS, rng_seed=7, template=TEMPLATE)
     assert np.array_equal(a, b)
 
 
 def test_init_jitter_is_first_child_of_seed_sequence():
     # the stream fixes every token grid for a given seed; moving it would
     # change all fixed-seed outputs
-    template, _, _ = tok.load_tpose()
     rng = np.random.default_rng(np.random.SeedSequence(1).spawn(2)[0])
     centers = tok.grid_centers(9, BOUNDS, rng)
-    expect = template[None] + np.concatenate([centers, np.zeros((9, 1))], axis=1)[:, None]
-    assert np.array_equal(tok.initial_geometry(9, BOUNDS, rng_seed=1), expect)
-    assert not np.allclose(tok.initial_geometry(9, BOUNDS, rng_seed=2), expect)
+    expect = TEMPLATE[None] + np.concatenate([centers, np.zeros((9, 1))], axis=1)[:, None]
+    assert np.array_equal(tok.initial_geometry(9, BOUNDS, 1, TEMPLATE), expect)
+    assert not np.allclose(tok.initial_geometry(9, BOUNDS, 2, TEMPLATE), expect)
 
 
 def test_init_grid_covers_bounds_with_expected_pitch():
     n = 1024
-    geometry = tok.initial_geometry(n, BOUNDS, rng_seed=11)
+    geometry = tok.initial_geometry(n, BOUNDS, rng_seed=11, template=TEMPLATE)
     centers = geometry[:, 2, :2]  # mid-hip = center
     assert np.all(centers[:, 0] >= BOUNDS[0]) and np.all(centers[:, 0] <= BOUNDS[2])
     assert np.all(centers[:, 1] >= BOUNDS[1]) and np.all(centers[:, 1] <= BOUNDS[3])
