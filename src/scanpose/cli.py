@@ -62,9 +62,7 @@ class RunConfig:
         for key in ("scene", "pipeline", "train"):
             if not isinstance(doc.get(key, {}), dict):
                 raise ConfigError(f"{key} must be an object, got {doc[key]!r}")
-        scene_doc = dict(doc.get("scene", {}))
-        scene_doc.setdefault("rng_seed", seed)
-        scene = build_dataclass(evalsim.SceneConfig, scene_doc, "scene")
+        scene = build_dataclass(evalsim.SceneConfig, doc.get("scene", {}), "scene")
         pipe_doc = dict(doc.get("pipeline", {}))
         pipe_doc.setdefault("ground_bounds", scene.ground_bounds)
         pipe_doc.setdefault("init_seed", seed)
@@ -116,9 +114,6 @@ def load_config(path: str, overrides=None, seed_override=None) -> RunConfig:
     doc = _apply_overrides(doc, overrides)
     if seed_override is not None:
         doc["seed"] = seed_override
-        scene_doc = doc.setdefault("scene", {})
-        if isinstance(scene_doc, dict):  # from_doc rejects any other section
-            scene_doc["rng_seed"] = seed_override
     try:
         return RunConfig.from_doc(doc)
     except ValueError as exc:  # a section that build_dataclass rejects
@@ -231,12 +226,16 @@ def load_scene_dir(path: str):
         doc = json.load(fh)
     if doc.get("kind") != "scanpose-scene-set":
         raise ValueError(f"{manifest} is not a scene-set manifest")
+    if not doc["scenes"]:
+        raise ValueError(f"{manifest} lists no scenes")
     return [evalsim.load_scene(os.path.join(path, e["manifest"]))
             for e in doc["scenes"]]
 
 
 def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
               resume: str | None = None, workers: int = 1) -> int:
+    if scenes_dir is None and cfg.num_scenes < 1:
+        raise ConfigError("train needs num_scenes >= 1")
     os.makedirs(out_dir, exist_ok=True)
     scenes = (load_scene_dir(scenes_dir) if scenes_dir
               else build_scenes(cfg, workers=workers))
@@ -335,6 +334,8 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: str, workers: int = 1) -> int:
+    if cfg.num_scenes < 1:
+        raise ConfigError("ablate needs num_scenes >= 1")
     os.makedirs(out_dir, exist_ok=True)
     scenes = build_scenes(cfg, workers=workers)
     rows = []

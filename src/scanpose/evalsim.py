@@ -60,7 +60,6 @@ class SceneConfig:
     placement_margin: float = 0.30  # actors stay in the central box
     min_actor_spacing_mm: float = 1200.0
     grid_dtype: str = "float32"  # storage dtype of the rendered grids
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.num_cameras < 2:
@@ -191,11 +190,10 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
     return pyramids
 
 
-def generate_scene(cfg: SceneConfig, seed: int | None = None,
+def generate_scene(cfg: SceneConfig, seed: int,
                    num_cameras: int | None = None) -> Scene:
     """Deterministic per seed. num_cameras overrides the rig size while
     keeping actors and heatmap noise identical (nested camera prefixes)."""
-    seed = cfg.rng_seed if seed is None else seed
     ring_seq, actor_seq, noise_seq = np.random.SeedSequence(seed).spawn(3)
     rig = camera_ring(cfg, np.random.default_rng(ring_seq), num_cameras)
     poses = sample_actor_poses(cfg, np.random.default_rng(actor_seq))
@@ -286,13 +284,10 @@ def greedy_match(preds: np.ndarray, scores: np.ndarray, gts: np.ndarray):
     return matches
 
 
-def ap_at(preds: np.ndarray, scores: np.ndarray, gts: np.ndarray,
-          threshold_mm: float) -> float:
-    """Average precision: a prediction is a true positive iff the MPJPE to
-    its greedily matched ground truth is below the threshold."""
-    if len(preds) == 0 or len(gts) == 0:
-        return 0.0
-    matches = greedy_match(preds, scores, gts)
+def ap_from_matches(matches, num_gt: int, threshold_mm: float) -> float:
+    """Average precision over greedy_match's output: a prediction is a true
+    positive iff the MPJPE to its matched ground truth is below the
+    threshold."""
     tp = 0
     ap = 0.0
     prev_recall = 0.0
@@ -300,7 +295,7 @@ def ap_at(preds: np.ndarray, scores: np.ndarray, gts: np.ndarray,
         if zi >= 0 and dist < threshold_mm:
             tp += 1
         precision = tp / k
-        recall = tp / len(gts)
+        recall = tp / num_gt
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return float(ap)
@@ -355,17 +350,16 @@ class EvalReport:
 
 def evaluate(pred_poses: np.ndarray, pred_scores: np.ndarray,
              gt_poses: np.ndarray) -> EvalReport:
-    """Aggregate metric report under the same greedy matching as ap_at; PCP
-    uses the limbs of the T-pose template truncated to the poses' joints."""
+    """Aggregate metric report from one greedy matching; PCP uses the limbs
+    of the T-pose template truncated to the poses' joints."""
     _, _, limb_table = load_tpose(np.asarray(gt_poses).shape[1])
     Z = len(gt_poses)
-    ap = {thr: ap_at(pred_poses, pred_scores, gt_poses, thr)
-          for thr in MAP_THRESHOLDS_MM}
+    matches = greedy_match(pred_poses, pred_scores, gt_poses)
+    ap = {thr: ap_from_matches(matches, Z, thr) for thr in MAP_THRESHOLDS_MM}
     if len(pred_poses) == 0:
         return EvalReport(mpjpe_mm=float("nan"), mpjpe_defined=False, ap=ap,
                           map=0.0, recall=0.0, pcp_per_actor=[0.0] * Z,
                           pcp_avg=0.0, num_predictions=0, num_gt=Z)
-    matches = greedy_match(pred_poses, pred_scores, gt_poses)
     matched = [(pi, zi, d) for pi, zi, d in matches if zi >= 0]
     dists = [d for _, _, d in matched]
     recall = sum(1 for d in dists if d < RECALL_RADIUS_MM) / Z

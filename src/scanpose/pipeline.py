@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import container, geometry, scanning, ssm, tokens
+from . import container, geometry, ssm, tokens
 
 BLOCK_VARIANTS = ("pss", "proj_attention_only", "cross_attention", "mean")
 
@@ -65,8 +65,6 @@ class PipelineConfig:
     d_state: int = 4
     head_hidden: int = 32
     ffn_hidden: int = 0  # 0 means 2 * feature_dim
-    scan_grouping: str = "joint-major"
-    attn_order: str = "attn_first"  # projective attention before the scan block
     nms_radius_mm: float = 500.0
     max_offset_px: float = 64.0
     ground_bounds: tuple = (-4000.0, -4000.0, 4000.0, 4000.0)
@@ -79,10 +77,6 @@ class PipelineConfig:
             raise ValueError("feature_dim, num_points, num_scales must be positive")
         if self.block_variant not in BLOCK_VARIANTS:
             raise ValueError(f"block_variant must be one of {BLOCK_VARIANTS}")
-        if self.attn_order not in ("attn_first", "scan_first"):
-            raise ValueError("attn_order must be 'attn_first' or 'scan_first'")
-        if self.scan_grouping not in scanning.GROUPINGS:
-            raise ValueError(f"scan_grouping must be one of {scanning.GROUPINGS}")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must be in [0, 1]")
 
@@ -343,24 +337,24 @@ def _attention_samples(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
     return masked, fused, stencil, n_valid
 
 
-def _scan_branch(x1: ad.Tensor, per_view: ad.Tensor, p: dict, prefix: str,
-                 config: PipelineConfig, num_views: int):
+def _scan_branch(x1: ad.Tensor, per_view: ad.Tensor, p: dict, prefix: str):
     """GTBS bidirectional selective scan over per-view sampled tokens
     conditioned on the current features.
 
-    The forward and the reversed pass along the scan order have their own
-    input projections ('f' and 'b') and share A and D; their outputs are
-    un-permuted and summed, then averaged over views per joint."""
+    The sequence lists joints 1..J within view 1..T (flat index t * J + j).
+    The forward and the reversed pass have their own input projections ('f'
+    and 'b') and share A and D; their outputs are summed in sequence order,
+    then averaged over views per joint."""
     n, J, L = x1.shape
-    T = num_views
-    order = scanning.build_gtbs_orders(T, J, config.scan_grouping)
-    reverse = order[::-1]
+    T = per_view.shape[0]
+    steps = np.arange(T * J)
     items = per_view + x1.reshape((1, n, J, L))  # (T, n, J, L)
     seq = items.transpose((1, 0, 2, 3)).reshape((n, T * J, L))
-    fwd = selective_scan_op(seq[:, order], p, prefix, "f")
-    bwd = selective_scan_op(seq[:, reverse], p, prefix, "b")
-    # argsort of a permutation is its inverse: un-permute both passes
-    merged = fwd[:, np.argsort(order)] + bwd[:, np.argsort(reverse)]
+    # the gathers through steps are identities, but they give the scan input
+    # and its cotangent the step-major layout that the Dss gradient sums in
+    fwd = selective_scan_op(seq[:, steps], p, prefix, "f")
+    bwd = selective_scan_op(seq[:, steps[::-1]], p, prefix, "b")
+    merged = fwd[:, steps] + bwd[:, steps[::-1]]
     per_joint = merged.reshape((n, T, J, L)).mean(axis=1)  # (n, J, L)
     return per_joint
 
@@ -389,11 +383,8 @@ def _block_update(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
                   pyramids, p: dict, prefix: str, config: PipelineConfig):
     """One feature update: projective attention plus the variant branch.
 
-    attn_order picks the composition: 'attn_first' feeds the attention
-    residual into the scan branch; 'scan_first' runs the scan branch on the
-    incoming features and adds the attention residual afterwards. Sampling
-    offsets and weights always come from the incoming features.
-    Returns (x2, per_view_samples, stencil, n_valid)."""
+    The attention residual comes first and feeds the scan (or cross-attention)
+    branch. Returns (x2, per_view_samples, stencil, n_valid)."""
     per_view, fused, stencil, n_valid = _attention_samples(
         visual, anchors, valid, pyramids, p, prefix, config)
     attn_res = fused @ p[prefix + "aout_w"] + p[prefix + "aout_b"]
@@ -408,14 +399,9 @@ def _block_update(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
         x1 = visual + attn_res
         ctx = _cross_attention_branch(x1, per_view, p, prefix)
         x2 = x1 + _ffn_ln(ctx, p, prefix)
-    elif config.attn_order == "scan_first":
-        z = visual + _ffn_ln(
-            _scan_branch(visual, per_view, p, prefix, config, len(pyramids)),
-            p, prefix)
-        x2 = z + attn_res
-    else:  # pss, attention residual first
+    else:  # pss
         x1 = visual + attn_res
-        scanned = _scan_branch(x1, per_view, p, prefix, config, len(pyramids))
+        scanned = _scan_branch(x1, per_view, p, prefix)
         x2 = x1 + _ffn_ln(scanned, p, prefix)
     return x2, per_view, stencil, n_valid
 

@@ -1,7 +1,7 @@
 """Ground-truth assignment, losses, and the desk-scale training loop.
 
 Tokens are matched to ground truth by their initial anchor geometry: each
-ground-truth human, in index order, claims its W nearest unclaimed tokens by
+ground-truth human, in index order, claims its nearest unclaimed token by
 mean-joint distance; everything else is negative. The pose loss is an L1 on
 positive tokens' 3D joints plus per-view L1 on their refined 2D estimates
 against reprojected ground truth, applied at every layer. The classifier is
@@ -64,16 +64,13 @@ class Assignment:
         return np.nonzero(self.token_to_gt >= 0)[0]
 
 
-def match_gt(initial_geometry: np.ndarray, gts: GroundTruthSet,
-             w: int = 1) -> Assignment:
-    """Greedy anchor matching: ground truths claim, in index order, their w
-    nearest unclaimed tokens by mean-joint distance (ties to lower index)."""
-    if w < 1:
-        raise ValueError("w must be at least 1")
+def match_gt(initial_geometry: np.ndarray, gts: GroundTruthSet) -> Assignment:
+    """Greedy anchor matching: ground truths claim, in index order, their
+    nearest unclaimed token by mean-joint distance (ties to lower index)."""
     N = initial_geometry.shape[0]
     Z = gts.humans.shape[0]
-    if N < w * Z:
-        raise InsufficientTokens(f"{N} tokens cannot host {Z} humans * w={w}")
+    if N < Z:
+        raise InsufficientTokens(f"{N} tokens cannot host {Z} humans")
     token_to_gt = np.full(N, -1, dtype=int)
     gt_to_tokens = []
     for z in range(Z):
@@ -81,9 +78,9 @@ def match_gt(initial_geometry: np.ndarray, gts: GroundTruthSet,
         d = np.mean(np.linalg.norm(initial_geometry - gts.humans[z][None], axis=-1),
                     axis=-1)
         d = np.where(token_to_gt >= 0, np.inf, d)
-        claimed = np.argsort(d, kind="stable")[:w]
+        claimed = int(np.argmin(d))
         token_to_gt[claimed] = z
-        gt_to_tokens.append(tuple(int(i) for i in claimed))
+        gt_to_tokens.append((claimed,))
     return Assignment(token_to_gt=token_to_gt, gt_to_tokens=tuple(gt_to_tokens))
 
 
@@ -157,7 +154,6 @@ class TrainConfig:
     steps: int = 500
     learning_rate: float = 4e-4
     lambda_cls: float = 1.0
-    w_nearest: int = 1
     val_fraction: float = 0.25
 
     def __post_init__(self):
@@ -188,7 +184,7 @@ def scene_loss(param_tensors: dict, scene: evalsim.Scene,
                                            param_tensors, config, mode="train",
                                            init_seed=scene_init_seed(config, scene))
     gts = GroundTruthSet.from_scene(scene)
-    assignment = match_gt(geom0, gts, w=train_cfg.w_nearest)
+    assignment = match_gt(geom0, gts)
     p_loss = pose_loss(assignment, outputs, gts)
     c_losses = [classification_loss(assignment, out.scores) for out in outputs]
     c_loss = c_losses[0]
@@ -282,17 +278,20 @@ def write_metrics_csv(path: str, rows) -> None:
 
 
 def read_metrics_csv(path: str):
+    """Rows as write_metrics_csv writes them; a file whose header is not
+    METRIC_COLUMNS raises ValueError naming the file."""
+    expected = ",".join(METRIC_COLUMNS)
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
+        header = fh.readline().strip()
+        if header != expected:
+            raise ValueError(f"{path}: expected the header {expected!r}, "
+                             f"got {header!r}")
         rows = []
         for line in fh:
             vals = line.strip().split(",")
-            row = dict(zip(header, vals))
-            rows.append({
-                "epoch": int(row["epoch"]),
-                "pose_loss": float(row["pose_loss"]),
-                "cls_loss": float(row["cls_loss"]),
-                "val_mpjpe_mm": float(row["val_mpjpe_mm"]),
-                "ap25": float(row["ap25"]),
-            })
+            if len(vals) != len(METRIC_COLUMNS):
+                raise ValueError(f"{path}: row {line.strip()!r} does not have "
+                                 f"{len(METRIC_COLUMNS)} columns")
+            rows.append({col: int(v) if col == "epoch" else float(v)
+                         for col, v in zip(METRIC_COLUMNS, vals)})
     return rows

@@ -17,6 +17,7 @@ from scanpose import autodiff as ad
 from scanpose import cli, evalsim, pipeline, ssm, training
 from scanpose.tokens import load_tpose
 from oracles import expm_taylor_ld, rel_error
+from test_evalsim import ap_at
 from test_geometry import jacobian_and_fd, observe, oracle, ring_rig, triangulate
 from test_ssm import naive_selective_scan, random_selective, scan, scan_backward
 
@@ -235,7 +236,7 @@ def test_criterion_4_gradient_suite():
     # projective attention parameters through the attention surface
     scene = evalsim.generate_scene(evalsim.SceneConfig(
         num_actors=1, num_cameras=2, num_joints=3, feature_dim=8,
-        image_width=64, image_height=48, joint_noise_mm=0.0, rng_seed=104))
+        image_width=64, image_height=48, joint_noise_mm=0.0), 104)
     config = pipeline.PipelineConfig(
         num_layers=1, num_tokens=4, num_joints=3, feature_dim=8, num_points=2,
         num_scales=2, d_state=2, head_hidden=8, ffn_hidden=8,
@@ -430,7 +431,7 @@ def test_criterion_8_metric_suite():
             ok &= evalsim.pcp(preds[k], gts[0], limbs) == manual_pcp / len(limbs)
 
         thr = float(rng.choice(evalsim.MAP_THRESHOLDS_MM))
-        got = evalsim.ap_at(preds, scores, gts, thr)
+        got = ap_at(preds, scores, gts, thr)
         if P == 0:
             ok &= got == 0.0
         else:
@@ -442,7 +443,7 @@ def test_criterion_8_metric_suite():
                     tp += 1
                     acc += tp / rank
             ok &= abs(got - acc / Z) < 1e-12
-        parts = [evalsim.ap_at(preds, scores, gts, t)
+        parts = [ap_at(preds, scores, gts, t)
                  for t in evalsim.MAP_THRESHOLDS_MM]
         ok &= evalsim.evaluate(preds, scores, gts).map == np.mean(parts)
     _report(8, "metric suite", bool(ok))

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from scanpose import cli, evalsim, pipeline, training
+from scanpose import cli, container, evalsim, pipeline, training
 
 
 def tiny_config_doc(**kw):
@@ -205,7 +205,15 @@ def test_config_error_exits_2_and_writes_nothing(tmp_path):
                  ["generate", "--config", good, "--set", "scene.num_cameras=2.5"],
                  ["train", "--config", good, "--set", "pipeline.num_tokens=true"],
                  ["generate", "--config", good, "--set", "scene.grid_dtype=foo"],
-                 ["generate", "--config", good, "--set", "pipeline.ground_bounds=[1,2]"]):
+                 ["generate", "--config", good, "--set", "pipeline.ground_bounds=[1,2]"],
+                 # fields that no longer exist
+                 ["generate", "--config", good, "--set", "pipeline.attn_order=scan_first"],
+                 ["generate", "--config", good, "--set", "pipeline.scan_grouping=view-major"],
+                 ["train", "--config", good, "--set", "train.w_nearest=2"],
+                 ["generate", "--config", good, "--set", "scene.rng_seed=3"],
+                 # nothing to train on
+                 ["train", "--config", good, "--set", "num_scenes=0"],
+                 ["ablate", "--config", good, "--set", "num_scenes=0"]):
         assert run(argv + ["--out", str(out)]) == 2, argv
         assert not out.exists(), argv
 
@@ -253,6 +261,55 @@ def test_eval_on_scenes_with_fewer_levels_exits_3(tmp_path, capsys):
     assert run(["eval", "--model", str(tmp_path / "model" / "model.bin"),
                 "--scenes", str(tmp_path / "s1"), "--out", str(tmp_path / "ev")]) == 3
     assert "needs 2 pyramid levels of 8 channels, got 1 levels" in capsys.readouterr().err
+
+
+def untrained_model(tmp_path):
+    """Train zero steps on one scene; returns the model container's path."""
+    doc = tiny_config_doc(num_scenes=1)
+    doc["train"]["steps"] = 0
+    cfg = write_config(tmp_path, doc, "untrained.json")
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
+    return str(tmp_path / "model" / "model.bin")
+
+
+def test_eval_on_empty_scene_set_exits_3(tmp_path, capsys):
+    model = untrained_model(tmp_path)
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=0))
+    assert run(["generate", "--config", cfg, "--out", str(tmp_path / "empty")]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--model", model, "--scenes", str(tmp_path / "empty"),
+                "--out", str(tmp_path / "ev")]) == 3
+    err = capsys.readouterr().err
+    assert "scenes_manifest.json lists no scenes" in err
+
+
+def test_eval_on_model_with_removed_config_key_exits_3(tmp_path, capsys):
+    model = untrained_model(tmp_path)
+    arrays, meta = container.load_container(model)
+    meta["config"]["attn_order"] = "attn_first"
+    container.save_container(model, arrays, meta)
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
+    assert run(["generate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--model", model, "--scenes", str(tmp_path / "s"),
+                "--out", str(tmp_path / "ev")]) == 3
+    err = capsys.readouterr().err
+    assert "unknown keys ['attn_order']" in err and "model.bin" in err
+
+
+def test_resume_with_foreign_metrics_header_exits_3(tmp_path, capsys):
+    model = untrained_model(tmp_path)
+    metrics = tmp_path / "model" / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    # drop the cls_loss column from the header and every row
+    metrics.write_text("\n".join(",".join(v for i, v in enumerate(line.split(","))
+                                          if i != 2) for line in lines) + "\n")
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
+    capsys.readouterr()
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "again"),
+                "--resume", model]) == 3
+    err = capsys.readouterr().err
+    assert str(metrics) in err and "epoch,pose_loss,cls_loss,val_mpjpe_mm,ap25" in err
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):

@@ -8,7 +8,7 @@ from scanpose.tokens import load_tpose
 
 def small_cfg(**kw):
     defaults = dict(num_actors=1, num_cameras=3, image_width=96, image_height=72,
-                    num_scales=2, joint_noise_mm=0.0, rng_seed=42)
+                    num_scales=2, joint_noise_mm=0.0)
     defaults.update(kw)
     return ev.SceneConfig(**defaults)
 
@@ -18,7 +18,7 @@ def small_cfg(**kw):
 # ---------------------------------------------------------------------------
 
 def test_zero_perturbation_gives_translated_tpose():
-    scene = ev.generate_scene(small_cfg())
+    scene = ev.generate_scene(small_cfg(), 42)
     template, _, _ = load_tpose()
     diff = scene.gt_poses[0] - template
     assert np.allclose(diff, diff[0])  # constant translation across joints
@@ -26,7 +26,7 @@ def test_zero_perturbation_gives_translated_tpose():
 
 
 def test_heatmap_peaks_align_with_projections():
-    scene = ev.generate_scene(small_cfg(heatmap_sigma_px=3.0))
+    scene = ev.generate_scene(small_cfg(heatmap_sigma_px=3.0), 42)
     projections = np.stack([v.projection for v in scene.rig.views])
     uv, _, valid = geo.project_batch(projections, scene.gt_poses.reshape(-1, 3))
     checked = 0
@@ -84,7 +84,7 @@ def test_render_matches_per_pixel_oracle_exactly(noise):
     cfg = small_cfg(num_actors=2, num_cameras=2, image_width=24, image_height=18,
                     num_joints=4, feature_dim=6, heatmap_sigma_px=2.5,
                     heatmap_noise=noise)
-    scene = ev.generate_scene(cfg)
+    scene = ev.generate_scene(cfg, 42)
     got = ev.render_pyramids(cfg, scene.rig, scene.gt_poses,
                              np.random.default_rng(5))
     expect = _render_oracle(cfg, scene.rig, scene.gt_poses,
@@ -98,8 +98,8 @@ def test_render_matches_per_pixel_oracle_exactly(noise):
 
 def test_same_seed_identical_scene_bytes(tmp_path):
     cfg = small_cfg(num_actors=2, heatmap_noise=0.01)
-    a = ev.generate_scene(cfg)
-    b = ev.generate_scene(cfg)
+    a = ev.generate_scene(cfg, 42)
+    b = ev.generate_scene(cfg, 42)
     assert np.array_equal(a.gt_poses, b.gt_poses)
     da = tmp_path / "a"
     db = tmp_path / "b"
@@ -114,9 +114,9 @@ def test_same_seed_identical_scene_bytes(tmp_path):
 
 def test_camera_count_override_keeps_prefix_and_actors():
     cfg = small_cfg(num_cameras=5, num_actors=2)
-    base = ev.generate_scene(cfg)
-    fewer = ev.generate_scene(cfg, num_cameras=3)
-    more = ev.generate_scene(cfg, num_cameras=7)
+    base = ev.generate_scene(cfg, 42)
+    fewer = ev.generate_scene(cfg, 42, num_cameras=3)
+    more = ev.generate_scene(cfg, 42, num_cameras=7)
     assert np.array_equal(base.gt_poses, fewer.gt_poses)
     assert np.array_equal(base.gt_poses, more.gt_poses)
     for k in range(3):
@@ -129,7 +129,7 @@ def test_camera_count_override_keeps_prefix_and_actors():
 
 
 def test_coordinate_channels_consistent_across_levels():
-    scene = ev.generate_scene(small_cfg())
+    scene = ev.generate_scene(small_cfg(), 42)
     pyr = scene.pyramids[0]
     J = scene.config.num_joints
     fine, coarse = pyr.levels[0], pyr.levels[1]
@@ -140,7 +140,7 @@ def test_coordinate_channels_consistent_across_levels():
 
 def test_scene_roundtrip(tmp_path):
     cfg = small_cfg(num_actors=2, feature_dim=20)
-    scene = ev.generate_scene(cfg)
+    scene = ev.generate_scene(cfg, 42)
     prefix = str(tmp_path / "scene_000")
     manifest, grids = ev.save_scene(scene, prefix)
     loaded = ev.load_scene(manifest)
@@ -155,8 +155,8 @@ def test_scene_roundtrip(tmp_path):
 
 
 def test_actor_spacing_enforced():
-    cfg = small_cfg(num_actors=3, min_actor_spacing_mm=1500.0, rng_seed=9)
-    scene = ev.generate_scene(cfg)
+    cfg = small_cfg(num_actors=3, min_actor_spacing_mm=1500.0)
+    scene = ev.generate_scene(cfg, 9)
     centers = scene.gt_poses[:, 2, :2]  # mid-hip ground positions
     for i in range(3):
         for k in range(i + 1, 3):
@@ -199,13 +199,19 @@ def _skel(center, J=1):
     return np.tile(np.asarray(center, dtype=float), (J, 1))
 
 
+def ap_at(preds, scores, gts, threshold_mm):
+    """AP at one threshold, from the one matching that evaluate makes."""
+    return ev.ap_from_matches(ev.greedy_match(preds, scores, gts), len(gts),
+                              threshold_mm)
+
+
 def test_ap_no_predictions_is_zero():
-    assert ev.ap_at(np.zeros((0, 1, 3)), np.zeros(0), _skel([0, 0, 0])[None], 25.0) == 0.0
+    assert ap_at(np.zeros((0, 1, 3)), np.zeros(0), _skel([0, 0, 0])[None], 25.0) == 0.0
 
 
 def test_ap_single_exact_prediction_is_one():
     gt = _skel([0, 0, 0])[None]
-    assert ev.ap_at(gt.copy(), np.array([0.9]), gt, 25.0) == 1.0
+    assert ap_at(gt.copy(), np.array([0.9]), gt, 25.0) == 1.0
 
 
 def test_ap_hand_constructed_case():
@@ -214,9 +220,9 @@ def test_ap_hand_constructed_case():
     scores = np.array([0.9, 0.8, 0.7])
     # score order: p0 -> gt0 (10mm, TP@25); p1 -> gt1 (1970mm, FP@25);
     # p2 -> nothing left (FP). AP@25 = 0.5 * 1.0
-    assert abs(ev.ap_at(preds, scores, gts, 25.0) - 0.5) < 1e-12
+    assert abs(ap_at(preds, scores, gts, 25.0) - 0.5) < 1e-12
     # with a 2000mm threshold the second prediction turns TP at precision 1
-    assert abs(ev.ap_at(preds, scores, gts, 2000.0) - 1.0) < 1e-12
+    assert abs(ap_at(preds, scores, gts, 2000.0) - 1.0) < 1e-12
 
 
 def test_ap_matches_tp_position_oracle():
@@ -231,7 +237,7 @@ def test_ap_matches_tp_position_oracle():
             if P else np.zeros((0, 1, 3))
         scores = rng.uniform(size=P)
         thr = float(rng.choice([25.0, 250.0, 2500.0]))
-        got = ev.ap_at(preds, scores, gts, thr)
+        got = ap_at(preds, scores, gts, thr)
         if P == 0:
             assert got == 0.0
             continue
@@ -250,7 +256,7 @@ def test_ap_monotone_in_threshold():
     gts = np.stack([_skel(rng.uniform(-2000, 2000, 3)) for _ in range(4)])
     preds = gts + rng.normal(scale=80.0, size=gts.shape)
     scores = rng.uniform(size=4)
-    values = [ev.ap_at(preds, scores, gts, t) for t in ev.MAP_THRESHOLDS_MM]
+    values = [ap_at(preds, scores, gts, t) for t in ev.MAP_THRESHOLDS_MM]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -261,10 +267,27 @@ def test_map_is_exact_mean_of_six_thresholds():
     gts = np.stack([template + rng.uniform(-2000, 2000, 3) for _ in range(3)])
     preds = gts + rng.normal(scale=60.0, size=gts.shape)
     scores = rng.uniform(size=3)
-    parts = [ev.ap_at(preds, scores, gts, t) for t in ev.MAP_THRESHOLDS_MM]
+    parts = [ap_at(preds, scores, gts, t) for t in ev.MAP_THRESHOLDS_MM]
     assert len(set(parts)) > 1  # the thresholds disagree
     assert ev.evaluate(preds, scores, gts).map == np.mean(parts)
     assert ev.MAP_THRESHOLDS_MM == (25.0, 50.0, 75.0, 100.0, 125.0, 150.0)
+
+
+def test_evaluate_matches_once(monkeypatch):
+    rng = np.random.default_rng(9)
+    template, _, _ = load_tpose()
+    gts = np.stack([template + np.array([x, 0, 0]) for x in (-1500.0, 1500.0)])
+    preds = gts[[1, 0, 0]] + rng.normal(scale=40.0, size=(3, 15, 3))
+    calls = []
+    real = ev.greedy_match
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ev, "greedy_match", counting)
+    ev.evaluate(preds, np.array([0.9, 0.8, 0.7]), gts)
+    assert len(calls) == 1
 
 
 def test_map_perfect_and_empty():
@@ -344,8 +367,8 @@ def test_evaluate_matches_component_metrics():
     scores = rng.uniform(0.5, 1.0, size=3)
     report = ev.evaluate(preds, scores, gts)
     for thr in ev.MAP_THRESHOLDS_MM:
-        assert report.ap[thr] == ev.ap_at(preds, scores, gts, thr)
-    assert report.map == np.mean([ev.ap_at(preds, scores, gts, thr)
+        assert report.ap[thr] == ap_at(preds, scores, gts, thr)
+    assert report.map == np.mean([ap_at(preds, scores, gts, thr)
                                   for thr in ev.MAP_THRESHOLDS_MM])
     matches = ev.greedy_match(preds, scores, gts)
     dists = [d for _, zi, d in matches if zi >= 0]

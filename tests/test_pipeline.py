@@ -5,7 +5,7 @@ from scanpose import autodiff as ad
 from scanpose import evalsim as ev
 from scanpose import geometry as geo
 from scanpose import pipeline as pl
-from scanpose import scanning, ssm, tokens
+from scanpose import ssm, tokens
 from oracles import project_ld, rel_error, triangulate_ld
 from test_ssm import naive_selective_scan
 
@@ -14,8 +14,8 @@ def tiny_scene(num_cameras=3, num_actors=1, joints=15, feature_dim=17, seed=7,
                **kw):
     cfg = ev.SceneConfig(num_actors=num_actors, num_cameras=num_cameras,
                          num_joints=joints, feature_dim=feature_dim,
-                         joint_noise_mm=0.0, rng_seed=seed, **kw)
-    return ev.generate_scene(cfg)
+                         joint_noise_mm=0.0, **kw)
+    return ev.generate_scene(cfg, seed)
 
 
 def tiny_config(scene, **kw):
@@ -357,7 +357,7 @@ def test_block_full_pss_matches_straight_line_oracle():
     x1 = visual + fused @ params["layer0.aout_w"] + params["layer0.aout_b"]
     items = per_view + x1[None, :, :]
     seq = items.reshape(T * J, L)
-    order = scanning.build_gtbs_orders(T, J, config.scan_grouping)
+    order = np.arange(T * J)  # joints 1..J within view 1..T
 
     def sel(direction):
         return ssm.SelectiveParams(
@@ -404,28 +404,6 @@ def test_all_variants_run_under_same_interface():
         outs[variant] = block(token, scene.pyramids, scene.rig, params, config)
         assert outs[variant].shape == token[0].shape
         assert np.all(np.isfinite(outs[variant]))
-
-
-def test_attn_order_switch_changes_composition():
-    scene = tiny_scene()
-    rng = np.random.default_rng(16)
-    config_a = tiny_config(scene, attn_order="attn_first")
-    config_b = tiny_config(scene, attn_order="scan_first")
-    params = pl.init_params(config_a, rng_seed=16)
-    for k in params:
-        params[k] = params[k] + rng.normal(scale=0.05, size=params[k].shape)
-    token = token_from(config_a, params)
-    out_a = block(token, scene.pyramids, scene.rig, params, config_a)
-    out_b = block(token, scene.pyramids, scene.rig, params, config_b)
-    assert out_a.shape == out_b.shape
-    assert not np.allclose(out_a, out_b)
-    # scan_first: x2 = (V + FFN(LN(scan))) + attn residual; check the identity
-    # still holds when outputs are zeroed
-    zeroed = {k: v.copy() for k, v in params.items()}
-    for k in ("layer0.aout_w", "layer0.aout_b", "layer0.ffn_w2", "layer0.ffn_b2"):
-        zeroed[k][:] = 0.0
-    out_id = block(token, scene.pyramids, scene.rig, zeroed, config_b)
-    assert np.max(np.abs(out_id - token[0])) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,34 +2,8 @@ import numpy as np
 
 from scanpose import autodiff as ad
 from scanpose import pipeline as pl
-from scanpose import scanning, ssm
+from scanpose import ssm
 from test_ssm import naive_selective_scan, random_selective
-
-
-def test_single_view_order():
-    order = scanning.build_gtbs_orders(1, 3)
-    assert list(order) == [0, 1, 2]
-    assert list(order[::-1]) == [2, 1, 0]
-
-
-def test_joint_major_enumerates_joints_within_views():
-    order = scanning.build_gtbs_orders(2, 2, grouping="joint-major")
-    # (v0,j0), (v0,j1), (v1,j0), (v1,j1)
-    assert list(order) == [0, 1, 2, 3]
-
-
-def test_view_major_transposes():
-    order = scanning.build_gtbs_orders(2, 2, grouping="view-major")
-    # (v0,j0), (v1,j0), (v0,j1), (v1,j1)
-    assert list(order) == [0, 2, 1, 3]
-
-
-def test_orders_are_permutations_exhaustively():
-    for t in range(1, 11):
-        for j in range(1, 21):
-            for grouping in scanning.GROUPINGS:
-                order = scanning.build_gtbs_orders(t, j, grouping)
-                assert np.array_equal(np.sort(order), np.arange(t * j))
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +20,12 @@ def scan_params(sel_f, sel_b):
     return {k: ad.Tensor(v) for k, v in p.items()}
 
 
-def branch(p, per_view, grouping="joint-major"):
+def branch(p, per_view):
     """_scan_branch on one token with zero features: per_view (T, J, L)
     samples in, per-joint (J, L) view means of the merged scan out."""
-    T, J, L = per_view.shape
+    _, J, L = per_view.shape
     out = pl._scan_branch(ad.Tensor(np.zeros((1, J, L))), ad.Tensor(per_view[:, None]),
-                          p, "", pl.PipelineConfig(scan_grouping=grouping), T)
+                          p, "")
     return out.data[0]
 
 
@@ -73,9 +47,9 @@ def test_matches_two_pass_oracle():
         w_b=rng.normal(scale=0.5, size=(3, 2)),
         w_c=rng.normal(scale=0.5, size=(3, 2)),
         A=sel_f.A, D=sel_f.D)
-    order = scanning.build_gtbs_orders(3, 4, grouping="view-major")
-    tokens = rng.normal(size=(12, 3))  # flat index t * J + j
-    out = branch(scan_params(sel_f, sel_b), tokens.reshape(3, 4, 3), "view-major")
+    order = np.arange(12)  # joints 1..J within view 1..T: flat index t * J + j
+    tokens = rng.normal(size=(12, 3))
+    out = branch(scan_params(sel_f, sel_b), tokens.reshape(3, 4, 3))
 
     merged = np.zeros_like(tokens)
     yf = naive_selective_scan(sel_f, tokens[order])

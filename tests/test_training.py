@@ -15,9 +15,9 @@ from oracles import project_ld
 
 def small_scene(seed=7, **kw):
     defaults = dict(num_actors=2, num_cameras=3, image_width=64, image_height=48,
-                    num_joints=6, feature_dim=8, joint_noise_mm=80.0, rng_seed=seed)
+                    num_joints=6, feature_dim=8, joint_noise_mm=80.0)
     defaults.update(kw)
-    return ev.generate_scene(ev.SceneConfig(**defaults))
+    return ev.generate_scene(ev.SceneConfig(**defaults), seed)
 
 
 def small_config(scene, **kw):
@@ -51,7 +51,7 @@ def test_match_token_anchored_at_gt_is_positive():
     anchors = np.stack([template + np.array([x, 0.0, 0.0])
                         for x in (-3000.0, 0.0, 3000.0)])
     gts = fake_gts(template[None])
-    a = tr.match_gt(anchors, gts, w=1)
+    a = tr.match_gt(anchors, gts)
     assert a.token_to_gt[1] == 0
     assert a.token_to_gt[0] == -1 and a.token_to_gt[2] == -1
 
@@ -63,23 +63,10 @@ def test_match_w1_single_gt_takes_global_nearest():
     anchors = template[None] + offsets[:, None, :]
     human = template + np.array([123.0, -77.0, 0.0])
     gts = fake_gts(human[None])
-    a = tr.match_gt(anchors, gts, w=1)
+    a = tr.match_gt(anchors, gts)
     dists = np.mean(np.linalg.norm(anchors - human[None], axis=-1), axis=-1)
     assert a.token_to_gt[int(np.argmin(dists))] == 0
     assert (a.token_to_gt >= 0).sum() == 1
-
-
-def test_match_two_gts_w2_hand_enumerated():
-    template, _, _ = load_tpose(2)
-    xs = (-900.0, -800.0, 900.0, 800.0)
-    anchors = np.stack([template + np.array([x, 0.0, 0.0]) for x in xs])
-    humans = np.stack([template + np.array([-850.0, 0.0, 0.0]),
-                       template + np.array([850.0, 0.0, 0.0])])
-    a = tr.match_gt(anchors, fake_gts(humans), w=2)
-    # gt0 claims tokens 0, 1 (50 mm each); gt1 claims 2, 3
-    assert set(a.gt_to_tokens[0]) == {0, 1}
-    assert set(a.gt_to_tokens[1]) == {2, 3}
-    assert list(a.token_to_gt) == [0, 0, 1, 1]
 
 
 def test_match_insufficient_tokens():
@@ -87,7 +74,7 @@ def test_match_insufficient_tokens():
     anchors = template[None]
     humans = np.stack([template, template + 100.0])
     with pytest.raises(tr.InsufficientTokens):
-        tr.match_gt(anchors, fake_gts(humans), w=1)
+        tr.match_gt(anchors, fake_gts(humans))
 
 
 def test_match_stable_under_index_permutation():
@@ -97,9 +84,9 @@ def test_match_stable_under_index_permutation():
     anchors = template[None] + offsets[:, None, :]
     humans = np.stack([template + np.array([500.0, 0, 0]),
                        template + np.array([-2000.0, 900.0, 0])])
-    a = tr.match_gt(anchors, fake_gts(humans), w=1)
+    a = tr.match_gt(anchors, fake_gts(humans))
     perm = rng.permutation(10)
-    b = tr.match_gt(anchors[perm], fake_gts(humans), w=1)
+    b = tr.match_gt(anchors[perm], fake_gts(humans))
     # relabeled positive sets coincide
     for z in range(2):
         orig = {int(i) for i in a.gt_to_tokens[z]}
