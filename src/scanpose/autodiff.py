@@ -10,9 +10,7 @@ passes.
 Retention rule: the tape holds nodes, never Tensors, and a closure captures
 the arrays, shapes and flags it reads, never a Tensor. An intermediate's data
 is therefore freed as soon as the forward drops its name, unless a backward
-reads it. The one layout-dependent case is take: its gradient starts from
-zeros in the input's memory layout, so it keeps the input array when that is
-not C-contiguous and only the shape otherwise.
+reads it.
 
 Broadcasting follows numpy; gradients are summed back over broadcast axes.
 """
@@ -207,6 +205,12 @@ def div(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = Tensor._lift(a), Tensor._lift(b)
     ga, gb, sa, sb = a.requires_grad, b.requires_grad, a.shape, b.shape
+    if len(sa) > 2 and len(sb) == 2:  # one 2-D GEMM over the rows, not one per slice
+        rows = a.data.reshape(-1, sa[-1])
+        xa, xb = rows if gb else None, b.data if ga else None
+        return from_op((rows @ b.data).reshape(sa[:-1] + sb[-1:]), (a, b), lambda g: (
+            (g.reshape(-1, sb[-1]) @ xb.T).reshape(sa) if ga else None,
+            xa.T @ g.reshape(-1, sb[-1]) if gb else None))
     xa, xb = a.data if gb else None, b.data if ga else None
 
     def backward(g):
@@ -247,11 +251,10 @@ def take(a, idx) -> Tensor:
     """Indexing / gather. Backward assigns when no element is reached twice
     and scatter-adds otherwise."""
     a = Tensor._lift(a)
-    # the gradient has a's memory layout, as zeros_like gives it
-    like = a.shape if a.data.flags.c_contiguous else a.data
+    shape = a.shape
 
     def backward(g):
-        out = np.zeros(like) if isinstance(like, tuple) else np.zeros_like(like)
+        out = np.zeros(shape)
         if _selects_once(idx):
             out[idx] = g
         else:

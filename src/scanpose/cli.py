@@ -236,7 +236,6 @@ def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
               resume: str | None = None, workers: int = 1) -> int:
     if scenes_dir is None and cfg.num_scenes < 1:
         raise ConfigError("train needs num_scenes >= 1")
-    os.makedirs(out_dir, exist_ok=True)
     scenes = (load_scene_dir(scenes_dir) if scenes_dir
               else build_scenes(cfg, workers=workers))
     initial_params = None
@@ -252,6 +251,8 @@ def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
                              "metrics.csv")
         if os.path.exists(prior):
             prior_metrics = training.read_metrics_csv(prior)
+    # --out appears only once every input has loaded
+    os.makedirs(out_dir, exist_ok=True)
     params, metrics = training.train(cfg.pipeline, scenes, rng_seed=cfg.seed,
                                      train_cfg=cfg.train,
                                      initial_params=initial_params,
@@ -294,9 +295,9 @@ def _aggregate_csv(reports) -> str:
 
 def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
              cameras=None) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     params, pipe_cfg, _ = pipeline.load_model(model_path)
     scenes = load_scene_dir(scenes_dir)
+    os.makedirs(out_dir, exist_ok=True)
     camera_counts = cameras or [None]
     sweep = []
     for K in camera_counts:

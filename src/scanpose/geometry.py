@@ -146,12 +146,13 @@ def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
 
     positions: (B, T, 2); confidences: (B, T), zero meaning "masked out",
     which is exactly equivalent to removing the view. Returns (points (B, 3),
-    ok (B,), jacobian); points with a degenerate system or fewer than
-    two positive weights get ok=False and a zero point. jacobian()
-    differentiates from the same factorization and returns (d_pos (B, T, 3, 2),
-    d_conf (B, T, 3), ok), with d_pos[b, t, i, k] = dX_bi / du_btk; its ok
-    also requires the two smallest singular values to be separated by
-    SVD_GAP_EPSILON, and rows that are not ok get zero gradients.
+    ok (B,), vjp); points with a degenerate system or fewer than two
+    positive weights get ok=False and a zero point. vjp(cot) pulls a
+    cotangent cot (B, 3) on the points back through the same factorization
+    and returns (d_pos (B, T, 2), d_conf (B, T), ok), with
+    d_pos[b, t, k] = sum_i cot_bi dX_bi / du_btk; its ok also requires the
+    two smallest singular values to be separated by SVD_GAP_EPSILON, and rows
+    that are not ok get zero gradients.
     """
     Pt, s, centers = _normalized_cameras_batch(rig)
     un = s[None, :, None] * (positions - centers[None, :, :])  # (B, T, 2)
@@ -173,39 +174,31 @@ def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
     w = np.where(np.abs(v[:, 3]) > 1e-12, v[:, 3], 1.0)
     pts = COORD_SCALE * v[:, :3] / w[:, None]
 
-    def jacobian():
+    def vjp(cot):
         # implicit differentiation of M v = lam v for the smallest eigenpair
-        # of M = A^T A: dv = sum_{k>0} (v_k^T dM v) / (lam_0 - lam_k) v_k.
-        # Full Jacobians, not cotangent products: reordering these sums moves
-        # near-zero head gradients that Adam's first step scales to full size
+        # of M = A^T A: dv = sum_{k>0} (v_k^T dM v) / (lam_0 - lam_k) v_k, so
+        # cot . dX = q^T dM v with q = sum_k (a . v_k) / (lam_0 - lam_k) v_k,
+        # where a is the cotangent carried from X back to v
         ok_j = ok & (sv[:, 2] - sv[:, 3] > SVD_GAP_EPSILON * np.maximum(sv[:, 0], 1.0))
         denom = sv[:, 3:] ** 2 - sv[:, 2::-1] ** 2  # (B, 3), ascending eigenvalue order
         denom = np.where(np.abs(denom) > 1e-300, denom, -1e-300)
-        Vrest = np.swapaxes(Vt[:, 2::-1, :], -1, -2)  # (B, 4, 3) the matching v_k
-
-        def _grads(dM):  # dM: (B, T, 4, 4) -> (B, T, 3)
-            proj = np.einsum("bik,btij,bj->btk", Vrest, dM, v) / denom[:, None, :]
-            dv = np.einsum("bik,btk->bti", Vrest, proj)  # (B, T, 4)
-            return (COORD_SCALE / w[:, None, None]) * (
-                dv[..., :3] - (pts / COORD_SCALE)[:, None, :] * dv[..., 3:4])
-
-        c2 = (cn * cn)[..., None, None]
-        r1g, r2g, p3 = r1 / g, r2 / g, Pt[None, :, 2, :] / g  # (B, T, 4)
-        outer_p3_r1 = p3[..., :, None] * r1g[..., None, :]  # (B, T, 4, 4)
-        outer_p3_r2 = p3[..., :, None] * r2g[..., None, :]
-        dM_ux = c2 * (outer_p3_r1 + np.swapaxes(outer_p3_r1, -1, -2))
-        dM_uy = c2 * (outer_p3_r2 + np.swapaxes(outer_p3_r2, -1, -2))
-        d_pos = np.stack([_grads(dM_ux) * s[None, :, None],
-                          _grads(dM_uy) * s[None, :, None]], axis=-1)  # (B, T, 3, 2)
-        outer_r1 = r1g[..., :, None] * r1g[..., None, :]
-        outer_r2 = r2g[..., :, None] * r2g[..., None, :]
-        dM_c = (2.0 * cn)[..., None, None] * (outer_r1 + outer_r2)
+        Vrest = Vt[:, 2::-1, :]  # (B, 3, 4) the matching v_k as rows
+        cw = cot * (COORD_SCALE / w)[:, None]  # (B, 3)
+        a = np.concatenate([cw, -np.sum(cw * pts, axis=1, keepdims=True) / COORD_SCALE],
+                           axis=1)  # (B, 4)
+        q = np.einsum("bkj,bk->bj", Vrest, np.einsum("bkj,bj->bk", Vrest, a) / denom)
+        # dM/du = c^2 s (p3 r^T + r p3^T), dM/dc = 2 c (r1 r1^T + r2 r2^T), all / g^2
+        qv = np.stack([q, v], axis=-1) / g  # (B, 4, 2)
+        (qp3, vp3), (qr1, vr1), (qr2, vr2) = (
+            np.moveaxis(rows @ qv, -1, 0) for rows in (Pt[None, :, 2, :], r1, r2))  # (B, T)
+        d_pos = np.stack([qp3 * vr1 + qr1 * vp3, qp3 * vr2 + qr2 * vp3],
+                         axis=-1) * (cn * cn * s)[..., None]  # (B, T, 2)
         # scale invariance makes treating cmax as a constant exact
-        d_conf = _grads(dM_c) / safe_cmax[:, None, None]
-        return (np.where(ok_j[:, None, None, None], d_pos, 0.0),
-                np.where(ok_j[:, None, None], d_conf, 0.0), ok_j)
+        d_conf = (2.0 * cn) * (qr1 * vr1 + qr2 * vr2) / safe_cmax[:, None]
+        return (np.where(ok_j[:, None, None], d_pos, 0.0),
+                np.where(ok_j[:, None], d_conf, 0.0), ok_j)
 
-    return np.where(ok[:, None], pts, 0.0), ok, jacobian
+    return np.where(ok[:, None], pts, 0.0), ok, vjp
 
 
 def triangulate_batch(positions: np.ndarray, confidences: np.ndarray,
@@ -217,12 +210,14 @@ def triangulate_batch(positions: np.ndarray, confidences: np.ndarray,
 
 def triangulation_jacobian_batch(positions: np.ndarray, confidences: np.ndarray,
                                  rig: CameraRig):
-    """Batched analytic Jacobians of triangulate_batch.
+    """Batched analytic Jacobians of triangulate_batch, one basis cotangent
+    per coordinate through factor_triangulation's vjp.
 
     Returns (points (B,3), d_pos (B,T,3,2), d_conf (B,T,3), ok (B,)).
     Degenerate or gap-deficient points get ok=False with zero gradients
     instead of raising, so the caller can keep previous geometry.
     """
-    pts, _, jacobian = factor_triangulation(positions, confidences, rig)
-    d_pos, d_conf, ok = jacobian()
-    return np.where(ok[:, None], pts, 0.0), d_pos, d_conf, ok
+    pts, _, vjp = factor_triangulation(positions, confidences, rig)
+    d_pos, d_conf, ok = zip(*(vjp(np.broadcast_to(e, pts.shape)) for e in np.eye(3)))
+    return (np.where(ok[0][:, None], pts, 0.0), np.stack(d_pos, axis=2),
+            np.stack(d_conf, axis=2), ok[0])

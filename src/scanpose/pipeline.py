@@ -254,13 +254,9 @@ def triangulate_op(positions: ad.Tensor, confidences: ad.Tensor,
     (points Tensor (B, 3), ok (B,) bool). Non-ok rows give zero points and
     zero gradients; callers keep previous geometry there.
     """
-    pts, ok, jacobian = geometry.factor_triangulation(positions.data, confidences.data, rig)
-
-    def backward(g):
-        d_pos, d_conf, _ = jacobian()  # zero where the point is not ok
-        return np.einsum("bi,btik->btk", g, d_pos), np.einsum("bi,bti->bt", g, d_conf)
-
-    return ad.from_op(pts, (positions, confidences), backward), ok
+    pts, ok, vjp = geometry.factor_triangulation(positions.data, confidences.data, rig)
+    # vjp gives zero gradients where the point is not ok
+    return ad.from_op(pts, (positions, confidences), lambda g: vjp(g)[:2]), ok
 
 
 def selective_scan_op(x: ad.Tensor, p: dict, prefix: str, direction: str) -> ad.Tensor:
@@ -347,14 +343,11 @@ def _scan_branch(x1: ad.Tensor, per_view: ad.Tensor, p: dict, prefix: str):
     then averaged over views per joint."""
     n, J, L = x1.shape
     T = per_view.shape[0]
-    steps = np.arange(T * J)
     items = per_view + x1.reshape((1, n, J, L))  # (T, n, J, L)
     seq = items.transpose((1, 0, 2, 3)).reshape((n, T * J, L))
-    # the gathers through steps are identities, but they give the scan input
-    # and its cotangent the step-major layout that the Dss gradient sums in
-    fwd = selective_scan_op(seq[:, steps], p, prefix, "f")
-    bwd = selective_scan_op(seq[:, steps[::-1]], p, prefix, "b")
-    merged = fwd[:, steps] + bwd[:, steps[::-1]]
+    fwd = selective_scan_op(seq, p, prefix, "f")
+    bwd = selective_scan_op(seq[:, ::-1], p, prefix, "b")
+    merged = fwd + bwd[:, ::-1]
     per_joint = merged.reshape((n, T, J, L)).mean(axis=1)  # (n, J, L)
     return per_joint
 

@@ -188,80 +188,89 @@ class SelectiveParams:
 
 def selective_scan_batch(sel: SelectiveParams, x):
     """Batched scan over (batch, steps, L); returns outputs plus the cache
-    needed for the exact backward pass."""
+    needed for the exact backward pass. The scan runs step-major: every
+    cached array is (steps, batch, ...), so each step of the recurrence is one
+    contiguous block, and y is a (batch, steps, L) view of a step-major array."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] == 0:
         raise EmptySequence(f"expected non-empty (batch, steps, L), got {x.shape}")
-    T = x.shape[1]
-    pre = x @ sel.w_delta + sel.b_delta  # (B, T, L)
-    delta = np.logaddexp(0.0, pre)  # softplus keeps every step size positive
-    Bm = x @ sel.w_b  # (B, T, S)
-    Cm = x @ sel.w_c  # (B, T, S)
-    m = delta[..., None] * sel.A  # (B, T, L, S)
+    xt = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # (T, B, L)
+    T, L, S = xt.shape[0], xt.shape[2], sel.A.shape[1]
+    rows = xt.reshape(-1, L)  # one GEMM per projection over every (step, batch) row
+    pre = (rows @ sel.w_delta).reshape(xt.shape)
+    pre += sel.b_delta
+    # softplus max(pre, 0) + log1p(exp(-|pre|)), in place, keeps steps positive
+    delta = np.abs(pre)
+    np.log1p(np.exp(np.negative(delta, out=delta), out=delta), out=delta)
+    delta += np.maximum(pre, 0.0)
+    Bm = (rows @ sel.w_b).reshape(T, -1, S)  # (T, B, S)
+    Cm = (rows @ sel.w_c).reshape(T, -1, S)
+    m = delta[..., None] * sel.A  # (T, B, L, S)
     abar = np.exp(m)
     g = _phi1(m)
     g *= delta[..., None]  # ZOH input factor, per channel and state
     # hs starts as the input term; the loop adds only the carried state
-    hs = g * Bm[:, :, None, :]  # (B, T, L, S)
-    hs *= x[..., None]
-    step = np.empty_like(hs[:, 0])
+    hs = g * Bm[:, :, None, :]  # (T, B, L, S)
+    hs *= xt[..., None]
+    step = np.empty_like(hs[0])
     for t in range(1, T):
-        hs[:, t] += np.multiply(abar[:, t], hs[:, t - 1], out=step)
-    # y = sum_s hs[..., s] Cm[..., s] in np.sum's order for S < 8, in x's memory
-    # layout (x = seq[:, order] is not C-contiguous): the backward's
-    # dD = sum(upstream * x) sums in an order that follows the layout of y's
-    # cotangent, and a C-ordered y changes the Dss gradients
-    y = np.multiply(hs[..., 0], Cm[:, :, None, 0], out=np.empty_like(x))
+        hs[t] += np.multiply(abar[t], hs[t - 1], out=step)
+    # y = sum_s hs[..., s] Cm[..., s], in np.sum's order for S < 8
+    y = np.multiply(hs[..., 0], Cm[:, :, None, 0])
     term = np.empty_like(y)
-    for s in range(1, hs.shape[-1]):
+    for s in range(1, S):
         y += np.multiply(hs[..., s], Cm[:, :, None, s], out=term)
-    y += sel.D * x
-    cache = {"x": x, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm,
+    y += sel.D * xt
+    cache = {"x": xt, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm,
              "m": m, "abar": abar, "g": g, "hs": hs}
-    return y, cache
+    return np.swapaxes(y, 0, 1), cache
 
 
 def selective_scan_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
     """Reverse accumulation through the cache of selective_scan_batch;
     upstream is dLoss/dy, shaped like y. Returns a dict of gradients for the
     inputs and every parameter."""
-    x, T = cache["x"], upstream.shape[1]
-    delta, Bm, Cm = cache["delta"], cache["Bm"], cache["Cm"]
+    x, delta, Bm, Cm = cache["x"], cache["delta"], cache["Bm"], cache["Cm"]
     m, abar, g, hs = cache["m"], cache["abar"], cache["g"], cache["hs"]
+    up = np.ascontiguousarray(np.swapaxes(upstream, 0, 1))  # (T, B, L)
+    T, L, S = up.shape[0], up.shape[2], sel.A.shape[1]
 
     # only dh is recurrent: dh_t = dy_t C_t + Abar_{t+1} dh_{t+1}
-    dh = upstream[..., None] * Cm[:, :, None, :]  # (B, T, L, S)
-    step = np.empty_like(dh[:, 0])
+    dh = up[..., None] * Cm[:, :, None, :]  # (T, B, L, S)
+    step = np.empty_like(dh[0])
     for t in range(T - 2, -1, -1):
-        dh[:, t] += np.multiply(dh[:, t + 1], abar[:, t + 1], out=step)
-    dCm = np.einsum("btl,btls->bts", upstream, hs)
+        dh[t] += np.multiply(dh[t + 1], abar[t + 1], out=step)
+    dCm = np.einsum("tbl,tbls->tbs", up, hs)
     dhg = dh * g
-    dBm = np.einsum("btls,btl->bts", dhg, x)
-    dx = upstream * sel.D + np.einsum("btls,bts->btl", dhg, Bm)
+    dBm = np.einsum("tbls,tbl->tbs", dhg, x)
+    dx = up * sel.D + np.einsum("tbls,tbs->tbl", dhg, Bm)
     # through Abar = exp(m), m = delta A: dm = dh h_{t-1} Abar
     dm = np.multiply(dh, abar, out=dhg)
-    dm[:, 0] = 0.0
-    dm[:, 1:] *= hs[:, :-1]
+    dm[0] = 0.0
+    dm[1:] *= hs[:-1]
     # through G = delta phi1(m): dG = dh B_t x_t, dG/d delta = Abar,
     # dG/dA = delta^2 phi1'(m)
     dG = np.multiply(dh, Bm[:, :, None, :], out=dh)
     dG *= x[..., None]
-    ddelta = np.einsum("btls,ls->btl", dm, sel.A) \
-        + np.einsum("btls,btls->btl", dG, abar)
-    dA = np.einsum("btls,btl->ls", dm, delta) \
-        + np.einsum("btls,btls,btl->ls", dG, _phi1_prime(m, abar), delta * delta)
-    dD = np.sum(upstream * x, axis=(0, 1))
+    ddelta = np.einsum("tbls,ls->tbl", dm, sel.A) \
+        + np.einsum("tbls,tbls->tbl", dG, abar)
+    dA = np.einsum("tbls,tbl->ls", dm, delta) \
+        + np.einsum("tbls,tbls,tbl->ls", dG, _phi1_prime(m, abar), delta * delta)
+    dD = np.sum(up * x, axis=(0, 1))
 
-    dpre = ddelta * expit(cache["pre"])  # softplus'
+    # the projections' gradients as one GEMM each over the (step, batch) rows
+    dpre = (ddelta * expit(cache["pre"])).reshape(-1, L)  # softplus'
+    dBm, dCm, rows = dBm.reshape(-1, S), dCm.reshape(-1, S), x.reshape(-1, L)
+    dx = dx.reshape(-1, L)
     dx += dpre @ sel.w_delta.T
     dx += dBm @ sel.w_b.T
     dx += dCm @ sel.w_c.T
     return {
-        "x": dx,
-        "w_delta": np.tensordot(x, dpre, axes=([0, 1], [0, 1])),
-        "b_delta": np.sum(dpre, axis=(0, 1)),
-        "w_b": np.tensordot(x, dBm, axes=([0, 1], [0, 1])),
-        "w_c": np.tensordot(x, dCm, axes=([0, 1], [0, 1])),
+        "x": np.swapaxes(dx.reshape(up.shape), 0, 1),
+        "w_delta": rows.T @ dpre,
+        "b_delta": np.sum(dpre, axis=0),
+        "w_b": rows.T @ dBm,
+        "w_c": rows.T @ dCm,
         "A": dA,
         "D": dD,
     }

@@ -57,7 +57,6 @@ class GroundTruthSet:
 @dataclass(frozen=True)
 class Assignment:
     token_to_gt: np.ndarray   # (N,) gt index or -1
-    gt_to_tokens: tuple       # per gt: tuple of claimed token indices
 
     @property
     def positive_indices(self) -> np.ndarray:
@@ -72,7 +71,6 @@ def match_gt(initial_geometry: np.ndarray, gts: GroundTruthSet) -> Assignment:
     if N < Z:
         raise InsufficientTokens(f"{N} tokens cannot host {Z} humans")
     token_to_gt = np.full(N, -1, dtype=int)
-    gt_to_tokens = []
     for z in range(Z):
         # mean-joint L2 between anchors and this human
         d = np.mean(np.linalg.norm(initial_geometry - gts.humans[z][None], axis=-1),
@@ -80,8 +78,7 @@ def match_gt(initial_geometry: np.ndarray, gts: GroundTruthSet) -> Assignment:
         d = np.where(token_to_gt >= 0, np.inf, d)
         claimed = int(np.argmin(d))
         token_to_gt[claimed] = z
-        gt_to_tokens.append((claimed,))
-    return Assignment(token_to_gt=token_to_gt, gt_to_tokens=tuple(gt_to_tokens))
+    return Assignment(token_to_gt=token_to_gt)
 
 
 def pose_loss(assignment: Assignment, layer_outputs, gts: GroundTruthSet):

@@ -39,6 +39,30 @@ def test_matmul_broadcast():
     fd_check(lambda t: (t["a"] @ t["b"]).sum(), arrays)
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_matmul_nd_by_weight_matches_per_slice_form(transposed):
+    """An N-d operand times a 2-D weight runs as one flat GEMM; its value and
+    both gradients match the per-slice products and sums, and pass the
+    central-difference check."""
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(3, 5, 6, 4))
+    if transposed:  # a non-contiguous operand, as a transpose leaves it
+        a = np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    w = rng.normal(size=(4, 7))
+    up = rng.normal(size=(3, 5, 6, 7))
+    ta, tw = ad.parameter(a), ad.parameter(w)
+    out = ad.matmul(ta, tw)
+    (out * up).sum().backward()
+    per_slice = np.stack([[a[i, j] @ w for j in range(5)] for i in range(3)])
+    grad_a = np.stack([[up[i, j] @ w.T for j in range(5)] for i in range(3)])
+    grad_w = sum(a[i, j].T @ up[i, j] for i in range(3) for j in range(5))
+    assert rel_error(out.data, per_slice) < 1e-12
+    assert rel_error(ta.grad, grad_a) < 1e-12
+    assert rel_error(tw.grad, grad_w) < 1e-12
+    assert ta.data.flags.c_contiguous != transposed
+    fd_check(lambda t: (ad.matmul(t["a"], t["w"]) * up).sum(), {"a": a, "w": w})
+
+
 def test_reductions_and_shapes():
     rng = np.random.default_rng(2)
     arrays = {"a": rng.normal(size=(4, 6))}
@@ -194,7 +218,7 @@ def test_constant_operand_gets_no_gradient(op, constant):
 
 
 def _take_from_sum(a, b):
-    x = a + b  # C-contiguous, so take's backward needs only its shape
+    x = a + b  # take's backward keeps only x's shape
     return x, x[np.array([2, 0])]
 
 

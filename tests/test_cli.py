@@ -247,6 +247,7 @@ def test_runtime_error_exits_3(tmp_path):
     missing = str(tmp_path / "missing_model.bin")
     assert run(["eval", "--model", missing, "--scenes", str(scenes_dir),
                 "--out", str(tmp_path / "z")]) == 3
+    assert not (tmp_path / "z").exists()
 
 
 def test_eval_on_scenes_with_fewer_levels_exits_3(tmp_path, capsys):
@@ -281,6 +282,24 @@ def test_eval_on_empty_scene_set_exits_3(tmp_path, capsys):
                 "--out", str(tmp_path / "ev")]) == 3
     err = capsys.readouterr().err
     assert "scenes_manifest.json lists no scenes" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_train_inputs_load_before_out_is_created(tmp_path, capsys):
+    """An empty scene set and a missing --resume model exit 3 and leave no
+    --out directory."""
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=0))
+    assert run(["generate", "--config", cfg, "--out", str(tmp_path / "empty")]) == 0
+    capsys.readouterr()
+    assert run(["train", "--config", cfg, "--scenes", str(tmp_path / "empty"),
+                "--out", str(tmp_path / "run")]) == 3
+    assert "scenes_manifest.json lists no scenes" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1), "one.json")
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "again"),
+                "--resume", str(tmp_path / "missing_model.bin")]) == 3
+    assert "missing_model.bin" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
 
 
 def test_eval_on_model_with_removed_config_key_exits_3(tmp_path, capsys):

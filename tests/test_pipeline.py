@@ -6,7 +6,7 @@ from scanpose import evalsim as ev
 from scanpose import geometry as geo
 from scanpose import pipeline as pl
 from scanpose import ssm, tokens
-from oracles import project_ld, rel_error, triangulate_ld
+from oracles import central_difference, project_ld, rel_error, triangulate_ld
 from test_ssm import naive_selective_scan
 
 
@@ -453,6 +453,39 @@ def test_zero_confidence_view_reproduces_two_view_solution():
     pts, ok = pl.triangulate_op(u, c, scene.rig)
     assert ok[0]
     assert np.max(np.abs(pts.data[0] - X)) < 1e-6
+
+
+def test_triangulate_op_backward_matches_contracted_fd():
+    """The backward of the pipeline's triangulation primitive, given a random
+    cotangent, equals the central-difference Jacobian contracted with it;
+    a masked view gets zero gradients and a not-ok row gets none at all."""
+    scene = tiny_scene(num_cameras=4)
+    rig = scene.rig
+    rng = np.random.default_rng(61)
+    B = 5
+    pts = rng.uniform(-900.0, 900.0, size=(B, 3)) + np.array([0.0, 0.0, 1000.0])
+    positions = np.stack([[project_ld(v.projection, X) for v in rig.views]
+                          for X in pts]) + rng.normal(0.0, 1.5, size=(B, 4, 2))
+    confs = rng.uniform(0.3, 1.0, size=(B, 4))
+    confs[1, 2] = 0.0  # a masked view
+    confs[3, 1:] = 0.0  # a single positive view: not ok
+    cot = rng.normal(size=(B, 3))
+    u, c = ad.parameter(positions), ad.parameter(confs)
+    out, ok = pl.triangulate_op(u, c, rig)
+    (out * cot).sum().backward()
+    assert list(ok) == [True, True, True, False, True]
+    assert np.all(u.grad[1, 2] == 0.0) and c.grad[1, 2] == 0.0
+    assert np.all(out.data[3] == 0.0)
+    assert np.all(u.grad[3] == 0.0) and np.all(c.grad[3] == 0.0)
+    for b in np.nonzero(ok)[0]:
+        def contracted(flat, b=b):
+            x = flat.reshape(4, 3)
+            return cot[b] @ geo.triangulate_batch(x[None, :, :2], x[None, :, 2], rig)[0][0]
+
+        packed = np.concatenate([positions[b], confs[b][:, None]], axis=1)
+        fd = central_difference(contracted, packed.ravel(), step=1e-4).reshape(4, 3)
+        analytic = np.concatenate([u.grad[b], c.grad[b][:, None]], axis=1)
+        assert rel_error(analytic, fd) < 1e-5
 
 
 def test_pipeline_single_layer_composition():

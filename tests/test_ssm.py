@@ -391,9 +391,9 @@ def test_batched_scan_matches_per_sequence():
 
 
 def test_batched_scan_output_keeps_input_layout():
-    # the pipeline scans seq[:, order], which is not C-contiguous; y must keep
-    # that layout, because the backward's dD sum follows the layout of y's
-    # cotangent and a C-ordered y reorders it
+    # seq[:, order] is step-major, not C-contiguous; the scan runs step-major
+    # and y is a view of its step-major result, so the gather's layout is kept
+    # without a copy, and a C-ordered input gives the same values
     rng = np.random.default_rng(23)
     sel = random_selective(rng)
     seq = rng.normal(size=(4, 9, 3))
@@ -416,6 +416,7 @@ def _mixed_selective(rng, L=3):
 def loop_selective_backward(sel, cache, upstream):
     """Reference reverse pass: one step at a time, every gradient
     accumulated inside the loop."""
+    cache = {k: np.swapaxes(v, 0, 1) for k, v in cache.items()}  # batch-major
     x, delta, Bm, Cm = cache["x"], cache["delta"], cache["Bm"], cache["Cm"]
     m, abar, g, hs = cache["m"], cache["abar"], cache["g"], cache["hs"]
     T = x.shape[1]

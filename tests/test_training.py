@@ -87,10 +87,11 @@ def test_match_stable_under_index_permutation():
     a = tr.match_gt(anchors, fake_gts(humans))
     perm = rng.permutation(10)
     b = tr.match_gt(anchors[perm], fake_gts(humans))
-    # relabeled positive sets coincide
+    # relabeled positive sets coincide: token i of the permuted match is
+    # token perm[i] of the first one
     for z in range(2):
-        orig = {int(i) for i in a.gt_to_tokens[z]}
-        permuted = {int(perm[i]) for i in b.gt_to_tokens[z]}
+        orig = {int(i) for i in np.nonzero(a.token_to_gt == z)[0]}
+        permuted = {int(perm[i]) for i in np.nonzero(b.token_to_gt == z)[0]}
         assert orig == permuted
 
 
@@ -119,8 +120,7 @@ def _loss_fixture(J=3, T=2, N=4):
     gt2d = rng.normal(scale=30.0, size=(1, T, J, 2))
     gts = tr.GroundTruthSet(humans=humans, positions_2d=gt2d,
                             valid_2d=np.ones((1, T, J), dtype=bool))
-    assignment = tr.Assignment(token_to_gt=np.array([-1, 0, -1, -1]),
-                               gt_to_tokens=((1,),))
+    assignment = tr.Assignment(token_to_gt=np.array([-1, 0, -1, -1]))
     return rng, gts, assignment, J, T, N
 
 
@@ -190,15 +190,13 @@ def test_pose_loss_zero_gradient_for_negative_geometry():
 
 
 def test_classification_loss_perfect_is_zero():
-    assignment = tr.Assignment(token_to_gt=np.array([0, -1, -1]),
-                               gt_to_tokens=((0,),))
+    assignment = tr.Assignment(token_to_gt=np.array([0, -1, -1]))
     scores = ad.Tensor(np.array([1.0, 0.0, 0.0]))
     assert float(tr.classification_loss(assignment, scores).data) < 1e-9
 
 
 def test_classification_loss_half_is_ln2():
-    assignment = tr.Assignment(token_to_gt=np.array([0, -1, -1, -1]),
-                               gt_to_tokens=((0,),))
+    assignment = tr.Assignment(token_to_gt=np.array([0, -1, -1, -1]))
     scores = ad.Tensor(np.full(4, 0.5))
     got = float(tr.classification_loss(assignment, scores).data)
     assert got == pytest.approx(np.log(2.0), rel=1e-12)
@@ -207,8 +205,7 @@ def test_classification_loss_half_is_ln2():
 def test_classification_loss_matches_scalar_recomputation():
     rng = np.random.default_rng(4)
     labels = np.array([1, 0, 0, 1, 0])
-    assignment = tr.Assignment(token_to_gt=np.where(labels > 0, 0, -1),
-                               gt_to_tokens=((0, 3),))
+    assignment = tr.Assignment(token_to_gt=np.where(labels > 0, 0, -1))
     s = rng.uniform(0.05, 0.95, size=5)
     got = float(tr.classification_loss(assignment, ad.Tensor(s)).data)
     expect = np.mean([-(y * np.log(p) + (1 - y) * np.log(1 - p))
