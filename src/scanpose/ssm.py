@@ -1,17 +1,16 @@
-"""State-space sequence machinery.
+"""Diagonal selective state-space scan, forward and exact backward.
 
-Continuous dynamics h' = A h + B x, y = C h + D x are discretized with the
-zero-order hold rule (Abar = exp(dA), Bbar = phi1(dA) * dB, where
-phi1(m) = (exp(m) - 1) / m) and unrolled as the linear recurrence
-h_t = Abar h_{t-1} + Bbar x_t, y_t = C h_t + D x_t.
+Each of the L feature channels carries its own d_state-dimensional latent
+state with a diagonal state matrix A (L, d_state) shared across steps. Per
+step, learned projections of the input token x_t give the step size delta_t
+(through a softplus, to stay positive) and the input and output vectors B_t
+and C_t. Zero-order hold discretizes the continuous dynamics h' = A h + B x
+elementwise with m = delta_t A: Abar = exp(m), Bbar = delta_t phi1(m) B_t,
+where phi1(m) = (exp(m) - 1) / m. The scan unrolls
+h_t = Abar h_{t-1} + Bbar x_t, y_t = C_t h_t + D x_t from a zero state.
 
-The selective variant recomputes (delta_t, B_t, C_t) from each input token
-through learned projections (delta through a softplus to stay positive),
-applies the same per-step discretization with a diagonal state matrix shared
-across steps, and scans channelwise: each of the L feature channels carries
-its own d_state-dimensional latent state. The public scan API is two
-functions: selective_scan_batch scans (batch, steps, L) sequences and returns
-the outputs with a cache, and selective_scan_backward is the exact reverse
+selective_scan_batch scans (batch, steps, L) sequences and returns the
+outputs with a cache, and selective_scan_backward is the exact reverse
 accumulation of that recurrence from the cache.
 """
 
@@ -21,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import expit
 
 SERIES_THRESHOLD = 1e-3
 _PHI1_COEFF = [1.0 / math.factorial(k + 1) for k in range(6)]
@@ -45,7 +42,6 @@ def _series(coeffs, m: np.ndarray) -> np.ndarray:
 
 def _phi1(m: np.ndarray) -> np.ndarray:
     """Elementwise (exp(m) - 1) / m with a 6-term series below the threshold."""
-    m = np.asarray(m, dtype=float)
     small = np.abs(m) < SERIES_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 gets the series below
         out = np.expm1(m)
@@ -65,96 +61,6 @@ def _phi1_prime(m: np.ndarray, abar: np.ndarray) -> np.ndarray:
         out /= np.multiply(m, m)
     out[small] = _series(_PHI1P_COEFF, m[small])
     return out
-
-
-@dataclass(frozen=True)
-class SSMParams:
-    """Fixed (time-invariant) parameters: A (N,N), B (N,), C (N,), D scalar,
-    step size delta. `diagonal` flags that A is diagonal and the fast
-    elementwise path applies."""
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: float
-    delta: float
-    diagonal: bool = False
-
-    def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.asarray(self.B, dtype=float).reshape(-1)
-        C = np.asarray(self.C, dtype=float).reshape(-1)
-        n = A.shape[0]
-        if A.shape != (n, n) or B.shape != (n,) or C.shape != (n,):
-            raise ValueError(f"inconsistent shapes A{A.shape} B{B.shape} C{C.shape}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
-            raise ValueError("parameters must be finite")
-        if self.diagonal and np.any(A != np.diag(np.diag(A))):
-            raise ValueError("diagonal flag set but A has off-diagonal entries")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-def discretize_zoh(params: SSMParams):
-    """Zero-order hold discretization.
-
-    Returns (Abar, Bbar) with shapes (N, N) and (N, 1). Bbar is computed
-    through the phi1 series when ||delta * A||_inf < SERIES_THRESHOLD, which
-    also covers singular A; above the threshold the augmented-matrix
-    exponential [[dA, dB], [0, 0]] supplies both factors at once.
-    """
-    dA = params.delta * params.A
-    dB = params.delta * params.B
-    if params.diagonal:
-        a = np.diag(dA)
-        return np.diag(np.exp(a)), (_phi1(a) * dB)[:, None]
-    n = params.n
-    norm = np.max(np.sum(np.abs(dA), axis=1)) if n else 0.0
-    if norm < SERIES_THRESHOLD:
-        Abar = expm(dA)
-        phi = np.zeros_like(dA)
-        term = np.eye(n)
-        for coeff in _PHI1_COEFF:
-            phi = phi + coeff * term
-            term = term @ dA
-        return Abar, (phi @ dB)[:, None]
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = dA
-    aug[:n, n] = dB
-    E = expm(aug)
-    return E[:n, :n], E[:n, n:]
-
-
-def scan_recurrent(params: SSMParams, x) -> np.ndarray:
-    """Run the discretized recurrence from a zero state over a scalar input
-    sequence."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size == 0:
-        raise EmptySequence("scan_recurrent needs a non-empty sequence")
-    h = np.zeros(params.n)
-    y = np.empty_like(x)
-    if params.diagonal:
-        # expression shapes mirror the selective scan so that a selective scan
-        # with constant projections reproduces this path bit for bit
-        a = np.diag(params.delta * params.A)
-        abar = np.exp(a)
-        g = params.delta * _phi1(a)
-        for t in range(x.size):
-            h = abar * h + g * params.B * x[t]
-            y[t] = np.sum(h * params.C) + params.D * x[t]
-        return y
-    Abar, Bbar = discretize_zoh(params)
-    bbar = Bbar[:, 0]
-    for t in range(x.size):
-        h = Abar @ h + bbar * x[t]
-        y[t] = params.C @ h + params.D * x[t]
-    return y
 
 
 @dataclass(frozen=True)
@@ -258,8 +164,17 @@ def selective_scan_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
         + np.einsum("tbls,tbls,tbl->ls", dG, _phi1_prime(m, abar), delta * delta)
     dD = np.sum(up * x, axis=(0, 1))
 
+    # through the softplus: d delta / d pre = 1 / (1 + exp(-pre)), in place;
+    # exp overflows to inf for pre < -709, which gives the exact limit 0
+    dpre = np.negative(cache["pre"])
+    with np.errstate(over="ignore"):
+        np.exp(dpre, out=dpre)
+    dpre += 1.0
+    np.divide(1.0, dpre, out=dpre)
+    dpre *= ddelta
+
     # the projections' gradients as one GEMM each over the (step, batch) rows
-    dpre = (ddelta * expit(cache["pre"])).reshape(-1, L)  # softplus'
+    dpre = dpre.reshape(-1, L)
     dBm, dCm, rows = dBm.reshape(-1, S), dCm.reshape(-1, S), x.reshape(-1, L)
     dx = dx.reshape(-1, L)
     dx += dpre @ sel.w_delta.T

@@ -67,6 +67,23 @@ def expm_taylor_ld(M, scale_pow=None):
     return E
 
 
+def lti_scan_ld(a, b, c, d, delta, x):
+    """Output of the diagonal time-invariant system h' = diag(a) h + b x,
+    y = c . h + d x, discretized by zero-order hold with step delta and run
+    from a zero state over the scalar sequence x. It is computed as the
+    convolution y_t = d x_t + sum_{k <= t} K_{t-k} x_k with the kernel taps
+    K_j = c . (Abar^j Bbar), where Abar = exp(delta a) and
+    Bbar = (exp(delta a) - 1) / a * b, in longdouble."""
+    a, b, c, x = (np.array(v, dtype=LD) for v in (a, b, c, x))
+    m = LD(delta) * a
+    abar = np.exp(m)
+    bbar = np.expm1(m) / a * b
+    taps = [np.sum(c * abar ** j * bbar) for j in range(x.size)]
+    y = [LD(d) * x[t] + sum(taps[t - k] * x[k] for k in range(t + 1))
+         for t in range(x.size)]
+    return np.asarray(y, dtype=float)
+
+
 def project_ld(P, X):
     """Pixel coordinates of the world point X (3,) through the camera P
     (3, 4): the homogeneous division, in longdouble."""

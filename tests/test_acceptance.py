@@ -16,10 +16,11 @@ import pytest
 from scanpose import autodiff as ad
 from scanpose import cli, evalsim, pipeline, ssm, training
 from scanpose.tokens import load_tpose
-from oracles import expm_taylor_ld, rel_error
+from oracles import expm_taylor_ld, lti_scan_ld, rel_error
 from test_evalsim import ap_at
 from test_geometry import jacobian_and_fd, observe, oracle, ring_rig, triangulate
-from test_ssm import naive_selective_scan, random_selective, scan, scan_backward
+from test_ssm import (lti_scan, lti_system, naive_selective_scan, random_selective,
+                      scan, scan_backward, scan_zoh)
 
 SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                             "smoke.json")
@@ -51,24 +52,9 @@ def test_criterion_1_scan_oracle_equivalence():
                                   naive_selective_scan(sel, x)))
     worst_lti = 0.0
     for _ in range(50):
-        n = int(rng.integers(1, 7))
-        diagonal = bool(rng.integers(0, 2))
-        A = (np.diag(rng.uniform(-2.0, -0.1, size=n)) if diagonal
-             else rng.normal(scale=0.5, size=(n, n)) - 0.8 * np.eye(n))
-        p = ssm.SSMParams(A=A, B=rng.normal(size=n), C=rng.normal(size=n),
-                          D=float(rng.normal()), delta=float(rng.uniform(0.1, 0.7)),
-                          diagonal=diagonal)
+        system = lti_system(rng, n=int(rng.integers(1, 7)))
         x = rng.normal(size=24)
-        abar, bbar = ssm.discretize_zoh(p)
-        taps = []
-        Ak = np.eye(n)
-        for _k in range(24):
-            taps.append(p.C @ Ak @ bbar[:, 0])
-            Ak = abar @ Ak
-        expect = np.array([p.D * x[t] + sum(taps[t - k] * x[k]
-                                            for k in range(t + 1))
-                           for t in range(24)])
-        worst_lti = max(worst_lti, rel_error(ssm.scan_recurrent(p, x), expect))
+        worst_lti = max(worst_lti, rel_error(lti_scan(*system, x), lti_scan_ld(*system, x)))
     elapsed = time.time() - start
     ok = worst_sel < 1e-10 and worst_lti < 1e-10 and elapsed < 10.0
     _report(1, "scan oracle equivalence", ok,
@@ -83,42 +69,26 @@ def test_criterion_2_zoh_against_matrix_exponential_oracle():
     rng = np.random.default_rng(102)
     worst = 0.0
     for trial in range(60):
-        n = int(rng.integers(1, 7))
-        diagonal = trial % 2 == 0
-        if diagonal:
-            A = np.diag(rng.uniform(-3.0, 1.0, size=n))
-        else:
-            A = rng.normal(scale=1.0, size=(n, n))
+        L, S = (int(v) for v in rng.integers(1, 7, size=2))
+        A = rng.uniform(-3.0, 1.0, size=(L, S))
         if trial % 5 == 0:
-            A = A * 1e-5  # exercise the series-fallback region around A -> 0
-        b = rng.normal(size=n)
-        delta = float(rng.uniform(0.05, 1.0))
-        p = ssm.SSMParams(A=A, B=b, C=np.ones(n), D=0.0, delta=delta,
-                          diagonal=diagonal)
-        abar, bbar = ssm.discretize_zoh(p)
-        dA = (delta * A).astype(np.longdouble)
-        E = expm_taylor_ld(dA)
-        worst = max(worst, rel_error(abar, np.asarray(E, dtype=float)))
-        phi = np.zeros_like(dA)
-        term = np.eye(n, dtype=np.longdouble)
-        for k in range(40):
-            phi = phi + term / math.factorial(k + 1)
-            term = term @ dA
-        expect_b = np.asarray(phi @ (delta * b.astype(np.longdouble)), dtype=float)
-        worst = max(worst, rel_error(bbar[:, 0], expect_b))
+            A = A * 1e-5  # exercise the series-fallback region around m -> 0
+        abar, phi, _, delta = scan_zoh(A, rng.uniform(0.05, 1.0, size=L))
+        m = (delta[:, None].astype(np.longdouble) * A).ravel()
+        E = np.diag(expm_taylor_ld(np.diag(m)))
+        worst = max(worst, rel_error(abar.ravel(), np.asarray(E, dtype=float)))
+        series = sum(m ** k / math.factorial(k + 1) for k in range(40))  # phi1(m)
+        worst = max(worst, rel_error(phi.ravel(), np.asarray(series, dtype=float)))
 
     cont = 0.0
     for _ in range(10):
-        n = 4
-        A = rng.normal(size=(n, n))
-        A /= np.max(np.sum(np.abs(A), axis=1))
-        b = rng.normal(size=n)
-        lo = ssm.discretize_zoh(ssm.SSMParams(
-            A=A, B=b, C=np.ones(n), D=0.0,
-            delta=ssm.SERIES_THRESHOLD * (1 - 1e-9)))
-        hi = ssm.discretize_zoh(ssm.SSMParams(
-            A=A, B=b, C=np.ones(n), D=0.0,
-            delta=ssm.SERIES_THRESHOLD * (1 + 1e-9)))
+        L, S = 3, 4
+        delta = rng.uniform(0.2, 1.0, size=L)
+        sign = rng.choice([-1.0, 1.0], size=(L, S))
+        lo, hi = (scan_zoh(sign * ssm.SERIES_THRESHOLD * scale / delta[:, None], delta)
+                  for scale in (1 - 1e-9, 1 + 1e-9))
+        assert np.all(np.abs(lo[2]) < ssm.SERIES_THRESHOLD)
+        assert np.all(np.abs(hi[2]) > ssm.SERIES_THRESHOLD)
         cont = max(cont, float(np.max(np.abs(lo[0] - hi[0]))),
                    float(np.max(np.abs(lo[1] - hi[1]))))
     ok = worst < 1e-12 and cont < 1e-10

@@ -16,10 +16,6 @@ from collections import defaultdict
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "scanpose")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
-# scan_recurrent is the subject of acceptance criteria 1-2 (the LTI reference
-# the selective scan must reproduce); the package never calls it
-ALLOWED = {"scan_recurrent"}
-
 
 def _identifiers(nodes):
     """Every name a set of AST subtrees reads, by plain name, attribute or import."""
@@ -63,7 +59,7 @@ def unreferenced_definitions(src_dir):
 def test_src_holds_no_test_only_code():
     traced = {attr for _, attr, _ in runpy.run_path(TRACER)["ENTRY_POINTS"]}
     unreached = [f"{module}.{name}" for module, name in unreferenced_definitions(SRC)
-                 if name not in traced and name not in ALLOWED]
+                 if name not in traced]
     assert not unreached, f"only tests reach these src/ definitions: {unreached}"
 
 
