@@ -104,6 +104,21 @@ def lti_scan(a, b, c, d, delta, xs):
     return scan(sel, np.stack([xs, np.ones(xs.size)], axis=1))[:, 0]
 
 
+def scan_recurrent(a, b, c, d, delta, xs):
+    """The time-invariant diagonal recurrence h_t = abar h_{t-1} + g b x_t,
+    y_t = sum(h_t c) + d x_t from a zero state, one step at a time, with the
+    expressions in the order that the selective scan evaluates them."""
+    m = delta * np.asarray(a, dtype=float)
+    abar = np.exp(m)
+    g = delta * ssm._phi1(m)
+    h = np.zeros(m.size)
+    y = np.empty(len(xs))
+    for t, x in enumerate(xs):
+        h = abar * h + g * b * x
+        y[t] = np.sum(h * c) + d * x
+    return y
+
+
 # ---------------------------------------------------------------------------
 # zero-order hold: the scan's cached abar and g
 # ---------------------------------------------------------------------------
@@ -168,7 +183,9 @@ def test_scan_single_step_unrolled():
     assert abs(y[0] - (c @ bbar * x1 + d * x1)) < 1e-12
 
 
-def test_scan_matches_convolution_kernel_oracle():
+# the scan's state matrix is diagonal: the diagonal case is the only one
+@pytest.mark.parametrize("diagonal", [True])
+def test_scan_matches_convolution_kernel_oracle(diagonal):
     rng = np.random.default_rng(10)
     for _ in range(10):
         system = lti_system(rng)
@@ -184,6 +201,11 @@ def test_scan_linearity():
     lhs = lti_scan(*system, 2.5 * x - 1.25 * z)
     rhs = 2.5 * lti_scan(*system, x) - 1.25 * lti_scan(*system, z)
     assert rel_error(lhs, rhs) < 1e-12
+
+
+def test_scan_empty_sequence_raises():
+    with pytest.raises(ssm.EmptySequence):
+        lti_scan(*lti_system(np.random.default_rng(12)), [])
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +225,30 @@ def test_selective_constant_projections_reduce_to_lti():
     y = scan(sel, x)
     # with B_t = C_t = 0 the recurrence reduces to the pure feed-through
     assert rel_error(y, x * sel.D) < 1e-12
+
+
+def test_selective_constant_delta_matches_scan_recurrent_exactly():
+    # a single always-on channel drives constant B_t and C_t, so the data
+    # channel runs the time-invariant recurrence
+    rng = np.random.default_rng(14)
+    S = 3
+    L = 2  # channel 0 is data, channel 1 is constant 1.0
+    Bconst = rng.normal(size=S)
+    Cconst = rng.normal(size=S)
+    w_b = np.zeros((L, S))
+    w_b[1] = Bconst
+    w_c = np.zeros((L, S))
+    w_c[1] = Cconst
+    b_delta = rng.normal(size=L)
+    A = -rng.uniform(0.2, 1.2, size=(L, S))
+    D = rng.normal(size=L)
+    sel = ssm.SelectiveParams(w_delta=np.zeros((L, L)), b_delta=b_delta,
+                              w_b=w_b, w_c=w_c, A=A, D=D)
+    xs = rng.normal(size=10)
+    y = scan(sel, np.stack([xs, np.ones(10)], axis=1))
+    delta0 = float(np.logaddexp(0.0, b_delta[0]))
+    expect = scan_recurrent(A[0], Bconst, Cconst, float(D[0]), delta0, xs)
+    assert np.array_equal(y[:, 0], expect)
 
 
 def test_selective_matches_naive_oracle():
