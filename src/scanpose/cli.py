@@ -24,7 +24,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -189,22 +188,15 @@ def write_line_svg(path: str, series: dict, title: str, xlabel: str,
 # commands
 # ---------------------------------------------------------------------------
 
-def _scene_for_index(args):
-    cfg, seed, index = args
-    return evalsim.generate_scene(cfg, seed=seed + index)
+def build_scenes(cfg: RunConfig):
+    return [evalsim.generate_scene(cfg.scene, seed=cfg.seed + i)
+            for i in range(cfg.num_scenes)]
 
 
-def build_scenes(cfg: RunConfig, workers: int = 1):
-    jobs = [(cfg.scene, cfg.seed, i) for i in range(cfg.num_scenes)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_scene_for_index, jobs))
-    return [_scene_for_index(job) for job in jobs]
-
-
-def cmd_generate(cfg: RunConfig, out_dir: str, workers: int = 1) -> int:
+def cmd_generate(cfg: RunConfig, out_dir: str) -> int:
+    scenes = build_scenes(cfg)
+    # --out appears only once every scene is built
     os.makedirs(out_dir, exist_ok=True)
-    scenes = build_scenes(cfg, workers=workers)
     entries = []
     for i, scene in enumerate(scenes):
         prefix = os.path.join(out_dir, f"scene_{i:03d}")
@@ -233,11 +225,10 @@ def load_scene_dir(path: str):
 
 
 def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
-              resume: str | None = None, workers: int = 1) -> int:
+              resume: str | None = None) -> int:
     if scenes_dir is None and cfg.num_scenes < 1:
         raise ConfigError("train needs num_scenes >= 1")
-    scenes = (load_scene_dir(scenes_dir) if scenes_dir
-              else build_scenes(cfg, workers=workers))
+    scenes = load_scene_dir(scenes_dir) if scenes_dir else build_scenes(cfg)
     initial_params = None
     epoch_offset = 0
     prior_metrics = []
@@ -334,11 +325,11 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
     return 0
 
 
-def cmd_ablate(cfg: RunConfig, out_dir: str, workers: int = 1) -> int:
+def cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
     if cfg.num_scenes < 1:
         raise ConfigError("ablate needs num_scenes >= 1")
+    scenes = build_scenes(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    scenes = build_scenes(cfg, workers=workers)
     rows = []
     for variant in pipeline.BLOCK_VARIANTS:
         pipe_cfg = dataclasses.replace(cfg.pipeline, block_variant=variant)
@@ -382,8 +373,6 @@ def _parser() -> argparse.ArgumentParser:
                             help="override the config seed")
     configured.add_argument("--set", action="append", dest="overrides",
                             metavar="KEY=VALUE", help="config override (dotted keys)")
-    configured.add_argument("--workers", type=int, default=1,
-                            help="parallel scene generation workers")
 
     sub.add_parser("generate", parents=[configured],
                    help="write synthetic scene files")
@@ -410,11 +399,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             cfg = load_config(args.config, args.overrides, args.seed)
-            return cmd_generate(cfg, args.out, workers=max(1, args.workers))
+            return cmd_generate(cfg, args.out)
         if args.command == "train":
             cfg = load_config(args.config, args.overrides, args.seed)
             return cmd_train(cfg, args.out, scenes_dir=args.scenes,
-                             resume=args.resume, workers=max(1, args.workers))
+                             resume=args.resume)
         if args.command == "eval":
             cameras = None
             if args.cameras:
@@ -427,7 +416,7 @@ def main(argv=None) -> int:
             return cmd_eval(args.model, args.scenes, args.out, cameras=cameras)
         if args.command == "ablate":
             cfg = load_config(args.config, args.overrides, args.seed)
-            return cmd_ablate(cfg, args.out, workers=max(1, args.workers))
+            return cmd_ablate(cfg, args.out)
         raise ConfigError(f"unknown command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -41,6 +41,10 @@ class ZeroLengthLimb(Exception):
     pass
 
 
+class ActorPlacementFailed(Exception):
+    pass
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     num_actors: int = 2
@@ -112,17 +116,23 @@ def camera_ring(cfg: SceneConfig, rng: np.random.Generator,
 
 def sample_actor_poses(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     """(Z, J, 3) skeletons: template translated to spaced ground positions
-    with bounded uniform joint perturbations."""
+    with bounded uniform joint perturbations. Raises ActorPlacementFailed
+    when 64 draws find no centre min_actor_spacing_mm from the others."""
     template, _, _ = load_tpose(cfg.num_joints)
     hx = cfg.space_size[0] / 2.0 * (1.0 - 2.0 * cfg.placement_margin)
     hy = cfg.space_size[1] / 2.0 * (1.0 - 2.0 * cfg.placement_margin)
     centers = []
-    for _ in range(cfg.num_actors):
+    for z in range(cfg.num_actors):
         for _attempt in range(64):
             c = rng.uniform([-hx, -hy], [hx, hy])
             if all(np.linalg.norm(c - prev) >= cfg.min_actor_spacing_mm
                    for prev in centers):
                 break
+        else:
+            raise ActorPlacementFailed(
+                f"actor {z}: no centre at least {cfg.min_actor_spacing_mm} mm "
+                f"from the others in 64 draws over the placement box "
+                f"[{-hx}, {hx}] x [{-hy}, {hy}] mm")
         centers.append(c)
     poses = np.empty((cfg.num_actors, template.shape[0], 3))
     for z, c in enumerate(centers):
@@ -149,42 +159,43 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
     joint type (summed over actors), then x/y coordinate channels, then
     sinusoidal position channels. The finest level is at full pixel
     resolution; each coarser level halves it, keeping the Gaussian width
-    fixed in grid units (wider image-plane basins at coarse scales)."""
+    fixed in grid units (wider image-plane basins at coarse scales). The
+    Gaussian is separable, so each view and level takes 1-D Gaussians along
+    the columns and rows and sums them over actors in one batched product.
+    Heatmaps and noise accumulate in float64, cast once per level."""
     projections = np.stack([v.projection for v in rig.views])
-    flat = poses.reshape(-1, 3)
-    uv, _, valid = project_batch(projections, flat)  # (T, Z*J, 2)
-    T = len(rig.views)
-    Z, J, _ = poses.shape
+    uv, _, valid = project_batch(projections, poses)  # (T, Z, J, 2)
+    J = poses.shape[1]
+    sig2 = 2.0 * cfg.heatmap_sigma_px ** 2
+    factors, bases = [], []
+    for s in range(cfg.num_scales):
+        f_s = 1.0 / (2 ** s)
+        W_s = max(int(round(cfg.image_width * f_s)), 1)
+        H_s = max(int(round(cfg.image_height * f_s)), 1)
+        cols, rows = np.meshgrid(np.arange(W_s), np.arange(H_s))
+        xn = (cols / f_s) / cfg.image_width
+        yn = (rows / f_s) / cfg.image_height
+        # the position channels are the same in every view
+        base = np.empty((H_s, W_s, cfg.feature_dim), dtype=cfg.grid_dtype)
+        base[:, :, J:] = np.stack(_positional_channels(cfg, xn, yn), axis=-1)
+        factors.append(f_s)
+        bases.append(base)
     pyramids = []
-    for t in range(T):
+    for t in range(len(rig.views)):
         levels = []
-        factors = []
-        for s in range(cfg.num_scales):
-            f_s = 1.0 / (2 ** s)
-            W_s = max(int(round(cfg.image_width * f_s)), 1)
-            H_s = max(int(round(cfg.image_height * f_s)), 1)
-            cols, rows = np.meshgrid(np.arange(W_s), np.arange(H_s))
-            grid = np.zeros((H_s, W_s, cfg.feature_dim))
-            heat = np.zeros((J, H_s, W_s))
-            sig2 = 2.0 * cfg.heatmap_sigma_px ** 2
-            for z in range(Z):
-                for j in range(J):
-                    idx = z * J + j
-                    if not valid[t, idx]:
-                        continue
-                    ux, uy = uv[t, idx] * f_s
-                    d2 = (cols[:1] - ux) ** 2 + (rows[:, :1] - uy) ** 2
-                    heat[j] += np.exp(-d2 / sig2)
-            grid[:, :, :J] = heat.transpose(1, 2, 0)
-            xn = (cols / f_s) / cfg.image_width
-            yn = (rows / f_s) / cfg.image_height
-            for c, channel in enumerate(_positional_channels(cfg, xn, yn)):
-                grid[:, :, cfg.num_joints + c] = channel
+        for f_s, base in zip(factors, bases):
+            H_s, W_s = base.shape[:2]
+            ux, uy = np.moveaxis(uv[t, ..., None] * f_s, 2, 0)  # (Z, J, 1) each
+            gx = np.exp(-(np.arange(W_s) - ux) ** 2 / sig2) * valid[t, ..., None]
+            gy = np.exp(-(np.arange(H_s) - uy) ** 2 / sig2)
+            # (J, H, Z) @ (J, Z, W) -> (J, H, W), summed over actors
+            heat = (gy.transpose(1, 2, 0) @ gx.transpose(1, 0, 2)).transpose(1, 2, 0)
             if cfg.heatmap_noise > 0.0:
-                grid[:, :, :J] += rng.normal(0.0, cfg.heatmap_noise,
-                                             size=(H_s, W_s, J))
-            levels.append(grid.astype(np.dtype(cfg.grid_dtype)))
-            factors.append(f_s)
+                heat = heat + rng.normal(0.0, cfg.heatmap_noise,
+                                         size=(H_s, W_s, J))
+            grid = base.copy()
+            grid[:, :, :J] = heat
+            levels.append(grid)
         pyramids.append(FeaturePyramid(levels=tuple(levels),
                                        scale_factors=tuple(factors)))
     return pyramids

@@ -167,3 +167,49 @@ def greedy_pose_nms(geometry, scores, radius_mm):
         if not near:
             kept.append(i)
     return [i in kept for i in range(n)]
+
+
+def render_heatmaps_loop(cfg, uv, valid, rng):
+    """Feature pyramids rendered one full-image Gaussian at a time: for each
+    view, level, actor and joint, exp(-d²/σ²) over the whole (H, W) image,
+    summed over actors in actor order in float64. Then the coordinate and
+    sinusoid channels, the noise draw (view-major, then level) and one cast
+    per level. uv (T, Z*J, 2) and valid (T, Z*J) are the projected joints.
+    Returns one list of level arrays per view."""
+    T = uv.shape[0]
+    J = cfg.num_joints
+    Z = uv.shape[1] // J
+    sig2 = 2.0 * cfg.heatmap_sigma_px ** 2
+    out = []
+    for t in range(T):
+        levels = []
+        for s in range(cfg.num_scales):
+            f = 1.0 / (2 ** s)
+            W = max(int(round(cfg.image_width * f)), 1)
+            H = max(int(round(cfg.image_height * f)), 1)
+            cols, rows = np.meshgrid(np.arange(W), np.arange(H))
+            grid = np.zeros((H, W, cfg.feature_dim))
+            heat = np.zeros((J, H, W))
+            for z in range(Z):
+                for j in range(J):
+                    idx = z * J + j
+                    if not valid[t, idx]:
+                        continue
+                    ux, uy = uv[t, idx] * f
+                    d2 = (cols[:1] - ux) ** 2 + (rows[:, :1] - uy) ** 2
+                    heat[j] += np.exp(-d2 / sig2)
+            grid[:, :, :J] = heat.transpose(1, 2, 0)
+            xn = (cols / f) / cfg.image_width
+            yn = (rows / f) / cfg.image_height
+            grid[:, :, J] = xn
+            grid[:, :, J + 1] = yn
+            for i in range(cfg.feature_dim - J - 2):
+                k = 1 + i // 2
+                grid[:, :, J + 2 + i] = (np.sin(2.0 * np.pi * k * xn) if i % 2 == 0
+                                         else np.cos(2.0 * np.pi * k * yn))
+            if cfg.heatmap_noise > 0.0:
+                grid[:, :, :J] += rng.normal(0.0, cfg.heatmap_noise,
+                                             size=(H, W, J))
+            levels.append(grid.astype(np.dtype(cfg.grid_dtype)))
+        out.append(levels)
+    return out

@@ -1,9 +1,18 @@
+import dataclasses
+import os
+import re
+
 import numpy as np
 import pytest
 
+from oracles import render_heatmaps_loop
+from scanpose import cli
 from scanpose import evalsim as ev
 from scanpose import geometry as geo
 from scanpose.tokens import load_tpose
+
+SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "smoke.json")
 
 
 def small_cfg(**kw):
@@ -49,7 +58,8 @@ def test_heatmap_peaks_align_with_projections():
 
 def _render_oracle(cfg, rig, poses, rng):
     """Per-pixel float64 rendering: heatmap channels summed over actors in
-    actor order, coordinate channels, then the noise draw; cast per level."""
+    actor order, coordinate and sinusoid channels, then the noise draw; cast
+    per level."""
     Z, J, _ = poses.shape
     sig2 = 2.0 * cfg.heatmap_sigma_px ** 2
     out = []
@@ -70,8 +80,15 @@ def _render_oracle(cfg, rig, poses, rng):
                             ux, uy = uv[0, z, j] * f
                             d2 = (c - ux) ** 2 + (r - uy) ** 2
                             grid[r, c, j] += np.exp(np.array([-d2 / sig2]))[0]
-                    grid[r, c, J] = (c / f) / cfg.image_width
-                    grid[r, c, J + 1] = (r / f) / cfg.image_height
+                    xn = (c / f) / cfg.image_width
+                    yn = (r / f) / cfg.image_height
+                    grid[r, c, J] = xn
+                    grid[r, c, J + 1] = yn
+                    for i in range(cfg.feature_dim - J - 2):
+                        k = 1 + i // 2
+                        wave = np.sin if i % 2 == 0 else np.cos
+                        arg = 2.0 * np.pi * k * (xn if i % 2 == 0 else yn)
+                        grid[r, c, J + 2 + i] = wave(np.array([arg]))[0]
             if cfg.heatmap_noise > 0.0:
                 grid[:, :, :J] += rng.normal(0.0, cfg.heatmap_noise, size=(H, W, J))
             levels.append(grid.astype(np.float32))
@@ -94,6 +111,56 @@ def test_render_matches_per_pixel_oracle_exactly(noise):
         for a, b in zip(pyr.levels, levels):
             assert a.dtype == b.dtype and np.array_equal(a, b)
             assert a[..., :4].max() > 0.5  # the heatmaps are not empty
+
+
+def test_render_sinusoid_channels_match_per_pixel_oracle_exactly():
+    cfg = small_cfg(num_actors=2, num_cameras=2, image_width=24, image_height=18,
+                    num_joints=4, feature_dim=9, heatmap_sigma_px=2.5)
+    scene = ev.generate_scene(cfg, 42)
+    expect = _render_oracle(cfg, scene.rig, scene.gt_poses, None)
+    for pyr, levels in zip(scene.pyramids, expect):
+        for a, b in zip(pyr.levels, levels):
+            assert a.shape[-1] == 9 and np.array_equal(a, b)
+            assert np.ptp(a[..., 6:], axis=(0, 1)).min() > 0.5  # real waves
+
+
+def _loop_render(cfg, seed, num_cameras):
+    """generate_scene's pyramids and render_heatmaps_loop's for one seed."""
+    scene = ev.generate_scene(cfg, seed, num_cameras=num_cameras)
+    projections = np.stack([v.projection for v in scene.rig.views])
+    uv, _, valid = geo.project_batch(projections, scene.gt_poses.reshape(-1, 3))
+    noise_seq = np.random.SeedSequence(seed).spawn(3)[2]
+    expect = render_heatmaps_loop(cfg, uv, valid, np.random.default_rng(noise_seq))
+    return [list(p.levels) for p in scene.pyramids], expect
+
+
+def test_render_matches_loop_oracle_byte_for_byte_on_smoke_and_benchmark_scenes():
+    """The smoke config's ten training scenes (seed 7, five cameras) and the
+    benchmark's first three scene seeds at 3, 5 and 7 cameras."""
+    cfg = cli.load_config(SMOKE_CONFIG)
+    cases = [(cfg.seed + i, None) for i in range(cfg.num_scenes)]
+    cases += [(seed, K) for seed in (1, 2, 3) for K in (3, 5, 7)]
+    for seed, K in cases:
+        got, expect = _loop_render(cfg.scene, seed, K)
+        assert len(got) == (K or cfg.scene.num_cameras)
+        for a_levels, b_levels in zip(got, expect):
+            for a, b in zip(a_levels, b_levels):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_render_matches_loop_oracle_within_one_ulp_with_noise():
+    """exp(a)·exp(b) and exp(a+b) can differ in the last float64 bit, so
+    off the scenes above an entry may move by one float32 ulp, not more."""
+    smoke = cli.load_config(SMOKE_CONFIG).scene
+    for num_actors in (1, 3, 4):
+        cfg = dataclasses.replace(smoke, num_actors=num_actors,
+                                  heatmap_noise=0.05)
+        for seed in (100, 101):
+            got, expect = _loop_render(cfg, seed, 7)
+            for a_levels, b_levels in zip(got, expect):
+                for a, b in zip(a_levels, b_levels):
+                    ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+                    assert np.all(np.abs(a - b) <= ulp)
 
 
 def test_same_seed_identical_scene_bytes(tmp_path):
@@ -152,6 +219,15 @@ def test_scene_roundtrip(tmp_path):
             assert np.array_equal(ga, gb)
     assert np.allclose(loaded.rig.views[1].projection,
                        scene.rig.views[1].projection)
+
+
+def test_actor_placement_fails_loudly_when_spacing_cannot_be_met():
+    cfg = small_cfg(num_actors=6, min_actor_spacing_mm=4000.0)
+    with pytest.raises(ev.ActorPlacementFailed) as exc:
+        ev.generate_scene(cfg, 9)
+    message = str(exc.value)
+    assert re.match(r"actor [1-5]: ", message) and "4000.0 mm" in message
+    assert "[-1600.0, 1600.0] x [-1600.0, 1600.0] mm" in message
 
 
 def test_actor_spacing_enforced():
