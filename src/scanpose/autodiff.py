@@ -352,8 +352,8 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = Tensor._lift(a)
-    out_data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                        np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))  # <= 1, so neither branch overflows
+    out_data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return from_op(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
 
 

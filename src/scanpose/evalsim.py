@@ -25,7 +25,7 @@ import numpy as np
 from . import container
 from .geometry import CameraRig, look_at_camera, project_batch
 from .pipeline import FeaturePyramid
-from .tokens import load_tpose
+from .tokens import load_tpose, pose_distances
 
 MAP_THRESHOLDS_MM = (25.0, 50.0, 75.0, 100.0, 125.0, 150.0)
 RECALL_RADIUS_MM = 500.0
@@ -282,16 +282,16 @@ def greedy_match(preds: np.ndarray, scores: np.ndarray, gts: np.ndarray):
     still-unmatched ground truth. Returns (order, gt_index or -1, distance)."""
     order = np.argsort(-np.asarray(scores), kind="stable")
     taken = np.zeros(len(gts), dtype=bool)
+    dist = pose_distances(np.asarray(preds, dtype=float), np.asarray(gts, dtype=float))
     matches = []
     for pi in order:
         if taken.all():
             matches.append((int(pi), -1, np.inf))
             continue
-        dists = np.array([mpjpe(preds[pi], g) if not taken[zi] else np.inf
-                          for zi, g in enumerate(gts)])
-        zi = int(np.argmin(dists))
+        zi = int(np.argmin(np.where(taken, np.inf, dist[pi])))
         taken[zi] = True
-        matches.append((int(pi), zi, float(dists[zi])))
+        # the reported distance is the pair's MPJPE, the same bits as dist[pi, zi]
+        matches.append((int(pi), zi, mpjpe(preds[pi], gts[zi])))
     return matches
 
 

@@ -224,24 +224,20 @@ def project_op(geometry_t: ad.Tensor, rig: geometry.CameraRig):
     """
     projections = np.stack([v.projection for v in rig.views])
     uv, depth, valid = geometry.project_batch(projections, geometry_t.data)
+    view_shape = (len(rig.views),) + (1,) * (uv.ndim - 2)  # broadcasts over (...)
+    size = np.array([[v.image_width, v.image_height] for v in rig.views],
+                    dtype=float).reshape(view_shape + (2,))
     pad = (MASK_MARGIN - 1.0) / 2.0  # beyond each border, in image sizes
-    for t, view in enumerate(rig.views):
-        w, h = view.image_width, view.image_height
-        valid[t] &= ((uv[t, ..., 0] >= -pad * w) & (uv[t, ..., 0] <= w + pad * w)
-                     & (uv[t, ..., 1] >= -pad * h) & (uv[t, ..., 1] <= h + pad * h))
-    safe_depth = np.where(valid, depth, 1.0)
-    gdata = geometry_t.data  # small; the gradient takes its layout
+    valid &= np.all((uv >= -pad * size) & (uv <= size + pad * size), axis=-1)
+    safe_depth = np.where(valid, depth, 1.0)[..., None]
+    rows = projections[:, :, :3].reshape(view_shape + (3, 3))
 
     def backward(g):
         # u = (P[0] X~) / w, v = (P[1] X~) / w with w = P[2] X~
-        gx = np.zeros_like(gdata)
-        for t in range(len(rig.views)):
-            P = projections[t]
-            du = (P[0, :3][None] - uv[t][..., 0:1] * P[2, :3][None]) / safe_depth[t][..., None]
-            dv = (P[1, :3][None] - uv[t][..., 1:2] * P[2, :3][None]) / safe_depth[t][..., None]
-            mask = valid[t][..., None]
-            gx += np.where(mask, g[t][..., 0:1] * du + g[t][..., 1:2] * dv, 0.0)
-        return (gx,)
+        du = (rows[..., 0, :] - uv[..., 0:1] * rows[..., 2, :]) / safe_depth
+        dv = (rows[..., 1, :] - uv[..., 1:2] * rows[..., 2, :]) / safe_depth
+        gx = np.where(valid[..., None], g[..., 0:1] * du + g[..., 1:2] * dv, 0.0)
+        return (gx.sum(axis=0),)
 
     return ad.from_op(uv, (geometry_t,), backward), valid
 
@@ -287,50 +283,37 @@ def _attention_samples(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
                        pyramids, p: dict, prefix: str, config: PipelineConfig):
     """Deformable sampling around projected anchors.
 
-    Returns (per_view (T, n, J, L) Tensor with zeros at masked views,
-    fused (n, J, L) Tensor, stencil (T, n, J, S*P*L) raw samples,
-    n_valid (n, J) int). Sample weights are a softmax over (scale, point)
-    slots predicted from each joint's feature; every valid view shares them,
-    so fusion over views is a masked mean and the whole block is agnostic to
-    the number of cameras. The unweighted stencil keeps the local spatial
-    structure the offset head needs.
+    Returns (per_view (T, n, J, L) weighted samples, fused (n, J, L) their
+    mean over valid views, stencil (T, n, J, S*P*L) raw samples); masked
+    views are zero in both per-view outputs. Sample weights are a softmax
+    over (scale, point) slots predicted from each joint's feature; every
+    valid view shares them, so fusion over views is a masked mean and the
+    whole block is agnostic to the number of cameras. The unweighted stencil
+    keeps the local spatial structure the offset head needs.
     """
     n, J, L = visual.shape
     T = len(pyramids)
     S, P = config.num_scales, config.num_points
     off = (visual @ p[prefix + "off_w"] + p[prefix + "off_b"]).reshape((n, J, S, P, 2))
     alog = (visual @ p[prefix + "alog_w"] + p[prefix + "alog_b"]).reshape((n, J, S * P))
-    w_sp = ad.softmax(alog, axis=-1)
-    w_sp = w_sp.reshape((n, J, S, P))
+    w_sp = ad.softmax(alog, axis=-1).reshape((n, J, S, P, 1))
 
-    per_view = []
-    raw_view = []
-    for t in range(T):
-        pyr = pyramids[t]
-        anchor_t = anchors[t].reshape((n, J, 1, 2))
-        per_scale = []
-        raw_scale = []
-        for s in range(S):
-            f_s = pyr.scale_factors[s]
-            pos = anchor_t * f_s + off[:, :, s]  # (n, J, P, 2)
-            samples = bilinear_op(pyr.levels[s], pos)  # (n, J, P, L)
-            raw_scale.append(samples)
-            weighted = (w_sp[:, :, s].reshape((n, J, P, 1)) * samples).sum(axis=2)
-            per_scale.append(weighted)
-        total = per_scale[0]
-        for extra in per_scale[1:]:
-            total = total + extra
-        per_view.append(total)  # (n, J, L), convex combination of samples
-        raw_view.append(ad.stack(raw_scale, axis=2))  # (n, J, S, P, L)
-    stacked = ad.stack(per_view, axis=0)  # (T, n, J, L)
-    vmask = valid[..., None].astype(float)
-    masked = ad.mul(stacked, vmask)
-    stencil = ad.mul(ad.stack(raw_view, axis=0).reshape((T, n, J, S * P * L)),
-                     vmask)
-    n_valid = valid.sum(axis=0)  # (n, J)
-    denom = np.maximum(n_valid, 1)[None, ..., None]
-    fused = ad.sum_(ad.div(masked, denom), axis=0)  # (n, J, L) masked mean
-    return masked, fused, stencil, n_valid
+    offsets = [off[:, :, s] for s in range(S)]
+    anchor = [anchors[t].reshape((n, J, 1, 2)) for t in range(T)]
+    # one (n, J, P, L) block per view and scale, stacked view-major on axis 2;
+    # the block list and the unmasked stack are temporaries, freed before
+    # the weighted product below
+    samples = ad.stack([bilinear_op(pyr.levels[s],
+                                    anchor[t] * pyr.scale_factors[s] + offsets[s])
+                        for t, pyr in enumerate(pyramids) for s in range(S)],
+                       axis=2).reshape((n, J, T, S, P, L))
+    samples = ad.mul(samples.transpose((2, 0, 1, 3, 4, 5)),
+                     valid.reshape((T, n, J, 1, 1, 1)).astype(float))
+    stencil = samples.reshape((T, n, J, S * P * L))
+    per_view = (samples * w_sp).sum(axis=4).sum(axis=3)  # points, then scales
+    denom = np.maximum(valid.sum(axis=0), 1)[None, ..., None]
+    fused = ad.sum_(ad.div(per_view, denom), axis=0)  # (n, J, L) masked mean
+    return per_view, fused, stencil
 
 
 def _scan_branch(x1: ad.Tensor, per_view: ad.Tensor, p: dict, prefix: str):
@@ -377,26 +360,23 @@ def _block_update(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
     """One feature update: projective attention plus the variant branch.
 
     The attention residual comes first and feeds the scan (or cross-attention)
-    branch. Returns (x2, per_view_samples, stencil, n_valid)."""
-    per_view, fused, stencil, n_valid = _attention_samples(
+    branch. Returns (x2, stencil)."""
+    per_view, fused, stencil = _attention_samples(
         visual, anchors, valid, pyramids, p, prefix, config)
-    attn_res = fused @ p[prefix + "aout_w"] + p[prefix + "aout_b"]
     variant = config.block_variant
-    if variant == "proj_attention_only":
-        x2 = visual + attn_res
-    elif variant == "mean":
+    if variant == "mean":
         # token update degenerates to the plain average of per-view samples
-        denom = np.maximum(n_valid, 1)[..., None]
-        x2 = ad.div(ad.sum_(per_view, axis=0), denom)
+        return fused, stencil
+    x1 = visual + (fused @ p[prefix + "aout_w"] + p[prefix + "aout_b"])
+    if variant == "proj_attention_only":
+        x2 = x1
     elif variant == "cross_attention":
-        x1 = visual + attn_res
         ctx = _cross_attention_branch(x1, per_view, p, prefix)
         x2 = x1 + _ffn_ln(ctx, p, prefix)
     else:  # pss
-        x1 = visual + attn_res
         scanned = _scan_branch(x1, per_view, p, prefix)
         x2 = x1 + _ffn_ln(scanned, p, prefix)
-    return x2, per_view, stencil, n_valid
+    return x2, stencil
 
 
 @dataclass
@@ -405,9 +385,7 @@ class LayerOutput:
     confidences: ad.Tensor    # (T, n, J)
     valid: np.ndarray         # (T, n, J) anchor validity
     geometry: ad.Tensor       # (n, J, 3) updated joints
-    visual: ad.Tensor         # (n, J, L) updated features
     scores: ad.Tensor         # (n,) token scores
-    score_logits: ad.Tensor   # (n, J, 2)
     kept: np.ndarray          # indices into the initial token set
     flagged: np.ndarray       # (n, J) joints that kept previous geometry
 
@@ -423,8 +401,7 @@ def refine_layer(visual: ad.Tensor, geom: ad.Tensor, pyramids, rig,
     T = len(rig.views)
     anchors, valid = project_op(geom, rig)  # (T, n, J, 2), (T, n, J)
 
-    x2, per_view, stencil, n_valid = _block_update(
-        visual, anchors, valid, pyramids, p, prefix, config)
+    x2, stencil = _block_update(visual, anchors, valid, pyramids, p, prefix, config)
 
     # offset / confidence head: shared across views, fed by the raw sample
     # stencil (direction-bearing) and the updated joint feature
@@ -460,10 +437,9 @@ def init_token_state(config: PipelineConfig,
                                    seed, template)
 
 
-def score_op(visual: ad.Tensor, p: dict):
+def score_op(visual: ad.Tensor, p: dict) -> ad.Tensor:
     logits = visual @ p["cls_w"] + p["cls_b"]  # (n, J, 2)
-    scores = ad.sigmoid(logits[..., 0]).mean(axis=1)  # (n,)
-    return scores, logits
+    return ad.sigmoid(logits[..., 0]).mean(axis=1)  # (n,)
 
 
 def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
@@ -495,7 +471,7 @@ def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
         prefix = f"layer{i}."
         x2, geom, refined, conf, valid, flagged = refine_layer(
             visual, geom, pyramids, rig, p, prefix, config)
-        scores, logits = score_op(x2, p)
+        scores = score_op(x2, p)
         kept = alive
         if mode == "eval":
             keep = scores.data >= config.epsilon
@@ -512,13 +488,11 @@ def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
             valid = valid[:, sel]
             flagged = flagged[sel]
             scores = scores[sel]
-            logits = logits[sel]
             kept = alive[sel]
             alive = kept
         outputs.append(LayerOutput(
             positions_2d=refined, confidences=conf, valid=valid, geometry=geom,
-            visual=x2, scores=scores, score_logits=logits, kept=kept,
-            flagged=flagged))
+            scores=scores, kept=kept, flagged=flagged))
         visual = x2
     return outputs, geom0
 

@@ -5,6 +5,8 @@ geometry, held by the pipeline as stacked arrays ((n, J, L) and (n, J, 3)).
 Geometry starts as the canonical T-pose translated to grid-jittered ground
 centers. Scoring and the score filter live in the pipeline (score_op,
 run_pipeline); nms_keep_mask is the pose NMS it applies after the last layer.
+pose_distances is the mean per-joint distance that the NMS, the ground-truth
+matching and the evaluation all use.
 The T-pose template serializes as {"joints": [[x, y, z], ...], "names": [...],
 "limbs": [[a, b], ...]}.
 """
@@ -70,6 +72,15 @@ def initial_geometry(n: int, ground_bounds, rng_seed: int,
     return template[None, :, :] + offsets[:, None, :]
 
 
+def pose_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) mean per-joint Euclidean distances between poses a (n, J, 3)
+    and b (m, J, 3)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[1:] != b.shape[1:]:
+        raise ValueError(f"poses {a.shape[1:]} vs {b.shape[1:]}")
+    return np.mean(np.linalg.norm(a[:, None] - b[None], axis=-1), axis=-1)
+
+
 def nms_keep_mask(geometry: np.ndarray, scores: np.ndarray,
                   radius_mm: float) -> np.ndarray:
     """Greedy pose NMS on stacked geometry (n, J, 3); ties by lower index.
@@ -79,7 +90,7 @@ def nms_keep_mask(geometry: np.ndarray, scores: np.ndarray,
     order = np.argsort(-np.asarray(scores), kind="stable")
     keep = np.zeros(len(order), dtype=bool)
     for idx in order:
-        dist = np.mean(np.linalg.norm(geometry[idx] - geometry[keep], axis=-1),
-                       axis=-1)
+        # one row at a time: the full (n, n, J, 3) difference is too large
+        dist = pose_distances(geometry[idx][None], geometry[keep])[0]
         keep[idx] = not np.any(dist < radius_mm)
     return keep

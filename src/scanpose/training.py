@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import container, evalsim, pipeline
+from . import container, evalsim, pipeline, tokens
 from .geometry import project_batch
 
 METRIC_COLUMNS = ("epoch", "pose_loss", "cls_loss", "val_mpjpe_mm", "ap25")
@@ -71,11 +71,9 @@ def match_gt(initial_geometry: np.ndarray, gts: GroundTruthSet) -> Assignment:
     if N < Z:
         raise InsufficientTokens(f"{N} tokens cannot host {Z} humans")
     token_to_gt = np.full(N, -1, dtype=int)
+    dist = tokens.pose_distances(initial_geometry, gts.humans)  # (N, Z)
     for z in range(Z):
-        # mean-joint L2 between anchors and this human
-        d = np.mean(np.linalg.norm(initial_geometry - gts.humans[z][None], axis=-1),
-                    axis=-1)
-        d = np.where(token_to_gt >= 0, np.inf, d)
+        d = np.where(token_to_gt >= 0, np.inf, dist[:, z])
         claimed = int(np.argmin(d))
         token_to_gt[claimed] = z
     return Assignment(token_to_gt=token_to_gt)

@@ -2,12 +2,19 @@
 
 Everything here is deliberately written from the mathematical definitions,
 on separate code paths from the library (longdouble arithmetic, cyclic
-Jacobi rotations, Taylor series), so that agreement is meaningful.
+Jacobi rotations, Taylor series), so that agreement is meaningful. The
+`*_loop` references are the straightforward per-item loops that vectorised
+library code replaced; tests hold the library to them bit for bit where the
+arithmetic is unchanged.
 """
 
 import math
 
 import numpy as np
+
+from scanpose import autodiff as ad
+from scanpose import geometry
+from scanpose.pipeline import MASK_MARGIN, bilinear_op
 
 LD = np.longdouble
 
@@ -213,3 +220,65 @@ def render_heatmaps_loop(cfg, uv, valid, rng):
             levels.append(grid.astype(np.dtype(cfg.grid_dtype)))
         out.append(levels)
     return out
+
+
+def project_op_loop(geometry_t, rig):
+    """pipeline.project_op with one image-bounds test and one backward term
+    per view, accumulated view by view into a zero gradient."""
+    projections = np.stack([v.projection for v in rig.views])
+    uv, depth, valid = geometry.project_batch(projections, geometry_t.data)
+    pad = (MASK_MARGIN - 1.0) / 2.0
+    for t, view in enumerate(rig.views):
+        w, h = view.image_width, view.image_height
+        valid[t] &= ((uv[t, ..., 0] >= -pad * w) & (uv[t, ..., 0] <= w + pad * w)
+                     & (uv[t, ..., 1] >= -pad * h) & (uv[t, ..., 1] <= h + pad * h))
+    safe_depth = np.where(valid, depth, 1.0)
+    gdata = geometry_t.data
+
+    def backward(g):
+        gx = np.zeros_like(gdata)
+        for t in range(len(rig.views)):
+            P = projections[t]
+            du = (P[0, :3][None] - uv[t][..., 0:1] * P[2, :3][None]) / safe_depth[t][..., None]
+            dv = (P[1, :3][None] - uv[t][..., 1:2] * P[2, :3][None]) / safe_depth[t][..., None]
+            mask = valid[t][..., None]
+            gx += np.where(mask, g[t][..., 0:1] * du + g[t][..., 1:2] * dv, 0.0)
+        return (gx,)
+
+    return ad.from_op(uv, (geometry_t,), backward), valid
+
+
+def attention_samples_loop(visual, anchors, valid, pyramids, p, prefix, config):
+    """pipeline._attention_samples one (view, scale) at a time: each block's
+    weighted sum over points, summed over scales per view, and the view mask
+    applied to the per-view sums and, a second time, to the raw stencil.
+    Returns (per_view, fused, stencil) as the pipeline does."""
+    n, J, L = visual.shape
+    T = len(pyramids)
+    S, P = config.num_scales, config.num_points
+    off = (visual @ p[prefix + "off_w"] + p[prefix + "off_b"]).reshape((n, J, S, P, 2))
+    alog = (visual @ p[prefix + "alog_w"] + p[prefix + "alog_b"]).reshape((n, J, S * P))
+    w_sp = ad.softmax(alog, axis=-1).reshape((n, J, S, P))
+    per_view = []
+    raw_view = []
+    for t in range(T):
+        pyr = pyramids[t]
+        anchor_t = anchors[t].reshape((n, J, 1, 2))
+        per_scale = []
+        raw_scale = []
+        for s in range(S):
+            pos = anchor_t * pyr.scale_factors[s] + off[:, :, s]
+            samples = bilinear_op(pyr.levels[s], pos)
+            raw_scale.append(samples)
+            per_scale.append((w_sp[:, :, s].reshape((n, J, P, 1)) * samples).sum(axis=2))
+        total = per_scale[0]
+        for extra in per_scale[1:]:
+            total = total + extra
+        per_view.append(total)
+        raw_view.append(ad.stack(raw_scale, axis=2))
+    vmask = valid[..., None].astype(float)
+    masked = ad.mul(ad.stack(per_view, axis=0), vmask)
+    stencil = ad.mul(ad.stack(raw_view, axis=0).reshape((T, n, J, S * P * L)), vmask)
+    denom = np.maximum(valid.sum(axis=0), 1)[None, ..., None]
+    fused = ad.sum_(ad.div(masked, denom), axis=0)
+    return masked, fused, stencil

@@ -222,7 +222,7 @@ def test_criterion_4_gradient_suite():
     def attn_loss(tensors):
         vis = ad.Tensor(visual0)
         anchors, valid = pipeline.project_op(ad.Tensor(geom0), scene.rig)
-        _, fused, stencil, _ = pipeline._attention_samples(
+        _, fused, stencil = pipeline._attention_samples(
             vis, anchors, valid, scene.pyramids, tensors, "layer0.", config)
         if "m" not in mixer_holder:
             mixer_holder["m"] = rng.normal(size=fused.shape)

@@ -108,6 +108,13 @@ def test_nonlinearities():
     fd_check(build, arrays, tol=1e-5)
 
 
+def test_sigmoid_matches_three_exp_expression_bit_for_bit():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 4001), [0.0, -0.0, 1e-300, -1e-300]])
+    expect = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert ad.sigmoid(ad.Tensor(x)).data.tobytes() == expect.tobytes()
+
+
 def test_softmax_grad_and_sums_to_one():
     rng = np.random.default_rng(6)
     arrays = {"a": rng.normal(size=(2, 4))}

@@ -1,12 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 from scanpose import autodiff as ad
+from scanpose import cli
 from scanpose import evalsim as ev
 from scanpose import geometry as geo
 from scanpose import pipeline as pl
 from scanpose import ssm, tokens
-from oracles import central_difference, project_ld, rel_error, triangulate_ld
+from oracles import (attention_samples_loop, central_difference, project_ld,
+                     project_op_loop, rel_error, triangulate_ld)
 from test_ssm import naive_selective_scan
 
 
@@ -178,6 +182,92 @@ def test_project_op_matches_scalar_and_fd():
     assert rel_error(g_t.grad, fd) < 1e-6
 
 
+def oracle_cases():
+    """(scene, token geometry, smoke pipeline config) for the smoke config's
+    ten training scenes (seed 7, five cameras) and the benchmark's first
+    three scene seeds at 3, 5 and 7 cameras. Token 0 is lifted 3 m, so it has
+    masked and valid views; token 1 is sunk 50 m, so every view of it is
+    masked."""
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "smoke.json"))
+    cases = [(cfg.seed + i, None) for i in range(cfg.num_scenes)]
+    cases += [(seed, K) for seed in (1, 2, 3) for K in (3, 5, 7)]
+    for seed, K in cases:
+        scene = ev.generate_scene(cfg.scene, seed, num_cameras=K)
+        geom = pl.init_token_state(cfg.pipeline, seed)
+        geom[0] += [0.0, 0.0, 3000.0]
+        geom[1] += [0.0, 0.0, -50000.0]
+        yield scene, geom, cfg.pipeline
+
+
+def attention_params(config, rng):
+    """init_params with spread-out sampling offsets and sample weights."""
+    params = pl.init_params(config, rng_seed=int(rng.integers(1 << 16)))
+    for name in ("layer0.off_w", "layer0.alog_w", "layer0.alog_b"):
+        params[name] = rng.normal(scale=0.5, size=params[name].shape)
+    return params
+
+
+def test_project_op_matches_loop_oracle_byte_for_byte():
+    rng = np.random.default_rng(21)
+    for scene, geom, _ in oracle_cases():
+        got_g, want_g = ad.parameter(geom), ad.parameter(geom)
+        got, got_valid = pl.project_op(got_g, scene.rig)
+        want, want_valid = project_op_loop(want_g, scene.rig)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(got_valid, want_valid)
+        assert not got_valid[:, 1].any()
+        assert got_valid[:, 0].any() and not got_valid[:, 0].all()
+        up = rng.normal(size=got.shape)
+        (got * up).sum().backward()
+        (want * up).sum().backward()
+        assert got_g.grad.tobytes() == want_g.grad.tobytes()
+
+
+def test_attention_samples_match_loop_oracle_byte_for_byte():
+    """Eval (plain weights) and train (parameters) forwards."""
+    rng = np.random.default_rng(22)
+    for scene, geom, config in oracle_cases():
+        params = attention_params(config, rng)
+        visual = params["person_embeds"][:, None] + params["joint_embeds"][None]
+        anchors, valid = pl.project_op(ad.Tensor(geom), scene.rig)
+        for tensors in ({k: ad.Tensor(v) for k, v in params.items()},
+                        pl.params_to_tensors(params)):
+            got = pl._attention_samples(ad.Tensor(visual), anchors, valid,
+                                        scene.pyramids, tensors, "layer0.", config)
+            want = attention_samples_loop(ad.Tensor(visual), anchors, valid,
+                                          scene.pyramids, tensors, "layer0.", config)
+            for a, b in zip(got, want):
+                assert a.data.tobytes() == b.data.tobytes()
+            assert not got[1].data[1].any()  # token 1 has no valid view
+
+
+def test_attention_samples_gradients_match_loop_oracle():
+    """Gradients of all three outputs under a random cotangent, with respect
+    to the features, the anchors and the offset and weight projections.
+    Only the weights' sum over views is reassociated."""
+    rng = np.random.default_rng(23)
+    names = ("layer0.off_w", "layer0.off_b", "layer0.alog_w", "layer0.alog_b")
+    for scene, geom, config in oracle_cases():
+        params = attention_params(config, rng)
+        visual = params["person_embeds"][:, None] + params["joint_embeds"][None]
+        anchors, valid = pl.project_op(ad.Tensor(geom), scene.rig)
+        cotangents = None
+        grads = []
+        for attend_fn in (pl._attention_samples, attention_samples_loop):
+            leaves = {"visual": ad.parameter(visual), "anchors": ad.parameter(anchors.data)}
+            tensors = pl.params_to_tensors({k: params[k] for k in names})
+            outs = attend_fn(leaves["visual"], leaves["anchors"], valid,
+                             scene.pyramids, tensors, "layer0.", config)
+            if cotangents is None:
+                cotangents = [rng.normal(size=o.shape) for o in outs]
+            sum((o * c).sum() for o, c in zip(outs, cotangents)).backward()
+            leaves.update(tensors)
+            grads.append({k: t.grad for k, t in leaves.items()})
+        for name, got in grads[0].items():
+            assert rel_error(got, grads[1][name]) < 1e-12, name
+
+
 # ---------------------------------------------------------------------------
 # projective attention
 # ---------------------------------------------------------------------------
@@ -193,9 +283,9 @@ def attend(token, pyramids, rig, params, config):
     anchors (T, J, 2), valid (T, J))."""
     visual, geometry = token
     anchors, valid = pl.project_op(ad.Tensor(geometry[None]), rig)
-    _, fused, _, _ = pl._attention_samples(ad.Tensor(visual[None]), anchors, valid,
-                                           pyramids, pl.params_to_tensors(params),
-                                           "layer0.", config)
+    _, fused, _ = pl._attention_samples(ad.Tensor(visual[None]), anchors, valid,
+                                        pyramids, pl.params_to_tensors(params),
+                                        "layer0.", config)
     return fused.data[0], anchors.data[:, 0], valid[:, 0]
 
 
@@ -203,8 +293,8 @@ def block(token, pyramids, rig, params, config):
     """_block_update on one token (n = 1): returns the new (J, L) features."""
     visual, geometry = token
     anchors, valid = pl.project_op(ad.Tensor(geometry[None]), rig)
-    x2, _, _, _ = pl._block_update(ad.Tensor(visual[None]), anchors, valid, pyramids,
-                                   pl.params_to_tensors(params), "layer0.", config)
+    x2, _ = pl._block_update(ad.Tensor(visual[None]), anchors, valid, pyramids,
+                             pl.params_to_tensors(params), "layer0.", config)
     return x2.data[0]
 
 
@@ -502,7 +592,7 @@ def test_pipeline_single_layer_composition():
         visual, ad.Tensor(geom0), scene.pyramids, scene.rig,
         pl.params_to_tensors(params), "layer0.", config)
     assert np.allclose(outputs[0].geometry.data, new_geom.data)
-    assert np.allclose(outputs[0].visual.data, x2.data)
+    assert np.allclose(outputs[0].scores.data, pl.score_op(x2, tensors).data)
     assert np.allclose(outputs[0].positions_2d.data, refined.data)
 
 
@@ -565,22 +655,32 @@ def seeded_head_params(config, seed):
 
 
 @pytest.mark.parametrize("cameras", [3, 5, 7])
-def test_eval_on_plain_tensors_matches_taped_eval(cameras):
+def test_eval_on_plain_tensors_matches_taped_eval(cameras, monkeypatch):
     scene = tiny_scene(num_cameras=cameras, num_actors=2)
     config = tiny_config(scene, num_tokens=12, epsilon=0.4, nms_radius_mm=1500.0)
     params = seeded_head_params(config, 40 + cameras)
+    features = []  # each layer's updated features, as score_op reads them
+    score_op = pl.score_op
+
+    def spy(visual, p):
+        features.append(visual)
+        return score_op(visual, p)
+
+    monkeypatch.setattr(pl, "score_op", spy)
     plain, _ = pl.run_pipeline(scene.pyramids, scene.rig,
                                {k: ad.Tensor(v) for k, v in params.items()},
                                config, mode="eval", init_seed=5)
     taped, _ = pl.run_pipeline(scene.pyramids, scene.rig,
                                pl.params_to_tensors(params), config,
                                mode="eval", init_seed=5)
-    fields = ("positions_2d", "confidences", "geometry", "visual", "scores",
-              "score_logits")
-    for a, b in zip(plain, taped):
+    fields = ("positions_2d", "confidences", "geometry", "scores")
+    plain_features = features[:len(plain)]
+    taped_features = features[len(plain):]
+    for a, b, x_a, x_b in zip(plain, taped, plain_features, taped_features):
         for name in fields:
             assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
             assert getattr(a, name)._node is None
+        assert np.array_equal(x_a.data, x_b.data) and x_a._node is None
         assert np.array_equal(a.kept, b.kept)
         assert b.geometry._node.backward is not None  # the taped run records
     # the seeded heads move the joints and spread the scores

@@ -77,7 +77,7 @@ def test_init_grid_covers_bounds_with_expected_pitch():
 
 def scores_of(visual, W, b):
     classifier = {"cls_w": ad.Tensor(W), "cls_b": ad.Tensor(b)}
-    return pl.score_op(ad.Tensor(visual), classifier)[0].data
+    return pl.score_op(ad.Tensor(visual), classifier).data
 
 
 def test_score_zero_classifier_gives_half():
@@ -212,6 +212,28 @@ def test_nms_matches_bruteforce_oracle():
         at_radius += bool(np.any(dist == radius))
         tied += len(np.unique(scores)) < n
     assert at_radius > 100 and tied > 150
+
+
+def test_pose_distances_match_per_pair_row_and_column_expressions():
+    """Bit for bit: the per-pair mean joint distance (evalsim.mpjpe), the
+    per-row one of the NMS and the per-column one of training.match_gt."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n, m, J = (int(v) for v in rng.integers(1, [30, 6, 20]))
+        a = rng.normal(scale=rng.uniform(1.0, 3000.0), size=(n, J, 3))
+        b = rng.normal(scale=rng.uniform(1.0, 3000.0), size=(m, J, 3))
+        dist = tok.pose_distances(a, b)
+        assert dist.shape == (n, m)
+        for i in range(n):
+            row = np.mean(np.linalg.norm(a[i] - b, axis=-1), axis=-1)
+            assert dist[i].tobytes() == row.tobytes()
+            for z in range(m):
+                assert dist[i, z] == np.mean(np.linalg.norm(a[i] - b[z], axis=-1))
+        for z in range(m):
+            col = np.mean(np.linalg.norm(a - b[z][None], axis=-1), axis=-1)
+            assert dist[:, z].tobytes() == col.tobytes()
+    with pytest.raises(ValueError):
+        tok.pose_distances(np.zeros((2, 15, 3)), np.zeros((1, 14, 3)))
 
 
 def test_filter_then_nms_idempotent():

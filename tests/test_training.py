@@ -107,9 +107,7 @@ def _layer_stub(geometry, positions_2d, valid):
         valid=valid,
         geometry=geometry if isinstance(geometry, ad.Tensor)
         else ad.Tensor(geometry),
-        visual=ad.Tensor(np.zeros((geometry.shape[0], 1, 1))),
         scores=ad.Tensor(np.zeros(geometry.shape[0])),
-        score_logits=ad.Tensor(np.zeros((geometry.shape[0], 1, 2))),
         kept=np.arange(geometry.shape[0]),
         flagged=np.zeros(geometry.shape[:2], dtype=bool))
 
@@ -277,18 +275,24 @@ def test_evaluate_model_builds_no_tape(monkeypatch):
     params = pl.init_params(config, rng_seed=3)
     seen = []
     run_pipeline = pl.run_pipeline
+    score_op = pl.score_op
 
     def spy(pyramids, rig, tensors, cfg, **kw):
         seen.append(any(t.requires_grad for t in tensors.values()))
         outputs, geom0 = run_pipeline(pyramids, rig, tensors, cfg, **kw)
         seen.extend(getattr(out, name)._node is not None for out in outputs
                     for name in ("positions_2d", "confidences", "geometry",
-                                 "visual", "scores", "score_logits"))
+                                 "scores"))
         return outputs, geom0
 
+    def score_spy(visual, p):  # each layer's updated features
+        seen.append(visual._node is not None)
+        return score_op(visual, p)
+
     monkeypatch.setattr(pl, "run_pipeline", spy)
+    monkeypatch.setattr(pl, "score_op", score_spy)
     reports, _, _ = tr.evaluate_model(params, config, [scene, scene])
-    assert len(reports) == 2 and len(seen) == 2 * (1 + 2 * 6)
+    assert len(reports) == 2 and len(seen) == 2 * (1 + 2 * 5)
     assert not any(seen)
 
 
@@ -311,6 +315,29 @@ def test_smoke_forward_tape_stays_small():
     assert live_mb <= SMOKE_TAPE_BOUND_MB, f"{live_mb:.1f} MB live after the forward"
     total.backward()
     assert tensors["layer0.off_w"].grad is not None
+
+
+# the same smoke forward records 295 autodiff.from_op nodes with one masked
+# sample stencil per layer, and recorded 405 when the attention block built
+# its weighted sums one (view, scale) at a time
+SMOKE_TAPE_NODES = 295
+
+
+def test_smoke_forward_records_no_more_tape_nodes(monkeypatch):
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "smoke.json"), seed_override=1)
+    scene = ev.generate_scene(cfg.scene, seed=cfg.seed)
+    tensors = pl.params_to_tensors(pl.init_params(cfg.pipeline, cfg.seed))
+    nodes = []
+    from_op = ad.from_op
+
+    def counting(data, parents, backward):
+        nodes.append(None)
+        return from_op(data, parents, backward)
+
+    monkeypatch.setattr(ad, "from_op", counting)
+    tr.scene_loss(tensors, scene, cfg.pipeline, cfg.train)
+    assert len(nodes) <= SMOKE_TAPE_NODES, f"{len(nodes)} tape nodes"
 
 
 def test_metrics_csv_roundtrip(tmp_path):
