@@ -101,17 +101,18 @@ def camera_ring(cfg: SceneConfig, rng: np.random.Generator,
     T = cfg.num_cameras if num_cameras is None else num_cameras
     center = np.array([0.0, 0.0, cfg.space_size[2] / 2.0])
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    views = []
+    projections = []
     for t in range(T):
         ang = phase + t * _GOLDEN_ANGLE
         radius = rng.uniform(*cfg.camera_radius)
         height = rng.uniform(*cfg.camera_height)
         pos = np.array([radius * np.cos(ang), radius * np.sin(ang), height])
-        views.append(look_at_camera(pos, center,
-                                    cfg.focal_scale * cfg.image_width,
-                                    cfg.image_width, cfg.image_height,
-                                    view_id=t))
-    return CameraRig(views=tuple(views))
+        projections.append(look_at_camera(pos, center,
+                                          cfg.focal_scale * cfg.image_width,
+                                          cfg.image_width, cfg.image_height))
+    return CameraRig(projections=np.stack(projections),
+                     sizes=np.tile([cfg.image_width, cfg.image_height], (T, 1)),
+                     ids=np.arange(T))
 
 
 def sample_actor_poses(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
@@ -163,8 +164,7 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
     Gaussian is separable, so each view and level takes 1-D Gaussians along
     the columns and rows and sums them over actors in one batched product.
     Heatmaps and noise accumulate in float64, cast once per level."""
-    projections = np.stack([v.projection for v in rig.views])
-    uv, _, valid = project_batch(projections, poses)  # (T, Z, J, 2)
+    uv, _, valid = project_batch(rig.projections, poses)  # (T, Z, J, 2)
     J = poses.shape[1]
     sig2 = 2.0 * cfg.heatmap_sigma_px ** 2
     factors, bases = [], []
@@ -181,7 +181,7 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
         factors.append(f_s)
         bases.append(base)
     pyramids = []
-    for t in range(len(rig.views)):
+    for t in range(len(rig)):
         levels = []
         for f_s, base in zip(factors, bases):
             H_s, W_s = base.shape[:2]
@@ -252,7 +252,7 @@ def load_scene(manifest_path: str) -> Scene:
                               doc["grids_file"])
     arrays, meta = container.load_container(grids_path)
     pyramids = []
-    for t in range(len(rig.views)):
+    for t in range(len(rig)):
         levels = []
         s = 0
         while f"view{t}/level{s}" in arrays:
@@ -268,15 +268,6 @@ def load_scene(manifest_path: str) -> Scene:
 # metrics
 # ---------------------------------------------------------------------------
 
-def mpjpe(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean per-joint Euclidean distance in millimeters."""
-    pred = np.asarray(pred, dtype=float)
-    gt = np.asarray(gt, dtype=float)
-    if pred.shape != gt.shape:
-        raise ShapeMismatch(f"pred {pred.shape} vs gt {gt.shape}")
-    return float(np.mean(np.linalg.norm(pred - gt, axis=-1)))
-
-
 def greedy_match(preds: np.ndarray, scores: np.ndarray, gts: np.ndarray):
     """Score-descending matching: each prediction claims its nearest
     still-unmatched ground truth. Returns (order, gt_index or -1, distance)."""
@@ -290,8 +281,7 @@ def greedy_match(preds: np.ndarray, scores: np.ndarray, gts: np.ndarray):
             continue
         zi = int(np.argmin(np.where(taken, np.inf, dist[pi])))
         taken[zi] = True
-        # the reported distance is the pair's MPJPE, the same bits as dist[pi, zi]
-        matches.append((int(pi), zi, mpjpe(preds[pi], gts[zi])))
+        matches.append((int(pi), zi, float(dist[pi, zi])))
     return matches
 
 

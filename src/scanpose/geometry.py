@@ -2,6 +2,8 @@
 
 World coordinates are millimeters, image coordinates are pixels. A camera is a
 3x4 projection matrix mapping homogeneous world points to homogeneous pixels.
+A CameraRig holds its T cameras as stacked arrays (projections (T, 3, 4),
+image sizes (T, 2), view ids (T,)), the form every computation reads.
 Triangulation solves the weighted homogeneous linear system (two rows per view,
 scaled by that view's confidence) for the right singular vector of the smallest
 singular value. Rows are built from pixel-normalized cameras and the world
@@ -32,54 +34,56 @@ RANK_RATIO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class CameraView:
-    projection: np.ndarray  # (3, 4)
-    image_width: int
-    image_height: int
-    view_id: int
-
-    def __post_init__(self):
-        P = np.asarray(self.projection, dtype=float)
-        if P.shape != (3, 4):
-            raise ValueError(f"projection must be 3x4, got {P.shape}")
-        if np.linalg.matrix_rank(P) != 3:
-            raise ValueError(f"projection of view {self.view_id} is rank deficient")
-        object.__setattr__(self, "projection", P)
-
-
-@dataclass(frozen=True)
 class CameraRig:
-    views: tuple[CameraView, ...]
+    """T cameras as stacked arrays: projections (T, 3, 4), image sizes
+    (T, 2) as (width, height) in pixels, and view ids (T,)."""
+    projections: np.ndarray
+    sizes: np.ndarray
+    ids: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "views", tuple(self.views))
-        ids = [v.view_id for v in self.views]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate view ids: {ids}")
+        P = np.asarray(self.projections, dtype=float)
+        if P.ndim != 3 or P.shape[1:] != (3, 4):
+            raise ValueError(f"projections must be (T, 3, 4), got {P.shape}")
+        sizes = np.asarray(self.sizes, dtype=int)
+        ids = np.asarray(self.ids, dtype=int)
+        if sizes.shape != (len(P), 2) or ids.shape != (len(P),):
+            raise ValueError(f"{len(P)} views need sizes (T, 2) and ids (T,), "
+                             f"got {sizes.shape} and {ids.shape}")
+        deficient = np.nonzero(np.linalg.matrix_rank(P) != 3)[0]
+        if deficient.size:
+            raise ValueError(f"projection of view {ids[deficient[0]]} is rank deficient")
+        if len(np.unique(ids)) != len(ids):
+            raise ValueError(f"duplicate view ids: {ids.tolist()}")
+        object.__setattr__(self, "projections", P)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "ids", ids)
 
     def __len__(self) -> int:
-        return len(self.views)
+        return len(self.projections)
 
     def to_doc(self) -> dict:
         """The rig as a JSON object in the schema above."""
         return {"views": [
-            {"id": v.view_id, "P": [float(x) for x in v.projection.ravel()],
-             "w": v.image_width, "h": v.image_height}
-            for v in self.views]}
+            {"id": int(i), "P": P.ravel().tolist(), "w": int(w), "h": int(h)}
+            for i, P, (w, h) in zip(self.ids, self.projections, self.sizes)]}
 
     @staticmethod
     def from_doc(doc: dict) -> "CameraRig":
-        return CameraRig(views=tuple(
-            CameraView(projection=np.asarray(item["P"], dtype=float).reshape(3, 4),
-                       image_width=int(item["w"]), image_height=int(item["h"]),
-                       view_id=int(item["id"]))
-            for item in doc["views"]))
+        views = doc["views"]
+        return CameraRig(
+            projections=np.asarray([item["P"] for item in views],
+                                   dtype=float).reshape(len(views), 3, 4),
+            sizes=np.array([[int(item["w"]), int(item["h"])] for item in views],
+                           dtype=int).reshape(len(views), 2),
+            ids=np.array([int(item["id"]) for item in views], dtype=int))
 
 
-def look_at_camera(position, target, focal: float, width: int, height: int,
-                   view_id: int) -> CameraView:
-    """Pinhole camera at `position` aimed at `target`, principal point at the
-    image center, pixel y growing downward and the roll fixed by world +z."""
+def look_at_camera(position, target, focal: float, width: int,
+                   height: int) -> np.ndarray:
+    """Projection matrix (3, 4) of a pinhole camera at `position` aimed at
+    `target`, principal point at the image center, pixel y growing downward
+    and the roll fixed by world +z."""
     pos = np.asarray(position, dtype=float)
     fwd = np.asarray(target, dtype=float) - pos
     fwd = fwd / np.linalg.norm(fwd)
@@ -95,9 +99,7 @@ def look_at_camera(position, target, focal: float, width: int, height: int,
         [0.0, focal, height / 2.0],
         [0.0, 0.0, 1.0],
     ])
-    P = K @ np.concatenate([R, t[:, None]], axis=1)
-    return CameraView(projection=P, image_width=width, image_height=height,
-                      view_id=view_id)
+    return K @ np.concatenate([R, t[:, None]], axis=1)
 
 
 def project_batch(projections: np.ndarray, points: np.ndarray):
@@ -119,25 +121,22 @@ def project_batch(projections: np.ndarray, points: np.ndarray):
     return uv, depth, valid
 
 
-def _normalized_camera(view: CameraView) -> tuple[np.ndarray, float, np.ndarray]:
-    """Pixel-normalized, column-scaled camera matrix.
+def _normalized_cameras(rig: CameraRig):
+    """Pixel-normalized, column-scaled camera matrices of every view.
 
-    Returns (P_tilde, s, center): s maps pixel offsets from the image center
-    into normalized units, and P_tilde already carries the COORD_SCALE column
-    rescaling for the world coordinates.
+    Returns (P_tilde (T, 3, 4), s (T,), centers (T, 2)): s maps pixel offsets
+    from the image center into normalized units, and P_tilde already carries
+    the COORD_SCALE column rescaling for the world coordinates.
     """
-    w, h = float(view.image_width), float(view.image_height)
-    s = 2.0 / (w + h)
-    cx, cy = w / 2.0, h / 2.0
-    N = np.array([[s, 0.0, -s * cx], [0.0, s, -s * cy], [0.0, 0.0, 1.0]])
-    Pn = N @ view.projection
-    Pt = Pn * np.array([COORD_SCALE, COORD_SCALE, COORD_SCALE, 1.0])
-    return Pt, s, np.array([cx, cy])
-
-
-def _normalized_cameras_batch(rig: CameraRig):
-    Pt, s, centers = zip(*(_normalized_camera(v) for v in rig.views))
-    return np.stack(Pt), np.array(s), np.stack(centers)  # (T, 3, 4), (T,), (T, 2)
+    wh = rig.sizes.astype(float)
+    s = 2.0 / (wh[:, 0] + wh[:, 1])
+    centers = wh / 2.0
+    N = np.zeros((len(rig), 3, 3))
+    N[:, 0, 0] = N[:, 1, 1] = s
+    N[:, :2, 2] = -s[:, None] * centers
+    N[:, 2, 2] = 1.0
+    Pt = (N @ rig.projections) * np.array([COORD_SCALE, COORD_SCALE, COORD_SCALE, 1.0])
+    return Pt, s, centers
 
 
 def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
@@ -154,7 +153,7 @@ def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
     two smallest singular values to be separated by SVD_GAP_EPSILON, and rows
     that are not ok get zero gradients.
     """
-    Pt, s, centers = _normalized_cameras_batch(rig)
+    Pt, s, centers = _normalized_cameras(rig)
     un = s[None, :, None] * (positions - centers[None, :, :])  # (B, T, 2)
     r1 = un[..., 0:1] * Pt[None, :, 2, :] - Pt[None, :, 0, :]  # (B, T, 4)
     r2 = un[..., 1:2] * Pt[None, :, 2, :] - Pt[None, :, 1, :]

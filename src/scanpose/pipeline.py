@@ -222,15 +222,13 @@ def project_op(geometry_t: ad.Tensor, rig: geometry.CameraRig):
     (degenerate depth or outside MASK_MARGIN * image bounds) carry zero
     gradient.
     """
-    projections = np.stack([v.projection for v in rig.views])
-    uv, depth, valid = geometry.project_batch(projections, geometry_t.data)
-    view_shape = (len(rig.views),) + (1,) * (uv.ndim - 2)  # broadcasts over (...)
-    size = np.array([[v.image_width, v.image_height] for v in rig.views],
-                    dtype=float).reshape(view_shape + (2,))
+    uv, depth, valid = geometry.project_batch(rig.projections, geometry_t.data)
+    view_shape = (len(rig),) + (1,) * (uv.ndim - 2)  # broadcasts over (...)
+    size = rig.sizes.astype(float).reshape(view_shape + (2,))
     pad = (MASK_MARGIN - 1.0) / 2.0  # beyond each border, in image sizes
     valid &= np.all((uv >= -pad * size) & (uv <= size + pad * size), axis=-1)
     safe_depth = np.where(valid, depth, 1.0)[..., None]
-    rows = projections[:, :, :3].reshape(view_shape + (3, 3))
+    rows = rig.projections[:, :, :3].reshape(view_shape + (3, 3))
 
     def backward(g):
         # u = (P[0] X~) / w, v = (P[1] X~) / w with w = P[2] X~
@@ -398,7 +396,7 @@ def refine_layer(visual: ad.Tensor, geom: ad.Tensor, pyramids, rig,
     triangulation and keeps its previous geometry; it is returned flagged.
     """
     n, J, L = visual.shape
-    T = len(rig.views)
+    T = len(rig)
     anchors, valid = project_op(geom, rig)  # (T, n, J, 2), (T, n, J)
 
     x2, stencil = _block_update(visual, anchors, valid, pyramids, p, prefix, config)

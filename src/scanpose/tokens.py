@@ -48,13 +48,10 @@ def grid_centers(n: int, ground_bounds, rng: np.random.Generator) -> np.ndarray:
     gy = int(np.ceil(n / gx))
     cw = (xmax - xmin) / gx
     ch = (ymax - ymin) / gy
-    centers = np.empty((n, 2))
     jit = rng.uniform(-_GRID_JITTER, _GRID_JITTER, size=(n, 2))
-    for i in range(n):
-        col, row = i % gx, i // gx
-        centers[i, 0] = xmin + (col + 0.5 + jit[i, 0]) * cw
-        centers[i, 1] = ymin + (row + 0.5 + jit[i, 1]) * ch
-    return centers
+    row, col = np.divmod(np.arange(n), gx)
+    return np.stack([xmin + (col + 0.5 + jit[:, 0]) * cw,
+                     ymin + (row + 0.5 + jit[:, 1]) * ch], axis=1)
 
 
 def initial_geometry(n: int, ground_bounds, rng_seed: int,

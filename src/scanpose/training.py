@@ -44,10 +44,9 @@ class GroundTruthSet:
 
     @staticmethod
     def from_scene(scene: evalsim.Scene) -> "GroundTruthSet":
-        projections = np.stack([v.projection for v in scene.rig.views])
         Z, J, _ = scene.gt_poses.shape
-        uv, _, valid = project_batch(projections, scene.gt_poses.reshape(-1, 3))
-        T = len(scene.rig.views)
+        uv, _, valid = project_batch(scene.rig.projections, scene.gt_poses.reshape(-1, 3))
+        T = len(scene.rig)
         return GroundTruthSet(
             humans=scene.gt_poses,
             positions_2d=uv.reshape(T, Z, J, 2).transpose(1, 0, 2, 3),
@@ -105,10 +104,10 @@ def classification_loss(assignment: Assignment, token_scores: ad.Tensor):
     """Binary cross-entropy of the per-token positive probability against the
     positive/negative label, averaged over tokens."""
     labels = (assignment.token_to_gt >= 0).astype(float)
-    s = ad.where(token_scores.data < _PROB_FLOOR,
-                 ad.Tensor(np.full(token_scores.shape, _PROB_FLOOR)), token_scores)
-    s = ad.where(s.data > 1.0 - _PROB_FLOOR,
-                 ad.Tensor(np.full(token_scores.shape, 1.0 - _PROB_FLOOR)), s)
+    # a NaN score fails both comparisons and stays on the differentiable branch
+    raw = token_scores.data
+    s = ad.where((raw < _PROB_FLOOR) | (raw > 1.0 - _PROB_FLOOR),
+                 np.clip(raw, _PROB_FLOOR, 1.0 - _PROB_FLOOR), token_scores)
     loss = -(ad.mul(ad.log(s), labels) + ad.mul(ad.log(1.0 - s), 1.0 - labels))
     return loss.mean()
 

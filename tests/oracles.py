@@ -15,6 +15,7 @@ import numpy as np
 from scanpose import autodiff as ad
 from scanpose import geometry
 from scanpose.pipeline import MASK_MARGIN, bilinear_op
+from scanpose.tokens import _GRID_JITTER
 
 LD = np.longdouble
 
@@ -222,14 +223,42 @@ def render_heatmaps_loop(cfg, uv, valid, rng):
     return out
 
 
+def normalized_camera_loop(projection, width, height):
+    """geometry._normalized_cameras for one view (3, 4) of the given image
+    size: (P_tilde, s, center), built from the 3x3 pixel normalization."""
+    w, h = float(width), float(height)
+    s = 2.0 / (w + h)
+    cx, cy = w / 2.0, h / 2.0
+    N = np.array([[s, 0.0, -s * cx], [0.0, s, -s * cy], [0.0, 0.0, 1.0]])
+    Pn = N @ projection
+    Pt = Pn * np.array([geometry.COORD_SCALE, geometry.COORD_SCALE,
+                        geometry.COORD_SCALE, 1.0])
+    return Pt, s, np.array([cx, cy])
+
+
+def grid_centers_loop(n, ground_bounds, rng):
+    """tokens.grid_centers one token at a time."""
+    xmin, ymin, xmax, ymax = (float(v) for v in ground_bounds)
+    gx = int(np.ceil(np.sqrt(n)))
+    gy = int(np.ceil(n / gx))
+    cw = (xmax - xmin) / gx
+    ch = (ymax - ymin) / gy
+    centers = np.empty((n, 2))
+    jit = rng.uniform(-_GRID_JITTER, _GRID_JITTER, size=(n, 2))
+    for i in range(n):
+        col, row = i % gx, i // gx
+        centers[i, 0] = xmin + (col + 0.5 + jit[i, 0]) * cw
+        centers[i, 1] = ymin + (row + 0.5 + jit[i, 1]) * ch
+    return centers
+
+
 def project_op_loop(geometry_t, rig):
     """pipeline.project_op with one image-bounds test and one backward term
     per view, accumulated view by view into a zero gradient."""
-    projections = np.stack([v.projection for v in rig.views])
+    projections = rig.projections
     uv, depth, valid = geometry.project_batch(projections, geometry_t.data)
     pad = (MASK_MARGIN - 1.0) / 2.0
-    for t, view in enumerate(rig.views):
-        w, h = view.image_width, view.image_height
+    for t, (w, h) in enumerate(rig.sizes):
         valid[t] &= ((uv[t, ..., 0] >= -pad * w) & (uv[t, ..., 0] <= w + pad * w)
                      & (uv[t, ..., 1] >= -pad * h) & (uv[t, ..., 1] <= h + pad * h))
     safe_depth = np.where(valid, depth, 1.0)
@@ -237,7 +266,7 @@ def project_op_loop(geometry_t, rig):
 
     def backward(g):
         gx = np.zeros_like(gdata)
-        for t in range(len(rig.views)):
+        for t in range(len(rig)):
             P = projections[t]
             du = (P[0, :3][None] - uv[t][..., 0:1] * P[2, :3][None]) / safe_depth[t][..., None]
             dv = (P[1, :3][None] - uv[t][..., 1:2] * P[2, :3][None]) / safe_depth[t][..., None]

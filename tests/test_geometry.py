@@ -1,33 +1,53 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from scanpose import cli, evalsim
 from scanpose import geometry as geo
-from oracles import central_difference, project_ld, rel_error, triangulate_ld
+from oracles import (central_difference, normalized_camera_loop, project_ld,
+                     rel_error, triangulate_ld)
+
+IDENTITY = np.hstack([np.eye(3), np.zeros((3, 1))])
 
 
-def identity_view(view_id=0):
-    P = np.hstack([np.eye(3), np.zeros((3, 1))])
-    return geo.CameraView(projection=P, image_width=2, image_height=2, view_id=view_id)
+def rig_of(projections, width, height, ids=None):
+    """A rig of the stacked projections, every view width x height pixels,
+    with ids 0..T-1 unless given."""
+    T = len(projections)
+    return geo.CameraRig(projections=np.asarray(projections, dtype=float),
+                         sizes=np.tile([width, height], (T, 1)),
+                         ids=np.arange(T) if ids is None else ids)
 
 
 def ring_rig(num_views, rng, width=256, height=192, radius=(4500.0, 6000.0),
              cam_height=(1500.0, 2800.0), target=(0.0, 0.0, 1000.0)):
-    views = []
+    projections = []
     for t in range(num_views):
         ang = rng.uniform(0.0, 2.0 * np.pi)
         r = rng.uniform(*radius)
         pos = np.array([r * np.cos(ang), r * np.sin(ang), rng.uniform(*cam_height)])
         f = width * rng.uniform(0.8, 1.1)
-        views.append(geo.look_at_camera(pos, target, f, width, height, view_id=t))
-    return geo.CameraRig(views=tuple(views))
+        projections.append(geo.look_at_camera(pos, target, f, width, height))
+    return rig_of(projections, width, height)
+
+
+def mixed_size_rig():
+    """Three views of different image sizes, one focal length and
+    non-sequential ids, aimed at the middle of the smoke config's space."""
+    sizes = np.array([[128, 96], [64, 48], [200, 150]])
+    centers = [(-5200.0, 1200.0, 2500.0), (3000.0, -4800.0, 1900.0),
+               (4100.0, 4400.0, 3100.0)]
+    projections = [geo.look_at_camera(c, (0.0, 0.0, 1000.0), 100.0, w, h)
+                   for c, (w, h) in zip(centers, sizes)]
+    return geo.CameraRig(projections=np.stack(projections), sizes=sizes, ids=[3, 11, 5])
 
 
 def observe(rig, point, confidences=None, noise=None, rng=None):
     """Pixel observations (T, 2) of a world point in every view, optionally
     noisy, and their confidences (T,)."""
-    positions = np.stack([project_ld(view.projection, point) for view in rig.views])
+    positions = np.stack([project_ld(P, point) for P in rig.projections])
     if noise is not None:
         positions = positions + rng.normal(0.0, noise, size=positions.shape)
     confs = np.ones(len(rig)) if confidences is None else np.asarray(confidences, float)
@@ -41,8 +61,7 @@ def triangulate(positions, confidences, rig):
 
 
 def oracle(positions, confidences, rig):
-    return triangulate_ld(positions, confidences, [v.projection for v in rig.views],
-                          [(v.image_width, v.image_height) for v in rig.views])
+    return triangulate_ld(positions, confidences, rig.projections, rig.sizes)
 
 
 def pack_jacobian(d_pos, d_conf):
@@ -74,19 +93,19 @@ def jacobian_and_fd(positions, confidences, rig):
 # project
 # ---------------------------------------------------------------------------
 
-def project_one(view, point):
-    """(uv (2,), valid) of one point in one view through project_batch."""
-    uv, _, valid = geo.project_batch(view.projection[None], point)
+def project_one(projection, point):
+    """(uv (2,), valid) of one point through one camera (3, 4) by project_batch."""
+    uv, _, valid = geo.project_batch(projection[None], point)
     return uv[0], bool(valid[0])
 
 
 def test_project_optical_axis_maps_to_principal_point():
-    uv, valid = project_one(identity_view(), np.array([0.0, 0.0, 2000.0]))
+    uv, valid = project_one(IDENTITY, np.array([0.0, 0.0, 2000.0]))
     assert valid and np.allclose(uv, [0.0, 0.0])
 
 
 def test_project_pinhole_division():
-    uv, valid = project_one(identity_view(), np.array([1000.0, 1000.0, 2000.0]))
+    uv, valid = project_one(IDENTITY, np.array([1000.0, 1000.0, 2000.0]))
     assert valid and np.allclose(uv, [0.5, 0.5])
 
 
@@ -98,8 +117,7 @@ def test_project_matches_extended_precision_oracle():
         h = P.astype(np.longdouble) @ np.append(p, 1.0).astype(np.longdouble)
         if h[2] <= 1e-3:  # keep clear of the depth cutoff
             continue
-        view = geo.CameraView(projection=P, image_width=64, image_height=64, view_id=0)
-        uv, valid = project_one(view, p)
+        uv, valid = project_one(P, p)
         assert valid and rel_error(uv, project_ld(P, p)) < 1e-12
 
 
@@ -107,12 +125,11 @@ def test_project_batch_matches_scalar_and_masks():
     rng = np.random.default_rng(12)
     rig = ring_rig(4, rng)
     pts = rng.uniform(-1500.0, 1500.0, size=(6, 3)) + np.array([0, 0, 1000.0])
-    projections = np.stack([v.projection for v in rig.views])
-    uv, depth, valid = geo.project_batch(projections, pts)
+    uv, depth, valid = geo.project_batch(rig.projections, pts)
     assert valid.all()
-    for t, view in enumerate(rig.views):
+    for t, P in enumerate(rig.projections):
         for b in range(len(pts)):
-            assert np.allclose(uv[t, b], project_ld(view.projection, pts[b]))
+            assert np.allclose(uv[t, b], project_ld(P, pts[b]))
     # a point behind the camera plane is masked with uv = 0, not raised
     ident = np.hstack([np.eye(3), np.zeros((3, 1))])[None]
     uv2, _, valid2 = geo.project_batch(ident, np.array([[0.0, 0.0, -500.0]]))
@@ -124,14 +141,13 @@ def test_project_degenerate_depth_raises():
     no longer raises for it: it reports the point invalid, with uv = 0 and
     its true depth, so no division by a depth at or below the cutoff leaks
     a non-finite anchor to the callers that mask on valid."""
-    view = identity_view()
     degenerate = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, -500.0]])
-    uv, depth, valid = geo.project_batch(view.projection[None], degenerate)
+    uv, depth, valid = geo.project_batch(IDENTITY[None], degenerate)
     assert not valid.any()
     assert np.all(uv == 0.0)
     assert np.array_equal(depth, [[0.0, -500.0]])
     # just past the cutoff the same ray projects again
-    uv, _, valid = geo.project_batch(view.projection[None],
+    uv, _, valid = geo.project_batch(IDENTITY[None],
                                      np.array([[0.0, 0.0, 2.0 * geo.DEPTH_EPSILON]]))
     assert valid.all() and np.all(np.isfinite(uv))
 
@@ -196,10 +212,8 @@ def test_triangulate_insufficient_views():
 def test_triangulate_coincident_centers_singular():
     # two identical cameras: the stacked system has no unique null direction
     rng = np.random.default_rng(26)
-    view = ring_rig(1, rng).views[0]
-    twin = geo.CameraView(projection=view.projection.copy(), image_width=view.image_width,
-                          image_height=view.image_height, view_id=1)
-    rig = geo.CameraRig(views=(view, twin))
+    P = ring_rig(1, rng).projections[0]
+    rig = rig_of([P, P.copy()], 256, 192)
     X = np.array([200.0, 100.0, 1200.0])
     out, ok = triangulate(*observe(rig, X), rig)
     assert not ok
@@ -287,13 +301,11 @@ def test_jacobian_mirror_symmetry():
     # view 1 is the exact mirror conjugate of view 0 across the x=0 plane;
     # for a point on that plane the per-view gradients are mirror images.
     w, h = 256, 192
-    v0 = geo.look_at_camera((-2400.0, -3600.0, 1700.0), (0.0, 0.0, 900.0),
-                            230.0, w, h, view_id=0)
+    P0 = geo.look_at_camera((-2400.0, -3600.0, 1700.0), (0.0, 0.0, 900.0),
+                            230.0, w, h)
     S = np.diag([-1.0, 1.0, 1.0, 1.0])
     F = np.array([[-1.0, 0.0, float(w)], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    v1 = geo.CameraView(projection=F @ v0.projection @ S, image_width=w,
-                        image_height=h, view_id=1)
-    rig = geo.CameraRig(views=(v0, v1))
+    rig = rig_of([P0, F @ P0 @ S], w, h)
     X = np.array([0.0, 350.0, 800.0])
     positions, confs = observe(rig, X)
     assert np.allclose(positions[1], [w - positions[0, 0], positions[0, 1]])
@@ -307,12 +319,10 @@ def test_jacobian_mirror_symmetry():
 def test_jacobian_near_degenerate_gap_not_ok():
     # two near-coincident cameras leave the null direction nearly ambiguous
     rng = np.random.default_rng(33)
-    view = ring_rig(1, rng).views[0]
-    P2 = view.projection.copy()
+    P = ring_rig(1, rng).projections[0]
+    P2 = P.copy()
     P2[:, 3] += 1e-9
-    twin = geo.CameraView(projection=P2, image_width=view.image_width,
-                          image_height=view.image_height, view_id=1)
-    rig = geo.CameraRig(views=(view, twin))
+    rig = rig_of([P, P2], 256, 192)
     X = np.array([200.0, 100.0, 1200.0])
     positions, confs = observe(rig, X)
     out, d_pos, d_conf, ok = geo.triangulation_jacobian_batch(
@@ -325,13 +335,34 @@ def test_masked_view_rows_equal_removed_view():
     rng = np.random.default_rng(53)
     rig = ring_rig(3, rng)
     X = np.array([420.0, -80.0, 1500.0])
-    positions = np.stack([project_ld(v.projection, X) for v in rig.views])[None]
+    positions = np.stack([project_ld(P, X) for P in rig.projections])[None]
     confs = np.array([[1.0, 1.0, 0.0]])
     full, ok = geo.triangulate_batch(positions, confs, rig)
     assert ok.all()
-    two_rig = geo.CameraRig(views=rig.views[:2])
+    two_rig = geo.CameraRig(projections=rig.projections[:2], sizes=rig.sizes[:2],
+                            ids=rig.ids[:2])
     two, ok2 = geo.triangulate_batch(positions[:, :2], confs[:, :2], two_rig)
     assert rel_error(full, two) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# normalized cameras
+# ---------------------------------------------------------------------------
+
+def test_normalized_cameras_match_per_view_oracle():
+    """Bit for bit, on the smoke config's ten scene rigs and on a rig whose
+    views have different image sizes."""
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "smoke.json"))
+    rigs = [evalsim.generate_scene(cfg.scene, cfg.seed + i).rig
+            for i in range(cfg.num_scenes)]
+    for rig in rigs + [mixed_size_rig()]:
+        Pt, s, centers = geo._normalized_cameras(rig)
+        for t, (P, (w, h)) in enumerate(zip(rig.projections, rig.sizes)):
+            want_Pt, want_s, want_center = normalized_camera_loop(P, w, h)
+            assert Pt[t].tobytes() == want_Pt.tobytes()
+            assert s[t] == want_s
+            assert centers[t].tobytes() == want_center.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +374,42 @@ def test_rig_json_roundtrip():
     rig = ring_rig(3, rng)
     clone = geo.CameraRig.from_doc(json.loads(json.dumps(rig.to_doc())))
     assert len(clone) == 3
-    for a, b in zip(rig.views, clone.views):
-        assert a.view_id == b.view_id
-        assert a.image_width == b.image_width
-        assert np.allclose(a.projection, b.projection)
+    assert np.array_equal(clone.ids, rig.ids)
+    assert np.array_equal(clone.sizes, rig.sizes)
+    assert np.allclose(clone.projections, rig.projections)
+
+
+def test_rig_doc_in_the_stored_schema_roundtrips():
+    """A literal two-view doc with non-sequential ids and different image
+    sizes loads into stacked arrays and comes back equal, as plain JSON."""
+    doc = {"views": [
+        {"id": 7, "P": [120.0, 0.0, 64.0, 10.0, 0.0, 120.0, 48.0, -5.0,
+                        0.0, 0.0, 1.0, 2500.0], "w": 128, "h": 96},
+        {"id": 2, "P": [0.5, -80.0, 40.0, 3.25, 90.0, 0.0, 30.0, 7.5,
+                        0.0, 0.25, 1.0, 3000.0], "w": 80, "h": 60}]}
+    rig = geo.CameraRig.from_doc(doc)
+    assert len(rig) == 2
+    assert rig.ids.tolist() == [7, 2]
+    assert rig.sizes.tolist() == [[128, 96], [80, 60]]
+    assert rig.projections[1, 0, 1] == -80.0
+    back = rig.to_doc()
+    assert back == doc
+    assert json.dumps(back, sort_keys=True) == json.dumps(doc, sort_keys=True)
+    for view in back["views"]:
+        assert all(type(view[k]) is int for k in ("id", "w", "h"))
+        assert all(type(x) is float for x in view["P"])
 
 
 def test_rig_rejects_duplicate_ids_and_bad_rank():
-    v = identity_view()
+    with pytest.raises(ValueError, match=r"duplicate view ids: \[0, 0\]"):
+        rig_of([IDENTITY, IDENTITY], 2, 2, ids=[0, 0])
+    with pytest.raises(ValueError, match="projection of view 9 is rank deficient"):
+        rig_of([IDENTITY, np.zeros((3, 4))], 2, 2, ids=[4, 9])
     with pytest.raises(ValueError):
-        geo.CameraRig(views=(v, identity_view()))
+        geo.CameraRig(projections=np.stack([IDENTITY, IDENTITY]), sizes=[[2, 2]],
+                      ids=[0, 1])
     with pytest.raises(ValueError):
-        geo.CameraView(projection=np.zeros((3, 4)), image_width=2, image_height=2,
-                       view_id=0)
+        geo.CameraRig(projections=np.stack([IDENTITY, IDENTITY]),
+                      sizes=[[2, 2], [2, 2]], ids=[0])
+    with pytest.raises(ValueError):
+        geo.CameraRig(projections=IDENTITY, sizes=[[2, 2]], ids=[0])

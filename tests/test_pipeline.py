@@ -11,6 +11,7 @@ from scanpose import pipeline as pl
 from scanpose import ssm, tokens
 from oracles import (attention_samples_loop, central_difference, project_ld,
                      project_op_loop, rel_error, triangulate_ld)
+from test_geometry import mixed_size_rig
 from test_ssm import naive_selective_scan
 
 
@@ -164,15 +165,15 @@ def test_project_op_matches_scalar_and_fd():
     pts = rng.uniform(-900.0, 900.0, size=(4, 3)) + np.array([0, 0, 1000.0])
     g_t = ad.parameter(pts)
     anchors, valid = pl.project_op(g_t, scene.rig)
-    for t, view in enumerate(scene.rig.views):
+    for t, projection in enumerate(scene.rig.projections):
         for b in range(4):
             if valid[t, b]:
-                assert np.allclose(anchors.data[t, b], project_ld(view.projection, pts[b]))
+                assert np.allclose(anchors.data[t, b], project_ld(projection, pts[b]))
     up = rng.normal(size=anchors.shape)
     (anchors * up).sum().backward()
     step = 1e-4
     fd = np.zeros_like(pts)
-    projections = np.stack([v.projection for v in scene.rig.views])
+    projections = scene.rig.projections
     for i in range(pts.size):
         dp = np.zeros_like(pts)
         dp.flat[i] = step
@@ -222,6 +223,24 @@ def test_project_op_matches_loop_oracle_byte_for_byte():
         (got * up).sum().backward()
         (want * up).sum().backward()
         assert got_g.grad.tobytes() == want_g.grad.tobytes()
+
+
+def test_project_op_matches_loop_oracle_on_mixed_image_sizes():
+    """Each view's bounds test uses that view's own image size."""
+    rig = mixed_size_rig()
+    _, geom, _ = next(oracle_cases())
+    got_g, want_g = ad.parameter(geom), ad.parameter(geom)
+    got, got_valid = pl.project_op(got_g, rig)
+    want, want_valid = project_op_loop(want_g, rig)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got_valid, want_valid)
+    same_size = geo.CameraRig(projections=rig.projections,
+                              sizes=np.tile(rig.sizes[0], (len(rig), 1)), ids=rig.ids)
+    assert not np.array_equal(got_valid, pl.project_op(ad.Tensor(geom), same_size)[1])
+    up = np.random.default_rng(23).normal(size=got.shape)
+    (got * up).sum().backward()
+    (want * up).sum().backward()
+    assert got_g.grad.tobytes() == want_g.grad.tobytes()
 
 
 def test_attention_samples_match_loop_oracle_byte_for_byte():
@@ -317,11 +336,11 @@ def test_attention_constant_pyramids_give_constant():
 def test_attention_single_view_zero_offsets_equals_anchor_sample():
     scene = tiny_scene(num_cameras=2)
     # aim the second camera away so every joint is valid only in view 0
-    v0 = scene.rig.views[0]
     away = geo.look_at_camera((8000.0, 8000.0, 1500.0), (16000.0, 16000.0, 1500.0),
                               72.0, scene.config.image_width,
-                              scene.config.image_height, view_id=1)
-    rig = geo.CameraRig(views=(v0, away))
+                              scene.config.image_height)
+    rig = geo.CameraRig(projections=np.stack([scene.rig.projections[0], away]),
+                        sizes=scene.rig.sizes, ids=[0, 1])
     config = tiny_config(scene, num_points=1, num_scales=1)
     params = pl.init_params(config, rng_seed=2)
     params["layer0.off_w"][:] = 0.0
@@ -343,10 +362,10 @@ def test_attention_anchors_match_projection():
     params = pl.init_params(config, rng_seed=3)
     _, geometry = token = token_from(config, params)
     _, anchors, valid = attend(token, scene.pyramids, scene.rig, params, config)
-    for t, view in enumerate(scene.rig.views):
+    for t, projection in enumerate(scene.rig.projections):
         for j in range(config.num_joints):
             if valid[t, j]:
-                assert np.allclose(anchors[t, j], project_ld(view.projection, geometry[j]))
+                assert np.allclose(anchors[t, j], project_ld(projection, geometry[j]))
 
 
 def test_refine_layer_token_outside_every_view_keeps_geometry():
@@ -410,16 +429,15 @@ def test_block_full_pss_matches_straight_line_oracle():
     got = block(token, scene.pyramids, scene.rig, params, config)
 
     J, L = config.num_joints, config.feature_dim
-    T = len(scene.rig.views)
+    T = len(scene.rig)
     S, P = config.num_scales, config.num_points
     anchors = np.zeros((T, J, 2))
     valid = np.zeros((T, J), dtype=bool)
-    for t, view in enumerate(scene.rig.views):
+    for t, (projection, (w, hgt)) in enumerate(zip(scene.rig.projections, scene.rig.sizes)):
         for j in range(J):
-            h = view.projection @ np.append(geometry[j], 1.0)
+            h = projection @ np.append(geometry[j], 1.0)
             if h[2] > geo.DEPTH_EPSILON:
                 uv = h[:2] / h[2]
-                w, hgt = view.image_width, view.image_height
                 if (-0.25 * w <= uv[0] <= 1.25 * w
                         and -0.25 * hgt <= uv[1] <= 1.25 * hgt):
                     anchors[t, j] = uv
@@ -478,7 +496,8 @@ def test_mean_variant_invariant_to_view_permutation():
     token = token_from(config, params)
     base = block(token, scene.pyramids, scene.rig, params, config)
     perm = [2, 0, 3, 1]
-    rig_p = geo.CameraRig(views=tuple(scene.rig.views[i] for i in perm))
+    rig_p = geo.CameraRig(projections=scene.rig.projections[perm],
+                          sizes=scene.rig.sizes[perm], ids=scene.rig.ids[perm])
     pyr_p = [scene.pyramids[i] for i in perm]
     permuted = block(token, pyr_p, rig_p, params, config)
     assert np.max(np.abs(base - permuted)) < 1e-12
@@ -520,22 +539,21 @@ def test_refine_layer_zero_offsets_keeps_geometry():
 def test_refined_offsets_match_triangulation_oracle():
     scene = tiny_scene(num_cameras=3)
     X = np.array([250.0, -400.0, 1100.0])
-    anchors = np.stack([project_ld(v.projection, X) for v in scene.rig.views])
+    anchors = np.stack([project_ld(P, X) for P in scene.rig.projections])
     delta = np.zeros((3, 2))
     delta[1] = [5.0, 0.0]
     conf = np.full(3, 0.7)
     refined = anchors + delta
     pts, ok = geo.triangulate_batch(refined[None], conf[None], scene.rig)
     assert ok[0]
-    expect = triangulate_ld(refined, conf, [v.projection for v in scene.rig.views],
-                            [(v.image_width, v.image_height) for v in scene.rig.views])
+    expect = triangulate_ld(refined, conf, scene.rig.projections, scene.rig.sizes)
     assert rel_error(pts[0], expect) < 1e-9
 
 
 def test_zero_confidence_view_reproduces_two_view_solution():
     scene = tiny_scene(num_cameras=3)
     X = np.array([-150.0, 300.0, 1400.0])
-    anchors = np.stack([project_ld(v.projection, X) for v in scene.rig.views])
+    anchors = np.stack([project_ld(P, X) for P in scene.rig.projections])
     anchors[2] += [40.0, -25.0]  # corrupted outlier
     conf = np.array([1.0, 1.0, 0.0])
     u = ad.Tensor(anchors[None])
@@ -554,7 +572,7 @@ def test_triangulate_op_backward_matches_contracted_fd():
     rng = np.random.default_rng(61)
     B = 5
     pts = rng.uniform(-900.0, 900.0, size=(B, 3)) + np.array([0.0, 0.0, 1000.0])
-    positions = np.stack([[project_ld(v.projection, X) for v in rig.views]
+    positions = np.stack([[project_ld(P, X) for P in rig.projections]
                           for X in pts]) + rng.normal(0.0, 1.5, size=(B, 4, 2))
     confs = rng.uniform(0.3, 1.0, size=(B, 4))
     confs[1, 2] = 0.0  # a masked view

@@ -6,7 +6,7 @@ import pytest
 from scanpose import autodiff as ad
 from scanpose import pipeline as pl
 from scanpose import tokens as tok
-from oracles import greedy_pose_nms
+from oracles import greedy_pose_nms, grid_centers_loop
 from test_pipeline import tiny_config, tiny_scene
 
 
@@ -55,6 +55,13 @@ def test_init_jitter_is_first_child_of_seed_sequence():
     expect = TEMPLATE[None] + np.concatenate([centers, np.zeros((9, 1))], axis=1)[:, None]
     assert np.array_equal(tok.initial_geometry(9, BOUNDS, 1, TEMPLATE), expect)
     assert not np.allclose(tok.initial_geometry(9, BOUNDS, 2, TEMPLATE), expect)
+
+
+def test_grid_centers_match_per_token_loop_byte_for_byte():
+    for n in (1, 9, 24, 96, 1000, 1024):
+        got = tok.grid_centers(n, BOUNDS, np.random.default_rng(n))
+        want = grid_centers_loop(n, BOUNDS, np.random.default_rng(n))
+        assert got.shape == (n, 2) and got.tobytes() == want.tobytes()
 
 
 def test_init_grid_covers_bounds_with_expected_pitch():
