@@ -9,7 +9,11 @@ generator are included; see the cli module for the batch front-end.
 
 Importing the package runs numpy's bundled OpenBLAS on one thread: a GEMM
 split across threads sums in another order, so trained outputs would depend
-on the core count.
+on the core count. It also tells glibc's allocator to keep freed memory in
+the process: every op frees its tape, scan cache and sampling stencil when it
+ends, and glibc would hand that memory back to the kernel only for the next
+op to fault it in again, page by page. Outputs do not depend on the
+allocator, so where this cannot be set (not glibc) the package carries on.
 """
 
 import ctypes
@@ -36,4 +40,29 @@ def _one_blas_thread():
     setter(1)
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap():
+    # A freed block above the mmap threshold goes back to the kernel at once,
+    # and a free heap top above the trim threshold is trimmed. glibc raises
+    # both as it sees large blocks freed, the trim threshold to twice the
+    # largest, but an op frees more than that at once, so each op trims what
+    # the next one faults back in. Fixed values turn that adjustment off; set
+    # both, since either alone leaves the other at its 128 KiB default and
+    # faults more than glibc's adjustment does.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # 32 MiB is glibc's own ceiling for the dynamic mmap threshold
+    if mallopt(_M_MMAP_THRESHOLD, 32 * 2 ** 20):
+        mallopt(_M_TRIM_THRESHOLD, 2 ** 31 - 1)
+
+
 _one_blas_thread()
+_keep_freed_heap()

@@ -33,20 +33,23 @@ COORD_SCALE = 1000.0
 RANK_RATIO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraRig:
     """T cameras as stacked arrays: projections (T, 3, 4), image sizes
-    (T, 2) as (width, height) in pixels, and view ids (T,)."""
+    (T, 2) as (width, height) in pixels, and view ids (T,).
+
+    The rig holds read-only copies of the arrays it is given, so it cannot
+    be changed past its checks; rigs compare and hash by identity."""
     projections: np.ndarray
     sizes: np.ndarray
     ids: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.projections, dtype=float)
+        P = np.array(self.projections, dtype=float)
         if P.ndim != 3 or P.shape[1:] != (3, 4):
             raise ValueError(f"projections must be (T, 3, 4), got {P.shape}")
-        sizes = np.asarray(self.sizes, dtype=int)
-        ids = np.asarray(self.ids, dtype=int)
+        sizes = np.array(self.sizes, dtype=int)
+        ids = np.array(self.ids, dtype=int)
         if sizes.shape != (len(P), 2) or ids.shape != (len(P),):
             raise ValueError(f"{len(P)} views need sizes (T, 2) and ids (T,), "
                              f"got {sizes.shape} and {ids.shape}")
@@ -55,9 +58,9 @@ class CameraRig:
             raise ValueError(f"projection of view {ids[deficient[0]]} is rank deficient")
         if len(np.unique(ids)) != len(ids):
             raise ValueError(f"duplicate view ids: {ids.tolist()}")
-        object.__setattr__(self, "projections", P)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "ids", ids)
+        for name, value in (("projections", P), ("sizes", sizes), ("ids", ids)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.projections)

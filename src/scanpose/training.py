@@ -254,6 +254,8 @@ def train(config: pipeline.PipelineConfig, scenes, rng_seed: int,
         total.backward()
         grads = {k: t.grad for k, t in tensors.items() if t.grad is not None}
         params = adam_step(params, grads, state, train_cfg.learning_rate)
+        # free this step's tape before validation and the next forward
+        del total, tensors, grads
         if (step + 1) % len(train_scenes) == 0:
             flush_epoch()
     if epoch_pose or not metrics:

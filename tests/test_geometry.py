@@ -400,6 +400,26 @@ def test_rig_doc_in_the_stored_schema_roundtrips():
         assert all(type(x) is float for x in view["P"])
 
 
+def test_rig_compares_by_identity_and_cannot_change_past_its_checks():
+    projections = np.stack([IDENTITY, IDENTITY + [[0, 0, 0, 1], [0] * 4, [0] * 4]])
+    sizes, ids = np.array([[2, 2], [2, 2]]), np.array([4, 9])
+    rig = geo.CameraRig(projections=projections, sizes=sizes, ids=ids)
+    twin = geo.CameraRig(projections=projections, sizes=sizes, ids=ids)
+    # identity semantics: no elementwise array comparison, and hashable
+    assert rig == rig and rig != twin
+    assert len({rig, twin, rig}) == 2
+    # the rig holds copies, so the caller's arrays can change freely
+    projections[1] = 0.0
+    sizes[0] = 0
+    ids[1] = 4
+    assert np.linalg.matrix_rank(rig.projections[1]) == 3
+    assert rig.sizes.tolist() == [[2, 2], [2, 2]] and rig.ids.tolist() == [4, 9]
+    # and its own arrays are read-only, so a rank-deficient view cannot slip in
+    for array in (rig.projections, rig.sizes, rig.ids):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_rig_rejects_duplicate_ids_and_bad_rank():
     with pytest.raises(ValueError, match=r"duplicate view ids: \[0, 0\]"):
         rig_of([IDENTITY, IDENTITY], 2, 2, ids=[0, 0])
