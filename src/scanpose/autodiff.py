@@ -264,28 +264,6 @@ def take(a, idx) -> Tensor:
     return from_op(a.data[idx], (a,), backward)
 
 
-def concat(parts, axis=0) -> Tensor:
-    parts = [Tensor._lift(p) for p in parts]
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return from_op(np.concatenate([p.data for p in parts], axis=axis),
-                   tuple(parts), backward)
-
-
-def stack(parts, axis=0) -> Tensor:
-    parts = [Tensor._lift(p) for p in parts]
-
-    def backward(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    return from_op(np.stack([p.data for p in parts], axis=axis),
-                   tuple(parts), backward)
-
-
 def where(cond, a, b) -> Tensor:
     """cond is a constant boolean array."""
     cond = np.asarray(cond, dtype=bool)

@@ -7,8 +7,10 @@ updates features with a bidirectional selective scan over the sampled
 then predicts per-view 2D residual offsets and confidences and re-triangulates
 each joint. Per-layer 2D estimates are kept for the losses.
 
-The whole forward runs on autodiff Tensors; projection, bilinear sampling,
-the selective scan, and triangulation are primitives with analytic backwards.
+The whole forward runs on autodiff Tensors. Projection, bilinear sampling,
+the masked sample stencil, its weighted sum, the offset head's hidden layer,
+the selective scan and triangulation are primitives with analytic backwards;
+the stencil is held once, by the two closures that read it.
 Model parameters serialize through the versioned container with a JSON
 manifest (shapes, seeds, config echo).
 """
@@ -273,6 +275,49 @@ def selective_scan_op(x: ad.Tensor, p: dict, prefix: str, direction: str) -> ad.
     return ad.from_op(y, (x, *tensors), backward)
 
 
+def stencil_op(blocks, valid: np.ndarray) -> ad.Tensor:
+    """The T*S bilinear blocks (n, J, P, L), view-major, as one stencil
+    (T, n, J, S*P*L), zero in the views that `valid` drops. The backward
+    keeps only the mask."""
+    T, (n, J, P, L), S = len(valid), blocks[0].shape, len(blocks) // len(valid)
+    mask = valid.reshape((T, n, J, 1, 1)).astype(float)
+    out = np.empty((T, n, J, S, P, L))
+    for k, block in enumerate(blocks):
+        np.multiply(block.data, mask[k // S], out=out[k // S, :, :, k % S])
+    return ad.from_op(out.reshape((T, n, J, -1)), blocks, lambda g: tuple(
+        g.reshape((T, n, J, S, P, L))[t, :, :, s] * mask[t]
+        for t in range(T) for s in range(S)))
+
+
+def weighted_sum_op(stencil: ad.Tensor, w_sp: ad.Tensor, S: int) -> ad.Tensor:
+    """per_view (T, n, J, L): the stencil weighted by w_sp (n, J, S*P), summed over
+    the points, then over the scales. The backward reads the stencil's buffer."""
+    T, n, J, K = stencil.shape
+    w = w_sp.data.reshape((n, J, S, -1, 1))
+    x = stencil.data.reshape((T, n, J) + w.shape[2:4] + (-1,))
+    return ad.from_op((x * w).sum(axis=4).sum(axis=3), (stencil, w_sp), lambda g: (
+        (g[:, :, :, None, None] * w).reshape((T, n, J, K)),
+        (g[:, :, :, None, None] * x).sum(axis=0).sum(axis=-1).reshape((n, J, -1))))
+
+
+def head_op(stencil: ad.Tensor, x2: ad.Tensor, w1: ad.Tensor, b1: ad.Tensor) -> ad.Tensor:
+    """The offset head's hidden layer tanh([stencil, x2] @ w1 + b1), (T, n, J, H),
+    without the concatenation: one GEMM per part of w1, the x2 (n, J, L) part
+    once for all views. The backward reads the stencil's buffer, not a copy."""
+    T, n, J, K = stencil.shape
+    rows, joints = stencil.data.reshape(-1, K), x2.data.reshape(n * J, -1)
+    top, bottom = w1.data[:K], w1.data[K:]
+    out = np.tanh((rows @ top).reshape((T, n * J, -1)) + joints @ bottom + b1.data)
+
+    def backward(g):
+        gz = g.reshape(out.shape) * (1.0 - out * out)
+        gj, gz_rows = gz.sum(axis=0), gz.reshape(len(rows), -1)
+        return ((gz_rows @ top.T).reshape((T, n, J, K)), (gj @ bottom.T).reshape((n, J, -1)),
+                np.concatenate([rows.T @ gz_rows, joints.T @ gj]), gz.sum(axis=(0, 1)))
+
+    return ad.from_op(out.reshape((T, n, J, -1)), (stencil, x2, w1, b1), backward)
+
+
 # ---------------------------------------------------------------------------
 # layer forward
 # ---------------------------------------------------------------------------
@@ -289,26 +334,19 @@ def _attention_samples(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
     whole block is agnostic to the number of cameras. The unweighted stencil
     keeps the local spatial structure the offset head needs.
     """
-    n, J, L = visual.shape
-    T = len(pyramids)
+    n, J, _ = visual.shape
     S, P = config.num_scales, config.num_points
     off = (visual @ p[prefix + "off_w"] + p[prefix + "off_b"]).reshape((n, J, S, P, 2))
-    alog = (visual @ p[prefix + "alog_w"] + p[prefix + "alog_b"]).reshape((n, J, S * P))
-    w_sp = ad.softmax(alog, axis=-1).reshape((n, J, S, P, 1))
+    w_sp = ad.softmax(visual @ p[prefix + "alog_w"] + p[prefix + "alog_b"], axis=-1)
 
     offsets = [off[:, :, s] for s in range(S)]
-    anchor = [anchors[t].reshape((n, J, 1, 2)) for t in range(T)]
-    # one (n, J, P, L) block per view and scale, stacked view-major on axis 2;
-    # the block list and the unmasked stack are temporaries, freed before
-    # the weighted product below
-    samples = ad.stack([bilinear_op(pyr.levels[s],
-                                    anchor[t] * pyr.scale_factors[s] + offsets[s])
-                        for t, pyr in enumerate(pyramids) for s in range(S)],
-                       axis=2).reshape((n, J, T, S, P, L))
-    samples = ad.mul(samples.transpose((2, 0, 1, 3, 4, 5)),
-                     valid.reshape((T, n, J, 1, 1, 1)).astype(float))
-    stencil = samples.reshape((T, n, J, S * P * L))
-    per_view = (samples * w_sp).sum(axis=4).sum(axis=3)  # points, then scales
+    anchor = [anchors[t].reshape((n, J, 1, 2)) for t in range(len(pyramids))]
+    # one (n, J, P, L) block per view and scale, view-major; the block list
+    # is a temporary, freed once the stencil holds the samples
+    stencil = stencil_op([bilinear_op(pyr.levels[s],
+                                      anchor[t] * pyr.scale_factors[s] + offsets[s])
+                          for t, pyr in enumerate(pyramids) for s in range(S)], valid)
+    per_view = weighted_sum_op(stencil, w_sp, S)
     denom = np.maximum(valid.sum(axis=0), 1)[None, ..., None]
     fused = ad.sum_(ad.div(per_view, denom), axis=0)  # (n, J, L) masked mean
     return per_view, fused, stencil
@@ -403,9 +441,7 @@ def refine_layer(visual: ad.Tensor, geom: ad.Tensor, pyramids, rig,
 
     # offset / confidence head: shared across views, fed by the raw sample
     # stencil (direction-bearing) and the updated joint feature
-    x2b = ad.stack([x2] * T, axis=0)  # (T, n, J, L)
-    head_in = ad.concat([stencil, x2b], axis=-1)  # (T, n, J, (S*P+1)*L)
-    hidden = ad.tanh(head_in @ p[prefix + "head_w1"] + p[prefix + "head_b1"])
+    hidden = head_op(stencil, x2, p[prefix + "head_w1"], p[prefix + "head_b1"])
     head_out = hidden @ p[prefix + "head_w2"] + p[prefix + "head_b2"]
     delta_uv = ad.mul(ad.tanh(head_out[..., 0:2]), config.max_offset_px)
     conf = ad.sigmoid(head_out[..., 2])

@@ -277,6 +277,19 @@ def project_op_loop(geometry_t, rig):
     return ad.from_op(uv, (geometry_t,), backward), valid
 
 
+def stack_node(parts, axis):
+    """np.stack as a graph node: each part's gradient is its slice."""
+    return ad.from_op(np.stack([p.data for p in parts], axis=axis), parts,
+                      lambda g: tuple(np.moveaxis(g, axis, 0)))
+
+
+def concat_node(parts, axis):
+    """np.concatenate as a graph node: each part's gradient is its slice."""
+    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    return ad.from_op(np.concatenate([p.data for p in parts], axis=axis), parts,
+                      lambda g: tuple(np.split(g, splits, axis=axis)))
+
+
 def attention_samples_loop(visual, anchors, valid, pyramids, p, prefix, config):
     """pipeline._attention_samples one (view, scale) at a time: each block's
     weighted sum over points, summed over scales per view, and the view mask
@@ -304,10 +317,17 @@ def attention_samples_loop(visual, anchors, valid, pyramids, p, prefix, config):
         for extra in per_scale[1:]:
             total = total + extra
         per_view.append(total)
-        raw_view.append(ad.stack(raw_scale, axis=2))
+        raw_view.append(stack_node(raw_scale, axis=2))
     vmask = valid[..., None].astype(float)
-    masked = ad.mul(ad.stack(per_view, axis=0), vmask)
-    stencil = ad.mul(ad.stack(raw_view, axis=0).reshape((T, n, J, S * P * L)), vmask)
+    masked = ad.mul(stack_node(per_view, axis=0), vmask)
+    stencil = ad.mul(stack_node(raw_view, axis=0).reshape((T, n, J, S * P * L)), vmask)
     denom = np.maximum(valid.sum(axis=0), 1)[None, ..., None]
     fused = ad.sum_(ad.div(masked, denom), axis=0)
     return masked, fused, stencil
+
+
+def head_composition(stencil, x2, w1, b1):
+    """pipeline.head_op from generic ops: the shared features x2 copied to
+    every view, joined to the stencil rows, one matmul, the bias, tanh."""
+    x2b = stack_node([x2] * stencil.shape[0], axis=0)
+    return ad.tanh(concat_node([stencil, x2b], axis=-1) @ w1 + b1)

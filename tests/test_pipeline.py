@@ -9,8 +9,8 @@ from scanpose import evalsim as ev
 from scanpose import geometry as geo
 from scanpose import pipeline as pl
 from scanpose import ssm, tokens
-from oracles import (attention_samples_loop, central_difference, project_ld,
-                     project_op_loop, rel_error, triangulate_ld)
+from oracles import (attention_samples_loop, central_difference, head_composition,
+                     project_ld, project_op_loop, rel_error, triangulate_ld)
 from test_geometry import mixed_size_rig
 from test_ssm import naive_selective_scan
 
@@ -285,6 +285,38 @@ def test_attention_samples_gradients_match_loop_oracle():
             grads.append({k: t.grad for k, t in leaves.items()})
         for name, got in grads[0].items():
             assert rel_error(got, grads[1][name]) < 1e-12, name
+
+
+def test_head_op_matches_generic_composition():
+    """head_op against the stack/concat/matmul/tanh composition it replaces,
+    on a masked stencil: values within 1e-14 relative, since the split GEMM
+    sums the stencil and x2 parts of each dot product separately, and
+    gradients with respect to all four inputs at 1e-12."""
+    rng = np.random.default_rng(24)
+    for scene, geom, config in oracle_cases():
+        params = attention_params(config, rng)
+        visual = params["person_embeds"][:, None] + params["joint_embeds"][None]
+        anchors, valid = pl.project_op(ad.Tensor(geom), scene.rig)
+        _, _, stencil = pl._attention_samples(ad.Tensor(visual), anchors, valid,
+                                              scene.pyramids, pl.params_to_tensors(params),
+                                              "layer0.", config)
+        inputs = {"stencil": stencil.data, "x2": visual + rng.normal(size=visual.shape),
+                  "w1": params["layer0.head_w1"],
+                  "b1": rng.normal(size=params["layer0.head_b1"].shape)}
+        upstream = None
+        results = []
+        for head in (pl.head_op, head_composition):
+            leaves = {k: ad.parameter(v) for k, v in inputs.items()}
+            out = head(*leaves.values())
+            if upstream is None:
+                upstream = rng.normal(size=out.shape)
+            (out * upstream).sum().backward()
+            results.append((out.data, {k: t.grad for k, t in leaves.items()}))
+        (got, got_grads), (want, want_grads) = results
+        assert got.shape == want.shape
+        assert rel_error(got, want) < 1e-14
+        for name, grad in got_grads.items():
+            assert rel_error(grad, want_grads[name]) < 1e-12, name
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,6 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "scanpose")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
-def _identifiers(nodes):
-    """Every name a set of AST subtrees reads, by plain name, attribute or import."""
-    names = set()
-    for root in nodes:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-    return names
-
-
 def _parse(src_dir):
     modules = {}
     for filename in sorted(os.listdir(src_dir)):
@@ -40,18 +26,82 @@ def _parse(src_dir):
     return modules
 
 
+def _imports(tree):
+    """The package modules a tree imports by alias, and the names it imports
+    from them: `from . import autodiff as ad` maps ad to autodiff, and
+    `from .geometry import project_batch` gives (geometry, project_batch)."""
+    aliases, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    names.add((node.module, alias.name))
+    return aliases, names
+
+
+def _references(modules):
+    """(module, name) of each definition that another module reaches: by
+    importing its name, or through `alias.name` where the alias is its
+    module's. A qualified name under any other qualifier (`np.stack`, an
+    object's attribute) reaches no definition here."""
+    found = set()
+    for tree in modules.values():
+        aliases, names = _imports(tree)
+        found |= names
+        found |= {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases}
+    return found
+
+
+def _own_scope(fn):
+    """The names a function or lambda binds in its own scope: its parameters,
+    the names it assigns and the functions it defines."""
+    args = fn.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a is not None}
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _free_loads(node, bound=frozenset()):
+    """The plain names a subtree reads that no enclosing function binds, so
+    that a local variable named like a definition does not reach it."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        bound = bound | _own_scope(node)
+    found = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        found.add(node.id)
+    for child in ast.iter_child_nodes(node):
+        found |= _free_loads(child, bound)
+    return found
+
+
 def unreferenced_definitions(src_dir):
     """(module, name) of each module-level def or class that no code in
-    src_dir outside its own body references."""
+    src_dir outside its own body references: by a plain name in its own
+    module that no function binds locally, or in another module by import or
+    module-qualified name."""
     modules = _parse(src_dir)
+    imported = _references(modules)
     found = []
     for module, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            others = [n for n in tree.body if n is not node]
-            others += [t for m, t in modules.items() if m != module]
-            if node.name not in _identifiers(others):
+            local = set().union(*(_free_loads(other) for other in tree.body
+                                  if other is not node))
+            if node.name not in local and (module, node.name) not in imported:
                 found.append((module, node.name))
     return found
 
