@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import evalsim, pipeline, training
-from .container import atomic_write, build_dataclass
+from .container import atomic_write, build_dataclass, write_csv
 
 class ConfigError(Exception):
     pass
@@ -269,21 +269,6 @@ def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
     return 0
 
 
-def _aggregate_csv(reports) -> str:
-    names = [name for name, _ in reports[0].csv_rows()]
-    lines = ["scene," + ",".join(names)]
-    for i, rep in enumerate(reports):
-        lines.append(",".join([str(i)] + [repr(float(v))
-                                          for _, v in rep.csv_rows()]))
-    means = []
-    for k in range(len(names)):
-        vals = [rep.csv_rows()[k][1] for rep in reports]
-        vals = [v for v in vals if np.isfinite(v)]
-        means.append(float(np.mean(vals)) if vals else float("nan"))
-    lines.append(",".join(["mean"] + [repr(v) for v in means]))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
              cameras=None) -> int:
     params, pipe_cfg, _ = pipeline.load_model(model_path)
@@ -305,8 +290,14 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
         for i, rep in enumerate(reports):
             atomic_write(os.path.join(out_dir, f"report_{tag}_scene{i:03d}.json"),
                          (rep.to_json() + "\n").encode())
-        atomic_write(os.path.join(out_dir, f"report_{tag}.csv"),
-                     _aggregate_csv(reports).encode())
+        names = [name for name, _ in reports[0].csv_rows()]
+        table = [[v for _, v in rep.csv_rows()] for rep in reports]
+        means = []
+        for column in zip(*table):  # the mean row skips non-finite values
+            finite = [v for v in column if np.isfinite(v)]
+            means.append(float(np.mean(finite)) if finite else float("nan"))
+        write_csv(os.path.join(out_dir, f"report_{tag}.csv"), ["scene"] + names,
+                  [[i] + row for i, row in enumerate(table)] + [["mean"] + means])
         sweep.append((K, mean_mpjpe, mean_ap25,
                       float(np.mean([r.map for r in reports]))))
         print(f"eval[{tag}]: mpjpe_mm={mean_mpjpe} ap25={mean_ap25}")
@@ -317,11 +308,8 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
                        {"ap25": (ks, aps), "map": (ks, maps)},
                        title="score vs camera count", xlabel="cameras",
                        ylabel="score")
-        lines = ["cameras,mpjpe_mm,ap25,map"]
-        for k, mp, ap, mv in sweep:
-            lines.append(f"{k},{mp!r},{ap!r},{mv!r}")
-        atomic_write(os.path.join(out_dir, "sweep.csv"),
-                     ("\n".join(lines) + "\n").encode())
+        write_csv(os.path.join(out_dir, "sweep.csv"),
+                  ["cameras", "mpjpe_mm", "ap25", "map"], sweep)
     return 0
 
 
@@ -343,12 +331,8 @@ def cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
                      "cls_loss": last["cls_loss"]})
         print(f"ablate[{variant}]: val_mpjpe_mm={last['val_mpjpe_mm']}")
     header = ["variant", "val_mpjpe_mm", "ap25", "pose_loss", "cls_loss"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([row["variant"]]
-                              + [repr(float(row[k])) for k in header[1:]]))
-    atomic_write(os.path.join(out_dir, "ablation.csv"),
-                 ("\n".join(lines) + "\n").encode())
+    write_csv(os.path.join(out_dir, "ablation.csv"), header,
+              [[row[k] for k in header] for row in rows])
     atomic_write(os.path.join(out_dir, "ablation.json"),
                  (json.dumps(rows, sort_keys=True) + "\n").encode())
     return 0

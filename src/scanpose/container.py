@@ -33,6 +33,15 @@ def atomic_write(path: str, *chunks: bytes) -> None:
         raise
 
 
+def write_csv(path: str, header, rows) -> None:
+    """Comma-separated header and rows, one line each, written atomically: a
+    float cell as repr(float(v)), so it reads back exactly, and any other
+    cell as str(v)."""
+    lines = [header] + [[repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+                        for row in rows]
+    atomic_write(path, "".join(",".join(line) + "\n" for line in lines).encode())
+
+
 def _fits(value, default) -> bool:
     """Whether a config value has the type of its field's default: an int
     field takes no float or bool, a float field also takes an int, and a

@@ -9,7 +9,7 @@ scaled by that view's confidence) for the right singular vector of the smallest
 singular value. Rows are built from pixel-normalized cameras and the world
 columns are rescaled to meters before the solve; both transforms leave exact
 data exact and keep the system well conditioned. Triangulation is batched:
-factor_triangulation builds and factors B systems at once, a zero confidence
+triangulate_batch builds and factors B systems at once, a zero confidence
 masks a view, and degenerate points are flagged (ok=False) instead of raising.
 
 Rig JSON schema::
@@ -142,9 +142,9 @@ def _normalized_cameras(rig: CameraRig):
     return Pt, s, centers
 
 
-def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
-                         rig: CameraRig):
-    """Build and factor the weighted DLT systems of B points.
+def triangulate_batch(positions: np.ndarray, confidences: np.ndarray,
+                      rig: CameraRig):
+    """Triangulate B points: build and factor their weighted DLT systems.
 
     positions: (B, T, 2); confidences: (B, T), zero meaning "masked out",
     which is exactly equivalent to removing the view. Returns (points (B, 3),
@@ -203,23 +203,16 @@ def factor_triangulation(positions: np.ndarray, confidences: np.ndarray,
     return np.where(ok[:, None], pts, 0.0), ok, vjp
 
 
-def triangulate_batch(positions: np.ndarray, confidences: np.ndarray,
-                      rig: CameraRig):
-    """Triangulate B points; returns (points (B, 3), ok (B,)) as
-    factor_triangulation does."""
-    return factor_triangulation(positions, confidences, rig)[:2]
-
-
 def triangulation_jacobian_batch(positions: np.ndarray, confidences: np.ndarray,
                                  rig: CameraRig):
     """Batched analytic Jacobians of triangulate_batch, one basis cotangent
-    per coordinate through factor_triangulation's vjp.
+    per coordinate through its vjp.
 
     Returns (points (B,3), d_pos (B,T,3,2), d_conf (B,T,3), ok (B,)).
     Degenerate or gap-deficient points get ok=False with zero gradients
     instead of raising, so the caller can keep previous geometry.
     """
-    pts, _, vjp = factor_triangulation(positions, confidences, rig)
+    pts, _, vjp = triangulate_batch(positions, confidences, rig)
     d_pos, d_conf, ok = zip(*(vjp(np.broadcast_to(e, pts.shape)) for e in np.eye(3)))
     return (np.where(ok[0][:, None], pts, 0.0), np.stack(d_pos, axis=2),
             np.stack(d_conf, axis=2), ok[0])

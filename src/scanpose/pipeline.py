@@ -12,7 +12,8 @@ the masked sample stencil, its weighted sum, the offset head's hidden layer,
 the selective scan and triangulation are primitives with analytic backwards;
 the stencil is held once, by the two closures that read it.
 Model parameters serialize through the versioned container with a JSON
-manifest (shapes, seeds, config echo).
+manifest (shapes, seeds, config echo); loading checks every name and shape
+against init_params for the echoed config.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def init_params(config: PipelineConfig, rng_seed: int) -> dict:
-    """Model parameters keyed by name. Output-side weights start at zero so an
+    """Model parameters keyed by name: exactly those the forward of
+    config.block_variant reads. Output-side weights start at zero so an
     untrained pipeline is the identity refinement (offsets 0, confidence 0.5,
     score 0.5); input-side projections break symmetry."""
     rng = np.random.default_rng(rng_seed)
@@ -116,9 +118,10 @@ def init_params(config: PipelineConfig, rng_seed: int) -> dict:
         params[pre + "off_b"] = off_bias.copy()
         params[pre + "alog_w"] = rng.normal(scale=0.02, size=(L, S * P))
         params[pre + "alog_b"] = np.zeros(S * P)
-        params[pre + "aout_w"] = np.zeros((L, L))
-        params[pre + "aout_b"] = np.zeros(L)
-        if config.block_variant in ("pss", "proj_attention_only"):
+        if config.block_variant != "mean":
+            params[pre + "aout_w"] = np.zeros((L, L))
+            params[pre + "aout_b"] = np.zeros(L)
+        if config.block_variant == "pss":
             params[pre + "A"] = -np.tile(np.arange(1, ds + 1, dtype=float), (L, 1))
             params[pre + "Dss"] = np.ones(L)
             for d in ("f", "b"):
@@ -250,7 +253,7 @@ def triangulate_op(positions: ad.Tensor, confidences: ad.Tensor,
     (points Tensor (B, 3), ok (B,) bool). Non-ok rows give zero points and
     zero gradients; callers keep previous geometry there.
     """
-    pts, ok, vjp = geometry.factor_triangulation(positions.data, confidences.data, rig)
+    pts, ok, vjp = geometry.triangulate_batch(positions.data, confidences.data, rig)
     # vjp gives zero gradients where the point is not ok
     return ad.from_op(pts, (positions, confidences), lambda g: vjp(g)[:2]), ok
 
@@ -555,4 +558,13 @@ def load_model(path: str):
     config = container.build_dataclass(PipelineConfig, meta["config"], path)
     params = {k[len("param/"):]: v for k, v in arrays.items()
               if k.startswith("param/")}
+    expected = init_params(config, 0)
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            raise ValueError(f"{path}: parameter {name} is missing")
+        if name not in expected:
+            raise ValueError(f"{path}: unexpected parameter {name}")
+        if params[name].shape != expected[name].shape:
+            raise ValueError(f"{path}: parameter {name} has shape "
+                             f"{params[name].shape}, expected {expected[name].shape}")
     return params, config, meta

@@ -265,12 +265,8 @@ def train(config: pipeline.PipelineConfig, scenes, rng_seed: int,
 
 def write_metrics_csv(path: str, rows) -> None:
     """Columns: epoch,pose_loss,cls_loss,val_mpjpe_mm,ap25 (atomic write)."""
-    lines = [",".join(METRIC_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            str(row["epoch"]) if col == "epoch" else repr(float(row[col]))
-            for col in METRIC_COLUMNS))
-    container.atomic_write(path, ("\n".join(lines) + "\n").encode())
+    container.write_csv(path, METRIC_COLUMNS,
+                        [[row[col] for col in METRIC_COLUMNS] for row in rows])
 
 
 def read_metrics_csv(path: str):

@@ -38,9 +38,9 @@ def test_tracer_installs_and_restores():
     assert all(getattr(modules[m], a) is fn for (m, a), fn in before.items())
 
 
-def test_tracer_sees_the_tape():
-    """Every graph node is made through autodiff.from_op, so the tracer
-    counts the tape and times the four primitives' backward closures."""
+def traced_scene_loss():
+    """One traced scene_loss and backward on a two-layer tiny config; returns
+    (tracer module namespace, per-op results, parameter tensors, config)."""
     tracing = load_tracer()
     modules = {m: importlib.import_module(f"scanpose.{m}") for m in MODULES}
     cfg = cli.RunConfig.from_doc({
@@ -61,7 +61,22 @@ def test_tracer_sees_the_tape():
         per_op = tracer.per_op(1, time.perf_counter() - start)
     finally:
         tracer.uninstall()
+    return tracing, per_op, tensors, cfg
+
+
+def test_tracer_sees_the_tape():
+    """Every graph node is made through autodiff.from_op, so the tracer
+    counts the tape and times the four primitives' backward closures."""
+    tracing, per_op, tensors, _ = traced_scene_loss()
     assert per_op["autodiff.tape_nodes"] > 0
     for primitive in tracing["PRIMITIVES"]:
         assert per_op[primitive + ".bwd.calls"] > 0, primitive
     assert all(tensors[k].grad is not None for k in ("layer0.head_w1", "layer0.A"))
+
+
+def test_tracer_sees_the_solve():
+    """The pipeline's triangulation runs under the name the tracer wraps:
+    one factorization per layer."""
+    _, per_op, _, cfg = traced_scene_loss()
+    assert per_op["geometry.triangulate_batch.calls"] == cfg.pipeline.num_layers
+    assert per_op["geometry.factorizations"] == cfg.pipeline.num_layers

@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,6 +191,62 @@ def test_ablate_emits_four_rows_deterministically(tmp_path):
     assert (out1 / "ablation.csv").read_bytes() == (out2 / "ablation.csv").read_bytes()
 
 
+def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
+    """metrics.csv, report_*.csv, sweep.csv and ablation.csv written from
+    fixed inputs, byte for byte: a float cell is its repr, so it reads back
+    exactly, and the report's mean row averages each column's finite values."""
+    nan, inf = float("nan"), float("inf")
+    training.write_metrics_csv(str(tmp_path / "metrics.csv"), [
+        {"epoch": 0, "pose_loss": 0.1 + 0.2, "cls_loss": nan,
+         "val_mpjpe_mm": inf, "ap25": 0.0},
+        {"epoch": 1, "pose_loss": 12.5, "cls_loss": 0.7,
+         "val_mpjpe_mm": 1234.5678, "ap25": 1 / 3}])
+
+    missed = evalsim.EvalReport(
+        mpjpe_mm=nan, mpjpe_defined=False, ap={25.0: 0.0, 50.0: 0.0}, map=0.0,
+        recall=0.0, pcp_per_actor=[0.0], pcp_avg=0.0, num_predictions=0, num_gt=1)
+    found = evalsim.EvalReport(
+        mpjpe_mm=123.25, mpjpe_defined=True, ap={25.0: 1 / 3, 50.0: 1.0}, map=2 / 3,
+        recall=1.0, pcp_per_actor=[0.7], pcp_avg=0.7, num_predictions=2, num_gt=1)
+    evaluated = {3: ([missed, found], 123.25, 1 / 6), 5: ([found, found], 123.25, 1 / 3)}
+    monkeypatch.setattr(pipeline, "load_model", lambda path: ({}, None, {}))
+    monkeypatch.setattr(cli, "load_scene_dir", lambda path: [
+        SimpleNamespace(config=None, seed=seed) for seed in (0, 1)])
+    monkeypatch.setattr(evalsim, "generate_scene",
+                        lambda config, seed, num_cameras: num_cameras)
+    monkeypatch.setattr(training, "evaluate_model",
+                        lambda params, config, scenes: evaluated[scenes[0]])
+    assert cli.cmd_eval("model.bin", "scenes", str(tmp_path), cameras=[3, 5]) == 0
+
+    last = {"pss": {"val_mpjpe_mm": 917.5, "ap25": 0.1 + 0.2, "pose_loss": 1e-05,
+                    "cls_loss": 0.7},
+            "mean": {"val_mpjpe_mm": nan, "ap25": 0.0, "pose_loss": 3985.0,
+                     "cls_loss": inf}}
+    monkeypatch.setattr(pipeline, "BLOCK_VARIANTS", ("pss", "mean"))
+    monkeypatch.setattr(cli, "build_scenes", lambda cfg: [])
+    monkeypatch.setattr(training, "train", lambda config, scenes, rng_seed, train_cfg: (
+        {}, [last[config.block_variant]]))
+    assert cli.cmd_ablate(cli.RunConfig.from_doc(tiny_config_doc()), str(tmp_path)) == 0
+
+    expected = {
+        "metrics.csv": "epoch,pose_loss,cls_loss,val_mpjpe_mm,ap25\n"
+                       "0,0.30000000000000004,nan,inf,0.0\n"
+                       "1,12.5,0.7,1234.5678,0.3333333333333333\n",
+        "report_cam3.csv": "scene,mpjpe_mm,recall,map,ap25,ap50,pcp_actor0_pct,pcp_avg_pct\n"
+                           "0,nan,0.0,0.0,0.0,0.0,0.0,0.0\n"
+                           "1,123.25,1.0,0.6666666666666666,0.3333333333333333,1.0,70.0,70.0\n"
+                           "mean,123.25,0.5,0.3333333333333333,0.16666666666666666,0.5,35.0,35.0\n",
+        "sweep.csv": "cameras,mpjpe_mm,ap25,map\n"
+                     "3,123.25,0.16666666666666666,0.3333333333333333\n"
+                     "5,123.25,0.3333333333333333,0.6666666666666666\n",
+        "ablation.csv": "variant,val_mpjpe_mm,ap25,pose_loss,cls_loss\n"
+                        "pss,917.5,0.30000000000000004,1e-05,0.7\n"
+                        "mean,nan,0.0,3985.0,inf\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
 def test_config_error_exits_2_and_writes_nothing(tmp_path):
     bad = write_config(tmp_path, {"bogus_key": 1})
     out = tmp_path / "nothing"
@@ -323,6 +380,34 @@ def test_eval_on_model_with_removed_config_key_exits_3(tmp_path, capsys):
                 "--out", str(tmp_path / "ev")]) == 3
     err = capsys.readouterr().err
     assert "unknown keys ['attn_order']" in err and "model.bin" in err
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("layer0.ln_g", (1,)), ("layer0.head_b1", (1,)), ("layer0.stray", (3,)),
+    ("layer0.head_w2", None),
+], ids=["ln_g-misshapen", "head_b1-misshapen", "stray-unexpected", "head_w2-missing"])
+def test_defective_model_container_exits_3_and_writes_nothing(tmp_path, capsys, name,
+                                                              shape):
+    """A model container whose parameters are not the ones init_params makes
+    for its config (a misshapen, an unexpected or a missing array) is refused
+    where it is loaded: eval and train --resume exit 3 and create no --out."""
+    model = untrained_model(tmp_path)
+    arrays, meta = container.load_container(model)
+    if shape is None:
+        del arrays["param/" + name]
+    else:
+        arrays["param/" + name] = np.ones(shape)
+    container.save_container(model, arrays, meta)
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
+    assert run(["generate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--model", model, "--scenes", str(tmp_path / "s"),
+                "--out", str(tmp_path / "ev")]) == 3
+    assert name in capsys.readouterr().err
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "again"),
+                "--resume", model]) == 3
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists() and not (tmp_path / "again").exists()
 
 
 def test_resume_with_foreign_metrics_header_exits_3(tmp_path, capsys):

@@ -56,7 +56,7 @@ def observe(rig, point, confidences=None, noise=None, rng=None):
 
 def triangulate(positions, confidences, rig):
     """One point through the batched solver: (point (3,), ok)."""
-    pts, ok = geo.triangulate_batch(positions[None], confidences[None], rig)
+    pts, ok, _ = geo.triangulate_batch(positions[None], confidences[None], rig)
     return pts[0], bool(ok[0])
 
 
@@ -240,7 +240,7 @@ def test_batched_triangulation_matches_longdouble_oracle():
     pts = rng.uniform(-1500.0, 1500.0, size=(B, 3)) + np.array([0, 0, 1000.0])
     positions = np.stack([observe(rig, X, noise=2.0, rng=rng)[0] for X in pts])
     confs = rng.uniform(0.2, 1.0, size=(B, 4))
-    out, ok = geo.triangulate_batch(positions, confs, rig)
+    out, ok, _ = geo.triangulate_batch(positions, confs, rig)
     assert ok.all()
     for b in range(B):
         assert rel_error(out[b], oracle(positions[b], confs[b], rig)) < 1e-9
@@ -337,11 +337,11 @@ def test_masked_view_rows_equal_removed_view():
     X = np.array([420.0, -80.0, 1500.0])
     positions = np.stack([project_ld(P, X) for P in rig.projections])[None]
     confs = np.array([[1.0, 1.0, 0.0]])
-    full, ok = geo.triangulate_batch(positions, confs, rig)
+    full, ok, _ = geo.triangulate_batch(positions, confs, rig)
     assert ok.all()
     two_rig = geo.CameraRig(projections=rig.projections[:2], sizes=rig.sizes[:2],
                             ids=rig.ids[:2])
-    two, ok2 = geo.triangulate_batch(positions[:, :2], confs[:, :2], two_rig)
+    two, ok2, _ = geo.triangulate_batch(positions[:, :2], confs[:, :2], two_rig)
     assert rel_error(full, two) < 1e-12
 
 

@@ -576,7 +576,7 @@ def test_refined_offsets_match_triangulation_oracle():
     delta[1] = [5.0, 0.0]
     conf = np.full(3, 0.7)
     refined = anchors + delta
-    pts, ok = geo.triangulate_batch(refined[None], conf[None], scene.rig)
+    pts, ok, _ = geo.triangulate_batch(refined[None], conf[None], scene.rig)
     assert ok[0]
     expect = triangulate_ld(refined, conf, scene.rig.projections, scene.rig.sizes)
     assert rel_error(pts[0], expect) < 1e-9

@@ -282,6 +282,19 @@ def test_divergence_detected_on_nonfinite_loss():
                  train_cfg=tr.TrainConfig(steps=1), initial_params=bad)
 
 
+@pytest.mark.parametrize("variant", pl.BLOCK_VARIANTS)
+def test_every_parameter_gets_a_gradient(variant):
+    """init_params makes exactly what the variant's forward reads: after one
+    scene_loss and backward every parameter tensor has a gradient."""
+    scene = small_scene()
+    config = small_config(scene, num_layers=2, block_variant=variant)
+    tensors = pl.params_to_tensors(pl.init_params(config, rng_seed=4))
+    total, _, _ = tr.scene_loss(tensors, scene, config, tr.TrainConfig())
+    total.backward()
+    unread = sorted(k for k, t in tensors.items() if t.grad is None)
+    assert not unread, f"{variant} never reads {unread}"
+
+
 def test_evaluate_model_builds_no_tape(monkeypatch):
     scene = small_scene()
     config = small_config(scene, num_layers=2)
