@@ -224,11 +224,22 @@ def load_scene_dir(path: str):
             for e in doc["scenes"]]
 
 
+def load_scenes_for(config: pipeline.PipelineConfig, path: str):
+    """The scene set at path; a ValueError names the first scene the model cannot read."""
+    scenes = load_scene_dir(path)
+    for i, scene in enumerate(scenes):
+        try:
+            pipeline.check_inputs(config, scene.pyramids, scene.gt_poses)
+        except ValueError as exc:
+            raise ValueError(f"scene {i} of {path} (seed {scene.seed}): {exc}") from None
+    return scenes
+
+
 def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
               resume: str | None = None) -> int:
     if scenes_dir is None and cfg.num_scenes < 1:
         raise ConfigError("train needs num_scenes >= 1")
-    scenes = load_scene_dir(scenes_dir) if scenes_dir else build_scenes(cfg)
+    scenes = load_scenes_for(cfg.pipeline, scenes_dir) if scenes_dir else build_scenes(cfg)
     initial_params = None
     epoch_offset = 0
     prior_metrics = []
@@ -272,7 +283,7 @@ def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
 def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
              cameras=None) -> int:
     params, pipe_cfg, _ = pipeline.load_model(model_path)
-    scenes = load_scene_dir(scenes_dir)
+    scenes = load_scenes_for(pipe_cfg, scenes_dir)
     os.makedirs(out_dir, exist_ok=True)
     camera_counts = cameras or [None]
     sweep = []

@@ -75,6 +75,8 @@ class SceneConfig:
                              "two coordinate channels")
         if self.num_scales < 1:
             raise ValueError("need at least one pyramid level")
+        if not self.heatmap_sigma_px > 0:
+            raise ValueError("heatmap_sigma_px must be positive")
         if np.dtype(self.grid_dtype).kind != "f":
             raise ValueError(f"grid_dtype must be a float dtype, got {self.grid_dtype!r}")
 

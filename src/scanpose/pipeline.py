@@ -82,6 +82,10 @@ class PipelineConfig:
             raise ValueError(f"block_variant must be one of {BLOCK_VARIANTS}")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must be in [0, 1]")
+        if self.d_state < 1 or self.head_hidden < 1 or self.ffn_hidden < 0:
+            raise ValueError("d_state, head_hidden must be positive; ffn_hidden >= 0")
+        if not (self.max_offset_px > 0 and self.nms_radius_mm >= 0):
+            raise ValueError("max_offset_px must be positive; nms_radius_mm >= 0")
 
     @property
     def ffn_dim(self) -> int:
@@ -479,6 +483,20 @@ def score_op(visual: ad.Tensor, p: dict) -> ad.Tensor:
     return ad.sigmoid(logits[..., 0]).mean(axis=1)  # (n,)
 
 
+def check_inputs(config: PipelineConfig, pyramids, gt_poses=None) -> None:
+    """Raise ValueError unless every view's pyramid has the model's levels and
+    channels and the ground truth poses (Z, J, 3), if given, its joints."""
+    for pyr in pyramids:
+        if len(pyr.levels) < config.num_scales or pyr.feature_dim != config.feature_dim:
+            raise ValueError(
+                f"the model needs {config.num_scales} pyramid levels of "
+                f"{config.feature_dim} channels, got {len(pyr.levels)} levels of "
+                f"{pyr.feature_dim} channels")
+    if gt_poses is not None and gt_poses.shape[1] != config.num_joints:
+        raise ValueError(f"the model needs {config.num_joints} joints, got "
+                         f"ground truth poses of {gt_poses.shape[1]}")
+
+
 def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
                  mode: str = "eval", init_seed: int | None = None):
     """Initialize tokens and run M refinement layers.
@@ -490,12 +508,7 @@ def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
-    for pyr in pyramids:
-        if len(pyr.levels) < config.num_scales or pyr.feature_dim != config.feature_dim:
-            raise ValueError(
-                f"the model needs {config.num_scales} pyramid levels of "
-                f"{config.feature_dim} channels, got {len(pyr.levels)} levels of "
-                f"{pyr.feature_dim} channels")
+    check_inputs(config, pyramids)
     p = param_tensors
     geom0 = init_token_state(config, init_seed)
     n = config.num_tokens

@@ -36,74 +36,51 @@ class DivergenceDetected(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class GroundTruthSet:
-    humans: np.ndarray        # (Z, J, 3) mm
-    positions_2d: np.ndarray  # (Z, T, J, 2) reprojected, never stored stale
-    valid_2d: np.ndarray      # (Z, T, J)
-
-    @staticmethod
-    def from_scene(scene: evalsim.Scene) -> "GroundTruthSet":
-        Z, J, _ = scene.gt_poses.shape
-        uv, _, valid = project_batch(scene.rig.projections, scene.gt_poses.reshape(-1, 3))
-        T = len(scene.rig)
-        return GroundTruthSet(
-            humans=scene.gt_poses,
-            positions_2d=uv.reshape(T, Z, J, 2).transpose(1, 0, 2, 3),
-            valid_2d=valid.reshape(T, Z, J).transpose(1, 0, 2))
-
-
-@dataclass(frozen=True)
-class Assignment:
-    token_to_gt: np.ndarray   # (N,) gt index or -1
-
-    @property
-    def positive_indices(self) -> np.ndarray:
-        return np.nonzero(self.token_to_gt >= 0)[0]
-
-
-def match_gt(initial_geometry: np.ndarray, gts: GroundTruthSet) -> Assignment:
-    """Greedy anchor matching: ground truths claim, in index order, their
-    nearest unclaimed token by mean-joint distance (ties to lower index)."""
+def match_gt(initial_geometry: np.ndarray, humans: np.ndarray) -> np.ndarray:
+    """Greedy anchor matching: ground truths (Z, J, 3) claim, in index order,
+    their nearest unclaimed token by mean-joint distance (ties to lower
+    index). Returns token_to_gt (N,): a ground-truth index, or -1."""
     N = initial_geometry.shape[0]
-    Z = gts.humans.shape[0]
+    Z = humans.shape[0]
     if N < Z:
         raise InsufficientTokens(f"{N} tokens cannot host {Z} humans")
     token_to_gt = np.full(N, -1, dtype=int)
-    dist = tokens.pose_distances(initial_geometry, gts.humans)  # (N, Z)
+    dist = tokens.pose_distances(initial_geometry, humans)  # (N, Z)
     for z in range(Z):
         d = np.where(token_to_gt >= 0, np.inf, dist[:, z])
         claimed = int(np.argmin(d))
         token_to_gt[claimed] = z
-    return Assignment(token_to_gt=token_to_gt)
+    return token_to_gt
 
 
-def pose_loss(assignment: Assignment, layer_outputs, gts: GroundTruthSet):
-    """Summed L1 on positive tokens: 3D joints against ground truth plus
-    per-view 2D estimates against reprojected ground truth, at every layer.
+def pose_loss(token_to_gt: np.ndarray, layer_outputs, humans: np.ndarray,
+              gt_uv: np.ndarray, gt_valid: np.ndarray):
+    """Summed L1 on positive tokens: 3D joints against the ground truth
+    humans (Z, J, 3) plus per-view 2D estimates against its reprojection
+    gt_uv (T, Z, J, 2) where gt_valid (T, Z, J), at every layer.
     Returns a scalar Tensor (zero Tensor when nothing is positive)."""
-    pos = assignment.positive_indices
+    pos = np.nonzero(token_to_gt >= 0)[0]
     if pos.size == 0:
         return ad.Tensor(np.zeros(()))
-    z_idx = assignment.token_to_gt[pos]
-    target_3d = gts.humans[z_idx]  # (P, J, 3)
-    target_2d = gts.positions_2d[z_idx].transpose(1, 0, 2, 3)  # (T, P, J, 2)
-    gt_valid = gts.valid_2d[z_idx].transpose(1, 0, 2)  # (T, P, J)
+    z_idx = token_to_gt[pos]
+    target_3d = humans[z_idx]  # (P, J, 3)
+    target_2d = gt_uv[:, z_idx]  # (T, P, J, 2)
+    target_valid = gt_valid[:, z_idx]  # (T, P, J)
     total = None
     for out in layer_outputs:
         g = out.geometry[pos]
         term = ad.abs_(g - target_3d).sum()
         est = out.positions_2d[:, pos]
-        mask = (out.valid[:, pos] & gt_valid)[..., None].astype(float)
+        mask = (out.valid[:, pos] & target_valid)[..., None].astype(float)
         term = term + ad.mul(ad.abs_(est - target_2d), mask).sum()
         total = term if total is None else total + term
     return total
 
 
-def classification_loss(assignment: Assignment, token_scores: ad.Tensor):
+def classification_loss(token_to_gt: np.ndarray, token_scores: ad.Tensor):
     """Binary cross-entropy of the per-token positive probability against the
     positive/negative label, averaged over tokens."""
-    labels = (assignment.token_to_gt >= 0).astype(float)
+    labels = (token_to_gt >= 0).astype(float)
     # a NaN score fails both comparisons and stays on the differentiable branch
     raw = token_scores.data
     s = ad.where((raw < _PROB_FLOOR) | (raw > 1.0 - _PROB_FLOOR),
@@ -127,10 +104,7 @@ def adam_step(params: dict, grads: dict, state: dict, lr: float) -> dict:
     t = state["t"]
     out = {}
     for k, value in params.items():
-        g = grads.get(k)
-        if g is None:
-            out[k] = value
-            continue
+        g = grads[k]
         state["m"][k] = _BETA1 * state["m"][k] + (1 - _BETA1) * g
         state["v"][k] = _BETA2 * state["v"][k] + (1 - _BETA2) * (g * g)
         mhat = state["m"][k] / (1 - _BETA1 ** t)
@@ -151,8 +125,8 @@ class TrainConfig:
     val_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.steps < 0 or self.learning_rate < 0:
-            raise ValueError("steps and learning_rate must be non-negative")
+        if self.steps < 0 or self.learning_rate < 0 or not self.lambda_cls >= 0:
+            raise ValueError("steps, learning_rate and lambda_cls must be non-negative")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ValueError("val_fraction must be in [0, 1)")
 
@@ -177,13 +151,12 @@ def scene_loss(param_tensors: dict, scene: evalsim.Scene,
     outputs, geom0 = pipeline.run_pipeline(scene.pyramids, scene.rig,
                                            param_tensors, config, mode="train",
                                            init_seed=scene_init_seed(config, scene))
-    gts = GroundTruthSet.from_scene(scene)
-    assignment = match_gt(geom0, gts)
-    p_loss = pose_loss(assignment, outputs, gts)
-    c_losses = [classification_loss(assignment, out.scores) for out in outputs]
-    c_loss = c_losses[0]
-    for extra in c_losses[1:]:
-        c_loss = c_loss + extra
+    token_to_gt = match_gt(geom0, scene.gt_poses)
+    gt_uv, _, gt_valid = project_batch(scene.rig.projections, scene.gt_poses)
+    p_loss = pose_loss(token_to_gt, outputs, scene.gt_poses, gt_uv, gt_valid)
+    c_loss = classification_loss(token_to_gt, outputs[0].scores)
+    for out in outputs[1:]:
+        c_loss = c_loss + classification_loss(token_to_gt, out.scores)
     total = p_loss + train_cfg.lambda_cls * c_loss
     return total, float(p_loss.data), float(c_loss.data)
 

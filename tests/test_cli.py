@@ -210,7 +210,7 @@ def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
         recall=1.0, pcp_per_actor=[0.7], pcp_avg=0.7, num_predictions=2, num_gt=1)
     evaluated = {3: ([missed, found], 123.25, 1 / 6), 5: ([found, found], 123.25, 1 / 3)}
     monkeypatch.setattr(pipeline, "load_model", lambda path: ({}, None, {}))
-    monkeypatch.setattr(cli, "load_scene_dir", lambda path: [
+    monkeypatch.setattr(cli, "load_scenes_for", lambda config, path: [
         SimpleNamespace(config=None, seed=seed) for seed in (0, 1)])
     monkeypatch.setattr(evalsim, "generate_scene",
                         lambda config, seed, num_cameras: num_cameras)
@@ -277,6 +277,14 @@ def test_config_error_exits_2_and_writes_nothing(tmp_path):
                  ["generate", "--config", good, "--set", "pipeline.scan_grouping=view-major"],
                  ["train", "--config", good, "--set", "train.w_nearest=2"],
                  ["generate", "--config", good, "--set", "scene.rng_seed=3"],
+                 # values out of range
+                 ["train", "--config", good, "--set", "pipeline.d_state=0"],
+                 ["train", "--config", good, "--set", "pipeline.head_hidden=0"],
+                 ["train", "--config", good, "--set", "pipeline.ffn_hidden=-5"],
+                 ["train", "--config", good, "--set", "pipeline.max_offset_px=-10.0"],
+                 ["train", "--config", good, "--set", "pipeline.nms_radius_mm=-1.0"],
+                 ["train", "--config", good, "--set", "scene.heatmap_sigma_px=0.0"],
+                 ["train", "--config", good, "--set", "train.lambda_cls=-1.0"],
                  # nothing to train on
                  ["train", "--config", good, "--set", "num_scenes=0"],
                  ["ablate", "--config", good, "--set", "num_scenes=0"]):
@@ -328,6 +336,7 @@ def test_eval_on_scenes_with_fewer_levels_exits_3(tmp_path, capsys):
     assert run(["eval", "--model", str(tmp_path / "model" / "model.bin"),
                 "--scenes", str(tmp_path / "s1"), "--out", str(tmp_path / "ev")]) == 3
     assert "needs 2 pyramid levels of 8 channels, got 1 levels" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
 
 
 def untrained_model(tmp_path):
@@ -337,6 +346,33 @@ def untrained_model(tmp_path):
     cfg = write_config(tmp_path, doc, "untrained.json")
     assert run(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
     return str(tmp_path / "model" / "model.bin")
+
+
+@pytest.mark.parametrize("mismatch", ["channels", "joints"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_scene_set_the_model_cannot_read_exits_3_and_writes_nothing(
+        tmp_path, capsys, command, mismatch):
+    """A scene set with other pyramid channels or another joint count than
+    the model's is refused, naming the scene, before --out exists."""
+    doc = tiny_config_doc(num_scenes=1)
+    doc["train"]["steps"] = 0
+    cfg = write_config(tmp_path, doc)
+    doc["scene"].update({"channels": {"feature_dim": 10},
+                         "joints": {"num_joints": 5}}[mismatch])
+    other = write_config(tmp_path, doc, "other.json")
+    assert run(["generate", "--config", other, "--out", str(tmp_path / "s")]) == 0
+    if command == "train":
+        argv = ["train", "--config", cfg, "--scenes", str(tmp_path / "s")]
+    else:
+        argv = ["eval", "--model", untrained_model(tmp_path),
+                "--scenes", str(tmp_path / "s")]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"scene 0 of {tmp_path / 's'}" in err
+    assert {"channels": "needs 2 pyramid levels of 8 channels, got 2 levels of 10",
+            "joints": "needs 6 joints, got ground truth poses of 5"}[mismatch] in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_on_empty_scene_set_exits_3(tmp_path, capsys):

@@ -30,30 +30,17 @@ def small_config(scene, **kw):
     return pl.PipelineConfig(**defaults)
 
 
-def gts_of(scene):
-    return tr.GroundTruthSet.from_scene(scene)
-
-
 # ---------------------------------------------------------------------------
 # ground-truth matching
 # ---------------------------------------------------------------------------
-
-def fake_gts(humans):
-    humans = np.asarray(humans, dtype=float)
-    Z, J, _ = humans.shape
-    return tr.GroundTruthSet(humans=humans,
-                             positions_2d=np.zeros((Z, 1, J, 2)),
-                             valid_2d=np.ones((Z, 1, J), dtype=bool))
-
 
 def test_match_token_anchored_at_gt_is_positive():
     template, _, _ = load_tpose(4)
     anchors = np.stack([template + np.array([x, 0.0, 0.0])
                         for x in (-3000.0, 0.0, 3000.0)])
-    gts = fake_gts(template[None])
-    a = tr.match_gt(anchors, gts)
-    assert a.token_to_gt[1] == 0
-    assert a.token_to_gt[0] == -1 and a.token_to_gt[2] == -1
+    token_to_gt = tr.match_gt(anchors, template[None])
+    assert token_to_gt[1] == 0
+    assert token_to_gt[0] == -1 and token_to_gt[2] == -1
 
 
 def test_match_w1_single_gt_takes_global_nearest():
@@ -62,11 +49,10 @@ def test_match_w1_single_gt_takes_global_nearest():
     offsets = rng.uniform(-4000, 4000, size=(8, 3)) * np.array([1, 1, 0])
     anchors = template[None] + offsets[:, None, :]
     human = template + np.array([123.0, -77.0, 0.0])
-    gts = fake_gts(human[None])
-    a = tr.match_gt(anchors, gts)
+    token_to_gt = tr.match_gt(anchors, human[None])
     dists = np.mean(np.linalg.norm(anchors - human[None], axis=-1), axis=-1)
-    assert a.token_to_gt[int(np.argmin(dists))] == 0
-    assert (a.token_to_gt >= 0).sum() == 1
+    assert token_to_gt[int(np.argmin(dists))] == 0
+    assert (token_to_gt >= 0).sum() == 1
 
 
 def test_match_insufficient_tokens():
@@ -74,7 +60,7 @@ def test_match_insufficient_tokens():
     anchors = template[None]
     humans = np.stack([template, template + 100.0])
     with pytest.raises(tr.InsufficientTokens):
-        tr.match_gt(anchors, fake_gts(humans))
+        tr.match_gt(anchors, humans)
 
 
 def test_match_stable_under_index_permutation():
@@ -84,14 +70,14 @@ def test_match_stable_under_index_permutation():
     anchors = template[None] + offsets[:, None, :]
     humans = np.stack([template + np.array([500.0, 0, 0]),
                        template + np.array([-2000.0, 900.0, 0])])
-    a = tr.match_gt(anchors, fake_gts(humans))
+    a = tr.match_gt(anchors, humans)
     perm = rng.permutation(10)
-    b = tr.match_gt(anchors[perm], fake_gts(humans))
+    b = tr.match_gt(anchors[perm], humans)
     # relabeled positive sets coincide: token i of the permuted match is
     # token perm[i] of the first one
     for z in range(2):
-        orig = {int(i) for i in np.nonzero(a.token_to_gt == z)[0]}
-        permuted = {int(perm[i]) for i in np.nonzero(b.token_to_gt == z)[0]}
+        orig = {int(i) for i in np.nonzero(a == z)[0]}
+        permuted = {int(perm[i]) for i in np.nonzero(b == z)[0]}
         assert orig == permuted
 
 
@@ -112,75 +98,90 @@ def _layer_stub(geometry, positions_2d, valid):
         flagged=np.zeros(geometry.shape[:2], dtype=bool))
 
 
-def _loss_fixture(J=3, T=2, N=4):
+def _loss_fixture(J=3, T=2, N=4, token_to_gt=(-1, 0, -1, -1)):
+    """(rng, (humans, gt_uv, gt_valid), token_to_gt, J, T, N): the ground
+    truth in the layout scene_loss hands pose_loss, (Z, J, 3), (T, Z, J, 2)
+    and (T, Z, J), with Z one more than the largest matched index."""
     rng = np.random.default_rng(3)
-    humans = rng.normal(scale=500.0, size=(1, J, 3))
-    gt2d = rng.normal(scale=30.0, size=(1, T, J, 2))
-    gts = tr.GroundTruthSet(humans=humans, positions_2d=gt2d,
-                            valid_2d=np.ones((1, T, J), dtype=bool))
-    assignment = tr.Assignment(token_to_gt=np.array([-1, 0, -1, -1]))
-    return rng, gts, assignment, J, T, N
+    token_to_gt = np.array(token_to_gt)
+    Z = int(token_to_gt.max()) + 1
+    humans = rng.normal(scale=500.0, size=(Z, J, 3))
+    gt_uv = rng.normal(scale=30.0, size=(T, Z, J, 2))
+    gt_valid = np.ones((T, Z, J), dtype=bool)
+    return rng, (humans, gt_uv, gt_valid), token_to_gt, J, T, N
 
 
 def test_pose_loss_perfect_predictions_zero():
-    rng, gts, assignment, J, T, N = _loss_fixture()
+    rng, gt, token_to_gt, J, T, N = _loss_fixture()
+    humans, gt_uv, _ = gt
     geometry = np.zeros((N, J, 3))
-    geometry[1] = gts.humans[0]
+    geometry[1] = humans[0]
     est = np.zeros((T, N, J, 2))
-    est[:, 1] = gts.positions_2d[0]
+    est[:, 1] = gt_uv[:, 0]
     out = _layer_stub(geometry, est, np.ones((T, N, J), dtype=bool))
-    assert float(tr.pose_loss(assignment, [out], gts).data) == 0.0
+    assert float(tr.pose_loss(token_to_gt, [out], *gt).data) == 0.0
 
 
 def test_pose_loss_single_joint_l1_is_six():
-    rng, gts, assignment, J, T, N = _loss_fixture()
+    rng, gt, token_to_gt, J, T, N = _loss_fixture()
+    humans, gt_uv, _ = gt
     geometry = np.zeros((N, J, 3))
-    geometry[1] = gts.humans[0]
+    geometry[1] = humans[0]
     geometry[1, 0] += np.array([1.0, 2.0, 3.0])
     est = np.zeros((T, N, J, 2))
-    est[:, 1] = gts.positions_2d[0]
+    est[:, 1] = gt_uv[:, 0]
     out = _layer_stub(geometry, est, np.ones((T, N, J), dtype=bool))
-    assert float(tr.pose_loss(assignment, [out], gts).data) == pytest.approx(6.0)
+    assert float(tr.pose_loss(token_to_gt, [out], *gt).data) == pytest.approx(6.0)
 
 
 def test_pose_loss_matches_recomputation_and_sums_layers():
-    rng, gts, assignment, J, T, N = _loss_fixture()
-    outs = []
-    expect = 0.0
-    for _ in range(2):
-        geometry = rng.normal(scale=400.0, size=(N, J, 3))
-        est = rng.normal(scale=25.0, size=(T, N, J, 2))
-        valid = rng.uniform(size=(T, N, J)) > 0.3
-        outs.append(_layer_stub(geometry, est, valid))
-        expect += np.abs(geometry[1] - gts.humans[0]).sum()
-        mask = valid[:, 1] & gts.valid_2d[0]
-        expect += (np.abs(est[:, 1] - gts.positions_2d[0]) * mask[..., None]).sum()
-    got = float(tr.pose_loss(assignment, outs, gts).data)
-    assert got == pytest.approx(expect, rel=1e-12)
+    """One actor seen by two views, and two actors seen by three views with
+    positives at two other tokens, matched out of index order and with some
+    ground-truth joints invalid: a (Z, T) and (T, Z) mix-up cannot pass."""
+    for kw in ({}, dict(T=3, token_to_gt=(1, -1, -1, 0))):
+        rng, gt, token_to_gt, J, T, N = _loss_fixture(**kw)
+        humans, gt_uv, gt_valid = gt
+        if kw:
+            gt_valid[:] = rng.uniform(size=gt_valid.shape) > 0.2
+        outs = []
+        expect = 0.0
+        for _ in range(2):
+            geometry = rng.normal(scale=400.0, size=(N, J, 3))
+            est = rng.normal(scale=25.0, size=(T, N, J, 2))
+            valid = rng.uniform(size=(T, N, J)) > 0.3
+            outs.append(_layer_stub(geometry, est, valid))
+            for n, z in enumerate(token_to_gt):
+                if z < 0:
+                    continue
+                expect += np.abs(geometry[n] - humans[z]).sum()
+                mask = valid[:, n] & gt_valid[:, z]
+                expect += (np.abs(est[:, n] - gt_uv[:, z]) * mask[..., None]).sum()
+        got = float(tr.pose_loss(token_to_gt, outs, *gt).data)
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_pose_loss_invariant_to_negative_reordering():
-    rng, gts, assignment, J, T, N = _loss_fixture()
+    rng, gt, token_to_gt, J, T, N = _loss_fixture()
     geometry = rng.normal(scale=400.0, size=(N, J, 3))
     est = rng.normal(scale=25.0, size=(T, N, J, 2))
     valid = np.ones((T, N, J), dtype=bool)
-    base = float(tr.pose_loss(assignment, [_layer_stub(geometry, est, valid)],
-                              gts).data)
+    base = float(tr.pose_loss(token_to_gt, [_layer_stub(geometry, est, valid)],
+                              *gt).data)
     perm = [2, 1, 3, 0]  # permutes negatives, keeps the positive at index 1
     geometry2 = geometry[perm]
     est2 = est[:, perm]
-    got = float(tr.pose_loss(assignment, [_layer_stub(geometry2, est2, valid)],
-                             gts).data)
+    got = float(tr.pose_loss(token_to_gt, [_layer_stub(geometry2, est2, valid)],
+                             *gt).data)
     assert got == pytest.approx(base, rel=1e-12)
 
 
 def test_pose_loss_zero_gradient_for_negative_geometry():
-    rng, gts, assignment, J, T, N = _loss_fixture()
+    rng, gt, token_to_gt, J, T, N = _loss_fixture()
     geometry = ad.parameter(rng.normal(scale=400.0, size=(N, J, 3)))
     est = ad.parameter(rng.normal(scale=25.0, size=(T, N, J, 2)))
     valid = np.ones((T, N, J), dtype=bool)
     out = _layer_stub(geometry, est, valid)
-    tr.pose_loss(assignment, [out], gts).backward()
+    tr.pose_loss(token_to_gt, [out], *gt).backward()
     negatives = [0, 2, 3]
     assert np.all(geometry.grad[negatives] == 0.0)
     assert np.any(geometry.grad[1] != 0.0)
@@ -188,24 +189,21 @@ def test_pose_loss_zero_gradient_for_negative_geometry():
 
 
 def test_classification_loss_perfect_is_zero():
-    assignment = tr.Assignment(token_to_gt=np.array([0, -1, -1]))
     scores = ad.Tensor(np.array([1.0, 0.0, 0.0]))
-    assert float(tr.classification_loss(assignment, scores).data) < 1e-9
+    assert float(tr.classification_loss(np.array([0, -1, -1]), scores).data) < 1e-9
 
 
 def test_classification_loss_half_is_ln2():
-    assignment = tr.Assignment(token_to_gt=np.array([0, -1, -1, -1]))
     scores = ad.Tensor(np.full(4, 0.5))
-    got = float(tr.classification_loss(assignment, scores).data)
+    got = float(tr.classification_loss(np.array([0, -1, -1, -1]), scores).data)
     assert got == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def test_classification_loss_matches_scalar_recomputation():
     rng = np.random.default_rng(4)
     labels = np.array([1, 0, 0, 1, 0])
-    assignment = tr.Assignment(token_to_gt=np.where(labels > 0, 0, -1))
     s = rng.uniform(0.05, 0.95, size=5)
-    got = float(tr.classification_loss(assignment, ad.Tensor(s)).data)
+    got = float(tr.classification_loss(np.where(labels > 0, 0, -1), ad.Tensor(s)).data)
     expect = np.mean([-(y * np.log(p) + (1 - y) * np.log(1 - p))
                       for y, p in zip(labels, s)])
     assert got == pytest.approx(expect, rel=1e-12)
@@ -214,9 +212,8 @@ def test_classification_loss_matches_scalar_recomputation():
 def test_classification_loss_clamp_stops_gradient_but_not_nan():
     """Scores outside [floor, 1 - floor] are clamped and get no gradient; a
     NaN score is not clamped, so it reaches the loss and its gradient."""
-    assignment = tr.Assignment(token_to_gt=np.array([0, -1, 0, -1, -1]))
     scores = ad.parameter(np.array([0.0, 1.0, 0.3, 1.0 - 1e-13, np.nan]))
-    loss = tr.classification_loss(assignment, scores)
+    loss = tr.classification_loss(np.array([0, -1, 0, -1, -1]), scores)
     loss.backward()
     assert np.isnan(loss.data)
     assert np.all(scores.grad[[0, 1, 3]] == 0.0)
@@ -228,20 +225,43 @@ def test_classification_loss_clamp_stops_gradient_but_not_nan():
 # ground truth projections
 # ---------------------------------------------------------------------------
 
-def test_gts_projections_recomputed_from_rig():
+def test_gts_projections_recomputed_from_rig(monkeypatch):
+    """The 2D targets scene_loss hands pose_loss are the ground truth
+    reprojected through the scene's rig, in the (T, Z, J) layout."""
     scene = small_scene()
-    gts = gts_of(scene)
-    for z in range(scene.gt_poses.shape[0]):
-        for t, projection in enumerate(scene.rig.projections):
+    config = small_config(scene)
+    seen = []
+    pose_loss = tr.pose_loss
+
+    def spy(token_to_gt, layer_outputs, humans, gt_uv, gt_valid):
+        seen.append((humans, gt_uv, gt_valid))
+        return pose_loss(token_to_gt, layer_outputs, humans, gt_uv, gt_valid)
+
+    monkeypatch.setattr(tr, "pose_loss", spy)
+    tr.scene_loss(pl.params_to_tensors(pl.init_params(config, rng_seed=2)),
+                  scene, config, tr.TrainConfig())
+    [(humans, gt_uv, gt_valid)] = seen
+    assert np.array_equal(humans, scene.gt_poses)
+    assert gt_uv.shape == (len(scene.rig),) + scene.gt_poses.shape[:2] + (2,)
+    assert gt_valid.any()
+    for t, projection in enumerate(scene.rig.projections):
+        for z in range(scene.gt_poses.shape[0]):
             for j in range(scene.config.num_joints):
-                if gts.valid_2d[z, t, j]:
-                    assert np.allclose(gts.positions_2d[z, t, j],
+                if gt_valid[t, z, j]:
+                    assert np.allclose(gt_uv[t, z, j],
                                        project_ld(projection, scene.gt_poses[z, j]))
 
 
 # ---------------------------------------------------------------------------
 # optimizer and loop
 # ---------------------------------------------------------------------------
+
+def test_adam_step_needs_every_gradient():
+    """A parameter without a gradient is an error, not a silent no-op."""
+    params = {"a": np.ones(2), "b": np.ones(3)}
+    with pytest.raises(KeyError, match="b"):
+        tr.adam_step(params, {"a": np.ones(2)}, tr.adam_init(params), lr=0.1)
+
 
 def test_zero_learning_rate_leaves_params_unchanged():
     scene = small_scene()
