@@ -76,6 +76,9 @@ class RunConfig:
         if pipe.num_scales > scene.num_scales:
             raise ConfigError(f"pipeline.num_scales ({pipe.num_scales}) exceeds "
                               f"scene.num_scales ({scene.num_scales})")
+        if pipe.num_tokens < scene.num_actors:
+            raise ConfigError(f"pipeline.num_tokens ({pipe.num_tokens}) cannot host "
+                              f"scene.num_actors ({scene.num_actors})")
         train = build_dataclass(training.TrainConfig, doc.get("train", {}), "train")
         return RunConfig(seed=seed, num_scenes=num_scenes, scene=scene,
                          pipeline=pipe, train=train)
@@ -224,12 +227,16 @@ def load_scene_dir(path: str):
             for e in doc["scenes"]]
 
 
-def load_scenes_for(config: pipeline.PipelineConfig, path: str):
-    """The scene set at path; a ValueError names the first scene the model cannot read."""
+def load_scenes_for(config: pipeline.PipelineConfig, path: str, train: bool = False):
+    """The scene set at path; a ValueError names the first scene the model cannot
+    read or, to train on, has more actors than the model has tokens."""
     scenes = load_scene_dir(path)
     for i, scene in enumerate(scenes):
         try:
             pipeline.check_inputs(config, scene.pyramids, scene.gt_poses)
+            if train and len(scene.gt_poses) > config.num_tokens:
+                raise ValueError(f"{config.num_tokens} tokens cannot host "
+                                 f"{len(scene.gt_poses)} actors")
         except ValueError as exc:
             raise ValueError(f"scene {i} of {path} (seed {scene.seed}): {exc}") from None
     return scenes
@@ -239,7 +246,8 @@ def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
               resume: str | None = None) -> int:
     if scenes_dir is None and cfg.num_scenes < 1:
         raise ConfigError("train needs num_scenes >= 1")
-    scenes = load_scenes_for(cfg.pipeline, scenes_dir) if scenes_dir else build_scenes(cfg)
+    scenes = (load_scenes_for(cfg.pipeline, scenes_dir, train=True) if scenes_dir
+              else build_scenes(cfg))
     initial_params = None
     epoch_offset = 0
     prior_metrics = []

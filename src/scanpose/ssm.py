@@ -11,7 +11,9 @@ h_t = Abar h_{t-1} + Bbar x_t, y_t = C_t h_t + D x_t from a zero state.
 
 selective_scan_batch scans (batch, steps, L) sequences and returns the
 outputs with a cache, and selective_scan_backward is the exact reverse
-accumulation of that recurrence from the cache.
+accumulation of that recurrence from the cache. Both run state-major, with
+steps * batch innermost, so every elementwise pass has a long contiguous inner
+loop and A[l, s] broadcasts as a scalar; y keeps the step-major layout.
 """
 
 from __future__ import annotations
@@ -93,99 +95,94 @@ class SelectiveParams:
 
 
 def selective_scan_batch(sel: SelectiveParams, x):
-    """Batched scan over (batch, steps, L); returns outputs plus the cache
-    needed for the exact backward pass. The scan runs step-major: every
-    cached array is (steps, batch, ...), so each step of the recurrence is one
-    contiguous block, and y is a (batch, steps, L) view of a step-major array."""
+    """Batched scan over (batch, steps, L). Returns y, a (batch, steps, L) view
+    of a (steps, batch, L) array, and the cache for the exact backward: x, pre
+    (before the softplus) and delta as (L, steps, batch), Bm and Cm as (S, steps,
+    batch), abar, g = delta phi1(m) and the states hs as (L, S, steps, batch).
+    m = delta A is not cached: the backward recomputes it."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] == 0:
         raise EmptySequence(f"expected non-empty (batch, steps, L), got {x.shape}")
-    xt = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # (T, B, L)
-    T, L, S = xt.shape[0], xt.shape[2], sel.A.shape[1]
-    rows = xt.reshape(-1, L)  # one GEMM per projection over every (step, batch) row
-    pre = (rows @ sel.w_delta).reshape(xt.shape)
-    pre += sel.b_delta
+    (Bn, T, L), S = x.shape, sel.A.shape[1]
+    # one GEMM per projection over every (step, batch) row, each transposed once
+    rows = np.ascontiguousarray(np.swapaxes(x, 0, 1)).reshape(-1, L)
+    xs = np.ascontiguousarray(rows.T).reshape(L, T, Bn)
+    pre = np.ascontiguousarray((rows @ sel.w_delta + sel.b_delta).T).reshape(L, T, Bn)
     # softplus max(pre, 0) + log1p(exp(-|pre|)), in place, keeps steps positive
     delta = np.abs(pre)
     np.log1p(np.exp(np.negative(delta, out=delta), out=delta), out=delta)
     delta += np.maximum(pre, 0.0)
-    Bm = (rows @ sel.w_b).reshape(T, -1, S)  # (T, B, S)
-    Cm = (rows @ sel.w_c).reshape(T, -1, S)
-    m = delta[..., None] * sel.A  # (T, B, L, S)
+    Bm = np.ascontiguousarray((rows @ sel.w_b).T).reshape(S, T, Bn)
+    Cm = np.ascontiguousarray((rows @ sel.w_c).T).reshape(S, T, Bn)
+    m = delta[:, None] * sel.A[..., None, None]
     abar = np.exp(m)
     g = _phi1(m)
-    g *= delta[..., None]  # ZOH input factor, per channel and state
-    # hs starts as the input term; the loop adds only the carried state
-    hs = g * Bm[:, :, None, :]  # (T, B, L, S)
-    hs *= xt[..., None]
-    step = np.empty_like(hs[0])
+    g *= delta[:, None]  # ZOH input factor, per channel and state
+    # hs starts as the input term, in m's buffer; the loop adds only the carried state
+    hs = np.multiply(g, Bm, out=m)
+    hs *= xs[:, None]
+    step = np.empty_like(hs[:, :, 0])
     for t in range(1, T):
-        hs[t] += np.multiply(abar[t], hs[t - 1], out=step)
-    # y = sum_s hs[..., s] Cm[..., s], in np.sum's order for S < 8
-    y = np.multiply(hs[..., 0], Cm[:, :, None, 0])
+        hs[:, :, t] += np.multiply(abar[:, :, t], hs[:, :, t - 1], out=step)
+    # y = sum_s hs[:, s] Cm[s], in np.sum's order for S < 8
+    y = np.multiply(hs[:, 0], Cm[0])
     term = np.empty_like(y)
     for s in range(1, S):
-        y += np.multiply(hs[..., s], Cm[:, :, None, s], out=term)
-    y += sel.D * xt
-    cache = {"x": xt, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm,
-             "m": m, "abar": abar, "g": g, "hs": hs}
-    return np.swapaxes(y, 0, 1), cache
+        y += np.multiply(hs[:, s], Cm[s], out=term)
+    # y + D x, step-major: downstream sums over L (layer_norm) follow the layout
+    out = sel.D * rows.reshape(T, Bn, L)
+    out += np.transpose(y, (1, 2, 0))
+    cache = {"x": xs, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm,
+             "abar": abar, "g": g, "hs": hs}
+    return np.swapaxes(out, 0, 1), cache
 
 
 def selective_scan_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
     """Reverse accumulation through the cache of selective_scan_batch;
     upstream is dLoss/dy, shaped like y. Returns a dict of gradients for the
-    inputs and every parameter."""
+    inputs and every parameter. Sums over L or S are einsum contractions with
+    steps * batch innermost; sums over steps * batch are stacked matmuls."""
     x, delta, Bm, Cm = cache["x"], cache["delta"], cache["Bm"], cache["Cm"]
-    m, abar, g, hs = cache["m"], cache["abar"], cache["g"], cache["hs"]
-    up = np.ascontiguousarray(np.swapaxes(upstream, 0, 1))  # (T, B, L)
-    T, L, S = up.shape[0], up.shape[2], sel.A.shape[1]
-
+    abar, g, hs = cache["abar"], cache["g"], cache["hs"]
+    up = np.ascontiguousarray(np.transpose(upstream, (2, 1, 0)))  # (L, T, B)
+    L, S, T, Bn = hs.shape
     # only dh is recurrent: dh_t = dy_t C_t + Abar_{t+1} dh_{t+1}
-    dh = up[..., None] * Cm[:, :, None, :]  # (T, B, L, S)
-    step = np.empty_like(dh[0])
+    dh = up[:, None] * Cm
+    step = np.empty_like(dh[:, :, 0])
     for t in range(T - 2, -1, -1):
-        dh[t] += np.multiply(dh[t + 1], abar[t + 1], out=step)
-    dCm = np.einsum("tbl,tbls->tbs", up, hs)
+        dh[:, :, t] += np.multiply(dh[:, :, t + 1], abar[:, :, t + 1], out=step)
+    dCm = np.einsum("lstb,ltb->stb", hs, up)
     dhg = dh * g
-    dBm = np.einsum("tbls,tbl->tbs", dhg, x)
-    dx = up * sel.D + np.einsum("tbls,tbs->tbl", dhg, Bm)
+    dx = up * sel.D[:, None, None] + np.einsum("lstb,stb->ltb", dhg, Bm)
+    dBm = np.einsum("lstb,ltb->stb", dhg, x)
     # through Abar = exp(m), m = delta A: dm = dh h_{t-1} Abar
     dm = np.multiply(dh, abar, out=dhg)
-    dm[0] = 0.0
-    dm[1:] *= hs[:-1]
+    dm[:, :, 0] = 0.0
+    dm[:, :, 1:] *= hs[:, :, :-1]
     # through G = delta phi1(m): dG = dh B_t x_t, dG/d delta = Abar,
-    # dG/dA = delta^2 phi1'(m)
-    dG = np.multiply(dh, Bm[:, :, None, :], out=dh)
-    dG *= x[..., None]
-    ddelta = np.einsum("tbls,ls->tbl", dm, sel.A) \
-        + np.einsum("tbls,tbls->tbl", dG, abar)
-    dA = np.einsum("tbls,tbl->ls", dm, delta) \
-        + np.einsum("tbls,tbls,tbl->ls", dG, _phi1_prime(m, abar), delta * delta)
-    dD = np.sum(up * x, axis=(0, 1))
+    # dG/dA = delta^2 phi1'(m), with m = delta A recomputed
+    dG = np.multiply(dh, Bm, out=dh)
+    dG *= x[:, None]
+    dGp = _phi1_prime(delta[:, None] * sel.A[..., None, None], abar)
+    dGp *= dG
+    dm, xk, dk = dm.reshape(L, S, -1), x.reshape(L, -1, 1), delta.reshape(L, -1, 1)
+    ddelta = np.matmul(sel.A[:, None], dm).reshape(up.shape)
+    ddelta += np.einsum("lstb,lstb->ltb", dG, abar)
+    dA = np.matmul(dm, dk)[..., 0]
+    dA += np.matmul(dGp.reshape(L, S, -1), dk * dk)[..., 0]
+    dD = np.matmul(up.reshape(L, 1, -1), xk).reshape(L)
 
     # through the softplus: d delta / d pre = 1 / (1 + exp(-pre)), in place;
     # exp overflows to inf for pre < -709, which gives the exact limit 0
-    dpre = np.negative(cache["pre"])
     with np.errstate(over="ignore"):
-        np.exp(dpre, out=dpre)
-    dpre += 1.0
-    np.divide(1.0, dpre, out=dpre)
-    dpre *= ddelta
-
-    # the projections' gradients as one GEMM each over the (step, batch) rows
-    dpre = dpre.reshape(-1, L)
-    dBm, dCm, rows = dBm.reshape(-1, S), dCm.reshape(-1, S), x.reshape(-1, L)
-    dx = dx.reshape(-1, L)
-    dx += dpre @ sel.w_delta.T
-    dx += dBm @ sel.w_b.T
-    dx += dCm @ sel.w_c.T
-    return {
-        "x": np.swapaxes(dx.reshape(up.shape), 0, 1),
-        "w_delta": rows.T @ dpre,
-        "b_delta": np.sum(dpre, axis=0),
-        "w_b": rows.T @ dBm,
-        "w_c": rows.T @ dCm,
-        "A": dA,
-        "D": dD,
-    }
+        dpre = np.exp(np.negative(cache["pre"]))
+    np.divide(ddelta, np.add(dpre, 1.0, out=dpre), out=dpre)
+    # the projections' gradients as one GEMM each over the K columns
+    dpre, dx, cols = dpre.reshape(L, -1), dx.reshape(L, -1), x.reshape(L, -1)
+    dBm, dCm = dBm.reshape(S, -1), dCm.reshape(S, -1)
+    dx += sel.w_delta @ dpre
+    dx += sel.w_b @ dBm
+    dx += sel.w_c @ dCm
+    return {"x": np.transpose(dx.reshape(up.shape), (2, 1, 0)), "w_delta": cols @ dpre.T,
+            "b_delta": np.sum(dpre, axis=1), "w_b": cols @ dBm.T, "w_c": cols @ dCm.T,
+            "A": dA, "D": dD}

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from scanpose import autodiff as ad
-from scanpose import geometry
+from scanpose import geometry, ssm
 from scanpose.pipeline import MASK_MARGIN, bilinear_op
 from scanpose.tokens import _GRID_JITTER
 
@@ -331,3 +331,101 @@ def head_composition(stencil, x2, w1, b1):
     every view, joined to the stencil rows, one matmul, the bias, tanh."""
     x2b = stack_node([x2] * stencil.shape[0], axis=0)
     return ad.tanh(concat_node([stencil, x2b], axis=-1) @ w1 + b1)
+
+
+def selective_scan_step_major(sel, x):
+    """The step-major selective scan that ssm.selective_scan_batch replaced:
+    every cached array is (steps, batch, ...), the cache holds m = delta A, and
+    y is a (batch, steps, L) view of a step-major array. The state-major
+    kernel keeps its forward operation order, so y must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 or x.shape[1] == 0:
+        raise ssm.EmptySequence(f"expected non-empty (batch, steps, L), got {x.shape}")
+    xt = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # (T, B, L)
+    T, L, S = xt.shape[0], xt.shape[2], sel.A.shape[1]
+    rows = xt.reshape(-1, L)  # one GEMM per projection over every (step, batch) row
+    pre = (rows @ sel.w_delta).reshape(xt.shape)
+    pre += sel.b_delta
+    # softplus max(pre, 0) + log1p(exp(-|pre|)), in place, keeps steps positive
+    delta = np.abs(pre)
+    np.log1p(np.exp(np.negative(delta, out=delta), out=delta), out=delta)
+    delta += np.maximum(pre, 0.0)
+    Bm = (rows @ sel.w_b).reshape(T, -1, S)  # (T, B, S)
+    Cm = (rows @ sel.w_c).reshape(T, -1, S)
+    m = delta[..., None] * sel.A  # (T, B, L, S)
+    abar = np.exp(m)
+    g = ssm._phi1(m)
+    g *= delta[..., None]  # ZOH input factor, per channel and state
+    # hs starts as the input term; the loop adds only the carried state
+    hs = g * Bm[:, :, None, :]  # (T, B, L, S)
+    hs *= xt[..., None]
+    step = np.empty_like(hs[0])
+    for t in range(1, T):
+        hs[t] += np.multiply(abar[t], hs[t - 1], out=step)
+    # y = sum_s hs[..., s] Cm[..., s], in np.sum's order for S < 8
+    y = np.multiply(hs[..., 0], Cm[:, :, None, 0])
+    term = np.empty_like(y)
+    for s in range(1, S):
+        y += np.multiply(hs[..., s], Cm[:, :, None, s], out=term)
+    y += sel.D * xt
+    cache = {"x": xt, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm,
+             "m": m, "abar": abar, "g": g, "hs": hs}
+    return np.swapaxes(y, 0, 1), cache
+
+
+def selective_scan_backward_step_major(sel, cache, upstream):
+    """The step-major backward that ssm.selective_scan_backward replaced, with
+    its einsum reductions, reading the cache of selective_scan_step_major."""
+    x, delta, Bm, Cm = cache["x"], cache["delta"], cache["Bm"], cache["Cm"]
+    m, abar, g, hs = cache["m"], cache["abar"], cache["g"], cache["hs"]
+    up = np.ascontiguousarray(np.swapaxes(upstream, 0, 1))  # (T, B, L)
+    T, L, S = up.shape[0], up.shape[2], sel.A.shape[1]
+
+    # only dh is recurrent: dh_t = dy_t C_t + Abar_{t+1} dh_{t+1}
+    dh = up[..., None] * Cm[:, :, None, :]  # (T, B, L, S)
+    step = np.empty_like(dh[0])
+    for t in range(T - 2, -1, -1):
+        dh[t] += np.multiply(dh[t + 1], abar[t + 1], out=step)
+    dCm = np.einsum("tbl,tbls->tbs", up, hs)
+    dhg = dh * g
+    dBm = np.einsum("tbls,tbl->tbs", dhg, x)
+    dx = up * sel.D + np.einsum("tbls,tbs->tbl", dhg, Bm)
+    # through Abar = exp(m), m = delta A: dm = dh h_{t-1} Abar
+    dm = np.multiply(dh, abar, out=dhg)
+    dm[0] = 0.0
+    dm[1:] *= hs[:-1]
+    # through G = delta phi1(m): dG = dh B_t x_t, dG/d delta = Abar,
+    # dG/dA = delta^2 phi1'(m)
+    dG = np.multiply(dh, Bm[:, :, None, :], out=dh)
+    dG *= x[..., None]
+    ddelta = np.einsum("tbls,ls->tbl", dm, sel.A) \
+        + np.einsum("tbls,tbls->tbl", dG, abar)
+    dA = np.einsum("tbls,tbl->ls", dm, delta) \
+        + np.einsum("tbls,tbls,tbl->ls", dG, ssm._phi1_prime(m, abar), delta * delta)
+    dD = np.sum(up * x, axis=(0, 1))
+
+    # through the softplus: d delta / d pre = 1 / (1 + exp(-pre)), in place;
+    # exp overflows to inf for pre < -709, which gives the exact limit 0
+    dpre = np.negative(cache["pre"])
+    with np.errstate(over="ignore"):
+        np.exp(dpre, out=dpre)
+    dpre += 1.0
+    np.divide(1.0, dpre, out=dpre)
+    dpre *= ddelta
+
+    # the projections' gradients as one GEMM each over the (step, batch) rows
+    dpre = dpre.reshape(-1, L)
+    dBm, dCm, rows = dBm.reshape(-1, S), dCm.reshape(-1, S), x.reshape(-1, L)
+    dx = dx.reshape(-1, L)
+    dx += dpre @ sel.w_delta.T
+    dx += dBm @ sel.w_b.T
+    dx += dCm @ sel.w_c.T
+    return {
+        "x": np.swapaxes(dx.reshape(up.shape), 0, 1),
+        "w_delta": rows.T @ dpre,
+        "b_delta": np.sum(dpre, axis=0),
+        "w_b": rows.T @ dBm,
+        "w_c": rows.T @ dCm,
+        "A": dA,
+        "D": dD,
+    }

@@ -285,6 +285,9 @@ def test_config_error_exits_2_and_writes_nothing(tmp_path):
                  ["train", "--config", good, "--set", "pipeline.nms_radius_mm=-1.0"],
                  ["train", "--config", good, "--set", "scene.heatmap_sigma_px=0.0"],
                  ["train", "--config", good, "--set", "train.lambda_cls=-1.0"],
+                 # fewer tokens than the scenes have actors
+                 ["train", "--config", good, "--set", "scene.num_actors=2",
+                  "--set", "pipeline.num_tokens=1"],
                  # nothing to train on
                  ["train", "--config", good, "--set", "num_scenes=0"],
                  ["ablate", "--config", good, "--set", "num_scenes=0"]):
@@ -373,6 +376,24 @@ def test_scene_set_the_model_cannot_read_exits_3_and_writes_nothing(
     assert {"channels": "needs 2 pyramid levels of 8 channels, got 2 levels of 10",
             "joints": "needs 6 joints, got ground truth poses of 5"}[mismatch] in err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_on_scenes_with_more_actors_than_tokens_exits_3(tmp_path, capsys):
+    """A scene set made with more actors than the model has tokens is refused
+    for training, naming the scene, before --out exists; eval reads it."""
+    doc = tiny_config_doc(num_scenes=1)
+    doc["scene"]["num_actors"] = 2
+    assert run(["generate", "--config", write_config(tmp_path, doc),
+                "--out", str(tmp_path / "s")]) == 0
+    doc["scene"]["num_actors"], doc["pipeline"]["num_tokens"] = 1, 1
+    cfg = write_config(tmp_path, doc, "one_token.json")
+    capsys.readouterr()
+    assert run(["train", "--config", cfg, "--scenes", str(tmp_path / "s"),
+                "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"scene 0 of {tmp_path / 's'}" in err and "1 tokens cannot host 2 actors" in err
+    assert not (tmp_path / "out").exists()
+    assert len(cli.load_scenes_for(cli.load_config(cfg).pipeline, str(tmp_path / "s"))) == 1
 
 
 def test_eval_on_empty_scene_set_exits_3(tmp_path, capsys):

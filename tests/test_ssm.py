@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from scanpose import ssm
-from oracles import expm_taylor_ld, lti_scan_ld, rel_error
+from oracles import (expm_taylor_ld, lti_scan_ld, rel_error, selective_scan_backward_step_major,
+                     selective_scan_step_major)
 
 
 def random_selective(rng, L=3, S=4, scale=0.5):
@@ -72,14 +73,15 @@ def constant_step(delta):
 def scan_zoh(A, delta):
     """The zero-order hold factors that one scan step caches for the state
     coefficients A (L, S) and per-channel step sizes delta (L,): abar, g / delta
-    (that is, phi1(m)), and m and delta themselves."""
+    (that is, phi1(m)), m = delta A as the scan multiplies it, and delta."""
     L, S = A.shape
     sel = ssm.SelectiveParams(w_delta=np.zeros((L, L)), b_delta=constant_step(delta),
                               w_b=np.zeros((L, S)), w_c=np.zeros((L, S)), A=A,
                               D=np.zeros(L))
     _, cache = ssm.selective_scan_batch(sel, np.zeros((1, 1, L)))
-    delta = cache["delta"][0, 0]
-    return cache["abar"][0, 0], cache["g"][0, 0] / delta[:, None], cache["m"][0, 0], delta
+    delta = cache["delta"][:, 0, 0]  # the cache is state-major: (L, [S,] steps, batch)
+    return (cache["abar"][..., 0, 0], cache["g"][..., 0, 0] / delta[:, None],
+            delta[:, None] * A, delta)
 
 
 def lti_system(rng, n=4):
@@ -410,9 +412,12 @@ def _mixed_selective(rng, L=3):
 def loop_selective_backward(sel, cache, upstream):
     """Reference reverse pass: one step at a time, every gradient
     accumulated inside the loop."""
-    cache = {k: np.swapaxes(v, 0, 1) for k, v in cache.items()}  # batch-major
+    # batch-major: (L|S, T, B) -> (B, T, L|S) and (L, S, T, B) -> (B, T, L, S)
+    cache = {k: np.transpose(v, (2, 1, 0) if v.ndim == 3 else (3, 2, 0, 1))
+             for k, v in cache.items()}
     x, delta, Bm, Cm = cache["x"], cache["delta"], cache["Bm"], cache["Cm"]
-    m, abar, g, hs = cache["m"], cache["abar"], cache["g"], cache["hs"]
+    abar, g, hs = cache["abar"], cache["g"], cache["hs"]
+    m = delta[..., None] * sel.A
     T = x.shape[1]
     dx, dBm, dCm = np.zeros_like(x), np.zeros_like(Bm), np.zeros_like(Cm)
     ddelta, dA, dD = np.zeros_like(delta), np.zeros_like(sel.A), np.zeros_like(sel.D)
@@ -448,7 +453,7 @@ def test_batched_backward_matches_loop_per_sample_and_fd():
     x = rng.normal(size=(B, T, L))
     upstream = rng.normal(size=(B, T, L))
     _, cache = ssm.selective_scan_batch(sel, x)
-    small = np.abs(cache["m"])
+    small = np.abs(cache["delta"][:, None] * sel.A[..., None, None])  # |m|
     assert np.any(small < ssm.SERIES_THRESHOLD)
     assert np.any((small >= ssm.SERIES_THRESHOLD) & (small < ssm._PHI1P_THRESHOLD))
     assert np.any(small >= ssm._PHI1P_THRESHOLD)
@@ -476,6 +481,37 @@ def test_batched_backward_matches_loop_per_sample_and_fd():
     analytic = np.concatenate([grads[k].ravel() for k in
                                ("w_delta", "b_delta", "w_b", "w_c", "A", "D")])
     assert rel_error(analytic, fd_p) < 1e-4
+
+
+@pytest.mark.parametrize("batch, steps", [(24, 75), (96, 105)])  # smoke and wide scans
+def test_scan_matches_step_major_kernel(batch, steps):
+    # the state-major kernel keeps the step-major forward's operation order and
+    # output layout (downstream sums over L follow it); its backward
+    # reassociates the sums over L, S and steps * batch
+    rng = np.random.default_rng(24)
+    sel = _mixed_selective(rng, L=17)
+    x = rng.normal(size=(batch, steps, 17))
+    upstream = rng.normal(size=x.shape)
+    y, cache = ssm.selective_scan_batch(sel, x)
+    y_ref, cache_ref = selective_scan_step_major(sel, x)
+    assert np.array_equal(y, y_ref) and y.strides == y_ref.strides
+    grads = ssm.selective_scan_backward(sel, cache, upstream)
+    reference = selective_scan_backward_step_major(sel, cache_ref, upstream)
+    assert grads.keys() == reference.keys()
+    for name, value in reference.items():
+        assert rel_error(grads[name], value) < 1e-12, name
+
+
+def test_scan_cache_holds_no_recomputable_state():
+    # m = delta A is recomputed by the backward; only abar, g and the states
+    # hs are cached at the full (L, S, steps, batch) size
+    rng = np.random.default_rng(25)
+    B, T, L, S = 3, 5, 3, 4
+    _, cache = ssm.selective_scan_batch(random_selective(rng, L=L, S=S),
+                                        rng.normal(size=(B, T, L)))
+    full = {k for k, v in cache.items() if v.size == L * S * T * B}
+    assert full == {"abar", "g", "hs"}
+    assert all(cache[k].shape == (L, S, T, B) for k in full)
 
 
 def test_phi1_and_derivative_match_scalar_definitions_on_mixed_arrays():
