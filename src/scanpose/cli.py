@@ -63,11 +63,9 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an object, got {doc[key]!r}")
         scene = build_dataclass(evalsim.SceneConfig, doc.get("scene", {}), "scene")
         pipe_doc = dict(doc.get("pipeline", {}))
-        pipe_doc.setdefault("ground_bounds", scene.ground_bounds)
         pipe_doc.setdefault("init_seed", seed)
-        pipe_doc.setdefault("num_joints", scene.num_joints)
-        pipe_doc.setdefault("feature_dim", scene.feature_dim)
-        pipe_doc.setdefault("num_scales", scene.num_scales)
+        for name in ("ground_bounds", "num_joints", "feature_dim", "num_scales"):
+            pipe_doc.setdefault(name, getattr(scene, name))
         pipe = build_dataclass(pipeline.PipelineConfig, pipe_doc, "pipeline")
         if pipe.feature_dim != scene.feature_dim:
             raise ConfigError("pipeline.feature_dim must match scene.feature_dim")
@@ -337,19 +335,15 @@ def cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError("ablate needs num_scenes >= 1")
     scenes = build_scenes(cfg)
     os.makedirs(out_dir, exist_ok=True)
+    header = ["variant", "val_mpjpe_mm", "ap25", "pose_loss", "cls_loss"]
     rows = []
     for variant in pipeline.BLOCK_VARIANTS:
         pipe_cfg = dataclasses.replace(cfg.pipeline, block_variant=variant)
         params, metrics = training.train(pipe_cfg, scenes, rng_seed=cfg.seed,
                                          train_cfg=cfg.train)
         last = metrics[-1]
-        rows.append({"variant": variant,
-                     "val_mpjpe_mm": last["val_mpjpe_mm"],
-                     "ap25": last["ap25"],
-                     "pose_loss": last["pose_loss"],
-                     "cls_loss": last["cls_loss"]})
+        rows.append({"variant": variant, **{k: last[k] for k in header[1:]}})
         print(f"ablate[{variant}]: val_mpjpe_mm={last['val_mpjpe_mm']}")
-    header = ["variant", "val_mpjpe_mm", "ap25", "pose_loss", "cls_loss"]
     write_csv(os.path.join(out_dir, "ablation.csv"), header,
               [[row[k] for k in header] for row in rows])
     atomic_write(os.path.join(out_dir, "ablation.json"),

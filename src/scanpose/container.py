@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 
@@ -90,19 +91,33 @@ def save_container(path: str, arrays: dict, meta: dict | None = None) -> None:
 
 
 def load_container(path: str):
+    """(arrays, meta) of the container at path. A header or an array that the
+    file does not hold whole raises ValueError naming path and the array."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a scanpose container")
-        header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode())
-        if header["version"] > FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported container version "
-                             f"{header['version']}")
-        payload = fh.read()
+        data = fh.read()
+    if not data.startswith(MAGIC):
+        raise ValueError(f"{path}: not a scanpose container")
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(data[len(MAGIC):start], "little")
+    try:
+        if end > len(data):
+            raise ValueError(f"it needs {end} bytes, the file has {len(data)}")
+        header = json.loads(data[start:end].decode())
+        version, meta = header["version"], header["meta"]
+        entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]), int(e["offset"]),
+                    int(e["nbytes"])) for e in header["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: truncated or corrupt header: {exc}") from exc
+    if version > FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported container version {version}")
     arrays = {}
-    for entry in header["arrays"]:
-        raw = payload[entry["offset"]: entry["offset"] + entry["nbytes"]]
-        arrays[entry["name"]] = np.frombuffer(
-            raw, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"]).copy()
-    return arrays, header["meta"]
+    for name, dtype, shape, offset, nbytes in entries:
+        if not 0 <= offset <= offset + nbytes <= len(data) - end:
+            raise ValueError(f"{path}: array {name} needs payload bytes {offset} to "
+                             f"{offset + nbytes}, the file holds {len(data) - end}")
+        if nbytes != dtype.itemsize * math.prod(shape):
+            raise ValueError(f"{path}: array {name} holds {nbytes} bytes, not the "
+                             f"{dtype.itemsize * math.prod(shape)} of {dtype} {shape}")
+        arrays[name] = np.frombuffer(data, dtype, math.prod(shape), end + offset
+                                     ).reshape(shape).copy()
+    return arrays, meta

@@ -7,10 +7,12 @@ updates features with a bidirectional selective scan over the sampled
 then predicts per-view 2D residual offsets and confidences and re-triangulates
 each joint. Per-layer 2D estimates are kept for the losses.
 
-The whole forward runs on autodiff Tensors. Projection, bilinear sampling,
-the masked sample stencil, its weighted sum, the offset head's hidden layer,
-the selective scan and triangulation are primitives with analytic backwards;
-the stencil is held once, by the two closures that read it.
+The whole forward runs on autodiff Tensors. Six primitives have analytic
+backwards: projection (project_op), the sampling of every view and level
+into the masked sample stencil (bilinear_op), its weighted sum
+(weighted_sum_op), the offset head's hidden layer (head_op), the selective
+scan (selective_scan_op) and triangulation (triangulate_op). The stencil is
+held once, by the two closures that read it.
 Model parameters serialize through the versioned container with a JSON
 manifest (shapes, seeds, config echo); loading checks every name and shape
 against init_params for the echoed config.
@@ -161,20 +163,18 @@ def params_to_tensors(params: dict) -> dict:
 # differentiable primitives
 # ---------------------------------------------------------------------------
 
-def _bilinear_forward(grid: np.ndarray, pos: np.ndarray):
+def _bilinear_forward(grid: np.ndarray, pos: np.ndarray, slopes: bool):
     """Bilinear interpolation of grid (H, W, C) at positions (..., 2) given as
     (x, y) in grid units; out-of-range positions clamp to the border.
-    Returns the sampled values and the fractions and corner values that the
-    position derivatives are built from."""
+    Returns the sampled values and, if `slopes`, their derivatives along x
+    and y, +0.0 where the clamp is active (else None)."""
     H, W = grid.shape[:2]
     x = np.clip(pos[..., 0], 0.0, W - 1.0)
     y = np.clip(pos[..., 1], 0.0, H - 1.0)
     x0 = np.clip(np.floor(x), 0, max(W - 2, 0)).astype(int)
     y0 = np.clip(np.floor(y), 0, max(H - 2, 0)).astype(int)
-    x1 = np.minimum(x0 + 1, W - 1)
-    y1 = np.minimum(y0 + 1, H - 1)
-    fx = (x - x0)[..., None]
-    fy = (y - y0)[..., None]
+    x1, y1 = np.minimum(x0 + 1, W - 1), np.minimum(y0 + 1, H - 1)
+    fx, fy = (x - x0)[..., None], (y - y0)[..., None]
     g00, g01 = grid[y0, x0], grid[y0, x1]
     g10, g11 = grid[y1, x0], grid[y1, x1]
     # (1-fy)((1-fx) g00 + fx g01) + fy((1-fx) g10 + fx g11) in place, in that
@@ -187,7 +187,12 @@ def _bilinear_forward(grid: np.ndarray, pos: np.ndarray):
     lower += np.multiply(fx, g11, out=tmp)
     lower *= fy
     value += lower
-    return value, (fx, fy, g00, g01, g10, g11)
+    if not slopes:
+        return value, None
+    in_x = ((pos[..., 0] > 0.0) & (pos[..., 0] < W - 1.0))[..., None]
+    in_y = ((pos[..., 1] > 0.0) & (pos[..., 1] < H - 1.0))[..., None]
+    return value, (_bilinear_slope(g01, g00, g11, g10, fy, in_x),
+                   _bilinear_slope(g10, g00, g11, g01, fx, in_y))
 
 
 def _bilinear_slope(hi0, lo0, hi1, lo1, w, inside):
@@ -202,26 +207,38 @@ def _bilinear_slope(hi0, lo0, hi1, lo1, w, inside):
     return d
 
 
-def bilinear_op(grid: np.ndarray, pos: ad.Tensor) -> ad.Tensor:
-    """Autodiff bilinear sampling of a constant grid (a pyramid level) through
-    the positions; the grid is neither copied nor kept on the tape. When the
-    positions need no gradient (eval), it returns the values alone."""
-    value, (fx, fy, g00, g01, g10, g11) = _bilinear_forward(grid, pos.data)
-    if not pos.requires_grad:
-        return ad.Tensor(value)
-    H, W = grid.shape[:2]
-    # d value / d x is zero where the clamp is active
-    px, py = pos.data[..., 0], pos.data[..., 1]
-    in_x = ((px > 0.0) & (px < W - 1.0))[..., None]
-    in_y = ((py > 0.0) & (py < H - 1.0))[..., None]
-    dvdx = _bilinear_slope(g01, g00, g11, g10, fy, in_x)
-    dvdy = _bilinear_slope(g10, g00, g11, g01, fx, in_y)
+def bilinear_op(pyramids, positions: ad.Tensor, valid: np.ndarray) -> ad.Tensor:
+    """The layer's sampling: the masked stencil (T, n, J, S*P*L) at positions
+    (T, n, J, S, P, 2) in grid units of view t's level s, zero in the views
+    `valid` (T, n, J) drops. One bilinear pass per (view, level) reads the grid
+    in place; the backward keeps each pass's slopes and the mask. Without a
+    position gradient (eval) it returns the values alone."""
+    pos = positions.data
+    T, n, J, S, P, _ = pos_shape = pos.shape
+    shape = (T, n, J, S, P, pyramids[0].feature_dim)
+    mask = valid.reshape((T, n, J, 1, 1)).astype(float)
+    out = np.empty(shape)
+    slopes = []
+    for t in range(T):
+        for s in range(S):
+            value, slope = _bilinear_forward(pyramids[t].levels[s], pos[t, :, :, s],
+                                             positions.requires_grad)
+            np.multiply(value, mask[t], out=out[t, :, :, s])
+            slopes.append(slope)
+    stencil = out.reshape((T, n, J, -1))
+    if not positions.requires_grad:
+        return ad.Tensor(stencil)
 
     def backward(g):
-        return (np.stack([np.sum(g * dvdx, axis=-1), np.sum(g * dvdy, axis=-1)],
-                         axis=-1),)
+        g, grad = g.reshape(shape), np.empty(pos_shape)
+        for k, (dvdx, dvdy) in enumerate(slopes):
+            t, s = divmod(k, S)
+            block = g[t, :, :, s] * mask[t]
+            grad[t, :, :, s, :, 0] = np.sum(block * dvdx, axis=-1)
+            grad[t, :, :, s, :, 1] = np.sum(block * dvdy, axis=-1)
+        return (grad,)
 
-    return ad.from_op(value, (pos,), backward)
+    return ad.from_op(stencil, (positions,), backward)
 
 
 def project_op(geometry_t: ad.Tensor, rig: geometry.CameraRig):
@@ -265,35 +282,17 @@ def triangulate_op(positions: ad.Tensor, confidences: ad.Tensor,
 def selective_scan_op(x: ad.Tensor, p: dict, prefix: str, direction: str) -> ad.Tensor:
     """Batched selective scan (B, steps, L) wired to the hand-derived
     backward pass; direction is 'f' or 'b' selecting the projection set."""
-    names = [f"{prefix}{direction}_wdelta", f"{prefix}{direction}_bdelta",
-             f"{prefix}{direction}_wb", f"{prefix}{direction}_wc",
-             f"{prefix}A", f"{prefix}Dss"]
-    tensors = [p[n] for n in names]
-    sel = ssm.SelectiveParams(w_delta=tensors[0].data, b_delta=tensors[1].data,
-                              w_b=tensors[2].data, w_c=tensors[3].data,
-                              A=tensors[4].data, D=tensors[5].data)
+    # in the order of ssm.SelectiveParams' fields
+    tensors = [p[prefix + name] for name in (direction + "_wdelta", direction + "_bdelta",
+                                             direction + "_wb", direction + "_wc", "A", "Dss")]
+    sel = ssm.SelectiveParams(*(t.data for t in tensors))
     y, cache = ssm.selective_scan_batch(sel, x.data)
 
     def backward(g):
         grads = ssm.selective_scan_backward(sel, cache, g)
-        return (grads["x"], grads["w_delta"], grads["b_delta"], grads["w_b"],
-                grads["w_c"], grads["A"], grads["D"])
+        return tuple(grads[k] for k in ("x", "w_delta", "b_delta", "w_b", "w_c", "A", "D"))
 
     return ad.from_op(y, (x, *tensors), backward)
-
-
-def stencil_op(blocks, valid: np.ndarray) -> ad.Tensor:
-    """The T*S bilinear blocks (n, J, P, L), view-major, as one stencil
-    (T, n, J, S*P*L), zero in the views that `valid` drops. The backward
-    keeps only the mask."""
-    T, (n, J, P, L), S = len(valid), blocks[0].shape, len(blocks) // len(valid)
-    mask = valid.reshape((T, n, J, 1, 1)).astype(float)
-    out = np.empty((T, n, J, S, P, L))
-    for k, block in enumerate(blocks):
-        np.multiply(block.data, mask[k // S], out=out[k // S, :, :, k % S])
-    return ad.from_op(out.reshape((T, n, J, -1)), blocks, lambda g: tuple(
-        g.reshape((T, n, J, S, P, L))[t, :, :, s] * mask[t]
-        for t in range(T) for s in range(S)))
 
 
 def weighted_sum_op(stencil: ad.Tensor, w_sp: ad.Tensor, S: int) -> ad.Tensor:
@@ -342,17 +341,13 @@ def _attention_samples(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
     keeps the local spatial structure the offset head needs.
     """
     n, J, _ = visual.shape
-    S, P = config.num_scales, config.num_points
+    T, S, P = len(pyramids), config.num_scales, config.num_points
     off = (visual @ p[prefix + "off_w"] + p[prefix + "off_b"]).reshape((n, J, S, P, 2))
     w_sp = ad.softmax(visual @ p[prefix + "alog_w"] + p[prefix + "alog_b"], axis=-1)
-
-    offsets = [off[:, :, s] for s in range(S)]
-    anchor = [anchors[t].reshape((n, J, 1, 2)) for t in range(len(pyramids))]
-    # one (n, J, P, L) block per view and scale, view-major; the block list
-    # is a temporary, freed once the stencil holds the samples
-    stencil = stencil_op([bilinear_op(pyr.levels[s],
-                                      anchor[t] * pyr.scale_factors[s] + offsets[s])
-                          for t, pyr in enumerate(pyramids) for s in range(S)], valid)
+    # each view's anchors in each level's grid units, plus the offsets
+    scales = np.array([pyr.scale_factors[:S] for pyr in pyramids]).reshape((T, 1, 1, S, 1, 1))
+    positions = anchors.reshape((T, n, J, 1, 1, 2)) * scales + off  # (T, n, J, S, P, 2)
+    stencil = bilinear_op(pyramids, positions, valid)
     per_view = weighted_sum_op(stencil, w_sp, S)
     denom = np.maximum(valid.sum(axis=0), 1)[None, ..., None]
     fused = ad.sum_(ad.div(per_view, denom), axis=0)  # (n, J, L) masked mean
@@ -374,8 +369,7 @@ def _scan_branch(x1: ad.Tensor, per_view: ad.Tensor, p: dict, prefix: str):
     fwd = selective_scan_op(seq, p, prefix, "f")
     bwd = selective_scan_op(seq[:, ::-1], p, prefix, "b")
     merged = fwd + bwd[:, ::-1]
-    per_joint = merged.reshape((n, T, J, L)).mean(axis=1)  # (n, J, L)
-    return per_joint
+    return merged.reshape((n, T, J, L)).mean(axis=1)  # (n, J, L)
 
 
 def _cross_attention_branch(x1: ad.Tensor, per_view: ad.Tensor, p: dict,
@@ -531,15 +525,9 @@ def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
                 sel = np.nonzero(keep)[0][nms_keep]
             else:
                 sel = np.nonzero(keep)[0]
-            x2 = x2[sel]
-            geom = geom[sel]
-            refined = refined[:, sel]
-            conf = conf[:, sel]
-            valid = valid[:, sel]
-            flagged = flagged[sel]
-            scores = scores[sel]
-            kept = alive[sel]
-            alive = kept
+            x2, geom, scores, flagged = x2[sel], geom[sel], scores[sel], flagged[sel]
+            refined, conf, valid = refined[:, sel], conf[:, sel], valid[:, sel]
+            kept = alive = alive[sel]
         outputs.append(LayerOutput(
             positions_2d=refined, confidences=conf, valid=valid, geometry=geom,
             scores=scores, kept=kept, flagged=flagged))

@@ -14,7 +14,7 @@ import numpy as np
 
 from scanpose import autodiff as ad
 from scanpose import geometry, ssm
-from scanpose.pipeline import MASK_MARGIN, bilinear_op
+from scanpose.pipeline import MASK_MARGIN, _bilinear_forward
 from scanpose.tokens import _GRID_JITTER
 
 LD = np.longdouble
@@ -290,6 +290,44 @@ def concat_node(parts, axis):
                       lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
+def bilinear_block_op(grid, pos):
+    """The per-(view, level) sampling primitive that pipeline.bilinear_op
+    replaced: grid (H, W, C) at positions Tensor (..., 2), giving (..., C)."""
+    value, slopes = _bilinear_forward(grid, pos.data, pos.requires_grad)
+    if slopes is None:
+        return ad.Tensor(value)
+    dvdx, dvdy = slopes
+    return ad.from_op(value, (pos,), lambda g: (
+        np.stack([np.sum(g * dvdx, axis=-1), np.sum(g * dvdy, axis=-1)], axis=-1),))
+
+
+def stencil_op(blocks, valid):
+    """The T*S bilinear blocks (n, J, P, L), view-major, as one stencil
+    (T, n, J, S*P*L), zero in the views that `valid` drops; the primitive that
+    assembled the stencil before pipeline.bilinear_op wrote it directly."""
+    T, (n, J, P, L), S = len(valid), blocks[0].shape, len(blocks) // len(valid)
+    mask = valid.reshape((T, n, J, 1, 1)).astype(float)
+    out = np.empty((T, n, J, S, P, L))
+    for k, block in enumerate(blocks):
+        np.multiply(block.data, mask[k // S], out=out[k // S, :, :, k % S])
+    return ad.from_op(out.reshape((T, n, J, -1)), blocks, lambda g: tuple(
+        g.reshape((T, n, J, S, P, L))[t, :, :, s] * mask[t]
+        for t in range(T) for s in range(S)))
+
+
+def stencil_blocks(pyramids, anchors, off, valid):
+    """The masked stencil as pipeline._attention_samples built it one block at
+    a time: per-view anchors (n, J, 1, 2) and per-level offsets (n, J, P, 2)
+    taken from anchors (T, n, J, 2) and off (n, J, S, P, 2), one position
+    Tensor and one bilinear_block_op per (view, level), then stencil_op."""
+    n, J, S = off.shape[:3]
+    offsets = [off[:, :, s] for s in range(S)]
+    anchor = [anchors[t].reshape((n, J, 1, 2)) for t in range(len(pyramids))]
+    return stencil_op([bilinear_block_op(pyr.levels[s],
+                                         anchor[t] * pyr.scale_factors[s] + offsets[s])
+                       for t, pyr in enumerate(pyramids) for s in range(S)], valid)
+
+
 def attention_samples_loop(visual, anchors, valid, pyramids, p, prefix, config):
     """pipeline._attention_samples one (view, scale) at a time: each block's
     weighted sum over points, summed over scales per view, and the view mask
@@ -310,7 +348,7 @@ def attention_samples_loop(visual, anchors, valid, pyramids, p, prefix, config):
         raw_scale = []
         for s in range(S):
             pos = anchor_t * pyr.scale_factors[s] + off[:, :, s]
-            samples = bilinear_op(pyr.levels[s], pos)
+            samples = bilinear_block_op(pyr.levels[s], pos)
             raw_scale.append(samples)
             per_scale.append((w_sp[:, :, s].reshape((n, J, P, 1)) * samples).sum(axis=2))
         total = per_scale[0]

@@ -19,6 +19,7 @@ from scanpose.tokens import load_tpose, pose_distances
 from oracles import expm_taylor_ld, lti_scan_ld, rel_error
 from test_evalsim import ap_at
 from test_geometry import jacobian_and_fd, observe, oracle, ring_rig, triangulate
+from test_pipeline import as_joints, bilinear, sample
 from test_ssm import (lti_scan, lti_system, naive_selective_scan, random_selective,
                       scan, scan_backward, scan_zoh)
 
@@ -192,16 +193,15 @@ def test_criterion_4_gradient_suite():
     grid = rng.normal(size=(6, 8, 3))
     pos = rng.uniform(0.6, 4.4, size=(5, 2)) + 0.013
     up = rng.normal(size=(5, 3))
-    p_t = ad.parameter(pos)
-    (pipeline.bilinear_op(grid, p_t) * up).sum().backward()
+    p_t = ad.parameter(as_joints(pos))
+    (bilinear(grid, p_t) * up.reshape((1, 1, 5, 3))).sum().backward()
     fd_pos = np.zeros_like(pos)
     for i in range(pos.size):
         d = np.zeros_like(pos)
         d.flat[i] = step
-        fd_pos.flat[i] = float(
-            np.sum(pipeline.bilinear_op(grid, ad.Tensor(pos + d)).data * up)
-            - np.sum(pipeline.bilinear_op(grid, ad.Tensor(pos - d)).data * up)) / (2 * step)
-    worst_bil = rel_error(p_t.grad, fd_pos)
+        fd_pos.flat[i] = float(np.sum(sample(grid, pos + d) * up)
+                               - np.sum(sample(grid, pos - d) * up)) / (2 * step)
+    worst_bil = rel_error(p_t.grad.reshape(pos.shape), fd_pos)
 
     # projective attention parameters through the attention surface
     scene = evalsim.generate_scene(evalsim.SceneConfig(

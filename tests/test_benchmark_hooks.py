@@ -80,3 +80,15 @@ def test_tracer_sees_the_solve():
     _, per_op, _, cfg = traced_scene_loss()
     assert per_op["geometry.triangulate_batch.calls"] == cfg.pipeline.num_layers
     assert per_op["geometry.factorizations"] == cfg.pipeline.num_layers
+
+
+def test_tracer_counts_one_sampling_call_per_layer():
+    """bilinear_op samples every view and level of a layer in one call, and
+    the tracer's sample counter still reads every position: T·n·J·S·P per
+    layer."""
+    _, per_op, _, cfg = traced_scene_loss()
+    pipe = cfg.pipeline
+    assert per_op["pipeline.bilinear.calls"] == pipe.num_layers
+    assert per_op["pipeline.bilinear.samples"] == (
+        pipe.num_layers * cfg.scene.num_cameras * pipe.num_tokens * pipe.num_joints
+        * pipe.num_scales * pipe.num_points)

@@ -505,3 +505,24 @@ def test_eval_rejects_options_it_would_ignore(tmp_path, option):
              "--scenes", str(tmp_path / "scenes"), "--out", str(out)] + option)
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target, cut", [("model", 16), ("scenes", 8), ("model", "header")])
+def test_eval_on_truncated_container_exits_3_naming_it(tmp_path, capsys, target, cut):
+    """A model or a scene grid file cut short, in its last array or inside its
+    header, makes eval exit 3 with the file's name before --out exists."""
+    model = untrained_model(tmp_path)
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
+    assert run(["generate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    path = model if target == "model" else str(tmp_path / "s" / "scene_000.grids.bin")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:20] if cut == "header" else data[:-cut])
+    capsys.readouterr()
+    assert run(["eval", "--model", model, "--scenes", str(tmp_path / "s"),
+                "--out", str(tmp_path / "ev")]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: " + ("truncated or corrupt header" if cut == "header"
+                          else "array ") in err
+    assert not (tmp_path / "ev").exists()

@@ -10,7 +10,8 @@ from scanpose import geometry as geo
 from scanpose import pipeline as pl
 from scanpose import ssm, tokens
 from oracles import (attention_samples_loop, central_difference, head_composition,
-                     project_ld, project_op_loop, rel_error, triangulate_ld)
+                     project_ld, project_op_loop, rel_error, stencil_blocks,
+                     triangulate_ld)
 from test_geometry import mixed_size_rig
 from test_ssm import naive_selective_scan
 
@@ -36,9 +37,23 @@ def tiny_config(scene, **kw):
 # bilinear sampling
 # ---------------------------------------------------------------------------
 
+def as_joints(pos):
+    """Positions (..., 2) as bilinear_op's (T, n, J, S, P, 2): one view, one
+    token, one level and one point per joint."""
+    return pos.reshape((1, 1, -1, 1, 1, 2))
+
+
+def bilinear(grid, positions):
+    """bilinear_op over a one-view, one-level pyramid holding grid (H, W, C),
+    every view valid: positions (1, 1, M, 1, 1, 2) give (1, 1, M, C)."""
+    pyramid = pl.FeaturePyramid(levels=(grid,), scale_factors=(1.0,))
+    return pl.bilinear_op([pyramid], positions, np.ones(positions.shape[:3], bool))
+
+
 def sample(grid, pos):
-    """bilinear_op values at constant positions: no derivative caches."""
-    return pl.bilinear_op(grid, ad.Tensor(pos)).data
+    """bilinear_op values at constant positions (..., 2): no derivative caches."""
+    out = bilinear(grid, ad.Tensor(as_joints(pos))).data
+    return out.reshape(pos.shape[:-1] + grid.shape[-1:])
 
 
 def test_bilinear_grid_node_value():
@@ -75,10 +90,10 @@ def test_bilinear_without_gradient_records_no_closure(monkeypatch):
     made = []
     from_op = ad.from_op
     monkeypatch.setattr(ad, "from_op", lambda *args: made.append(args) or from_op(*args))
-    out = pl.bilinear_op(grid, ad.Tensor(pos))
+    out = bilinear(grid, ad.Tensor(as_joints(pos)))
     assert made == [] and out._node is None
-    assert np.array_equal(out.data, _textbook_bilinear(grid, pos)[0])
-    taped = pl.bilinear_op(grid, ad.parameter(pos))
+    assert np.array_equal(out.data.reshape((4, 5, 3)), _textbook_bilinear(grid, pos)[0])
+    taped = bilinear(grid, ad.parameter(as_joints(pos)))
     assert len(made) == 1 and taped._node.backward is not None
     assert np.array_equal(taped.data, out.data)
 
@@ -88,8 +103,8 @@ def test_bilinear_gradients_match_fd():
     grid = rng.normal(size=(6, 8, 3))
     pos = rng.uniform(0.6, 4.4, size=(5, 2)) + 0.017  # keep clear of lattice
     up = rng.normal(size=(5, 3))
-    p_t = ad.parameter(pos)
-    (pl.bilinear_op(grid, p_t) * up).sum().backward()
+    p_t = ad.parameter(as_joints(pos))
+    (bilinear(grid, p_t) * up.reshape((1, 1, 5, 3))).sum().backward()
     step = 1e-6
 
     def loss(po):
@@ -100,7 +115,7 @@ def test_bilinear_gradients_match_fd():
         dp = np.zeros_like(pos)
         dp.flat[i] = step
         fd_pos.flat[i] = (loss(pos + dp) - loss(pos - dp)) / (2 * step)
-    assert rel_error(p_t.grad, fd_pos) < 1e-6
+    assert rel_error(p_t.grad.reshape(pos.shape), fd_pos) < 1e-6
 
 
 def _textbook_bilinear(grid, pos):
@@ -140,15 +155,16 @@ def test_bilinear_matches_textbook_expression_bit_for_bit(dtype):
     value, dvdx, dvdy = _textbook_bilinear(grid, pos)
     assert np.array_equal(sample(grid, pos), value)
 
-    p_t = ad.parameter(pos)
-    node = pl.bilinear_op(grid, p_t)
-    assert np.array_equal(node.data, value)
+    p_t = ad.parameter(as_joints(pos))
+    node = bilinear(grid, p_t)
+    assert np.array_equal(node.data.reshape(value.shape), value)
     assert node._node.parents == (p_t._node,)  # no grid copy
     up = rng.normal(size=value.shape)
-    (gpos,) = node._node.backward(up)
+    (gpos,) = node._node.backward(up.reshape(node.shape))
     want = np.stack([np.sum(up * dvdx, axis=-1), np.sum(up * dvdy, axis=-1)], axis=-1)
-    assert np.array_equal(gpos, want)
-    (gpos,) = node._node.backward(np.ones_like(value))
+    assert np.array_equal(gpos.reshape(pos.shape), want)
+    (gpos,) = node._node.backward(np.ones(node.shape))
+    gpos = gpos.reshape(pos.shape)
     clamped = np.stack([(pos[..., 0] <= 0.0) | (pos[..., 0] >= W - 1.0),
                         (pos[..., 1] <= 0.0) | (pos[..., 1] >= H - 1.0)], axis=-1)
     assert clamped.any() and not clamped.all()
@@ -285,6 +301,49 @@ def test_attention_samples_gradients_match_loop_oracle():
             grads.append({k: t.grad for k, t in leaves.items()})
         for name, got in grads[0].items():
             assert rel_error(got, grads[1][name]) < 1e-12, name
+
+
+@pytest.mark.parametrize("tokens_, cameras", [(24, 5), (96, 7)], ids=["smoke", "wide"])
+def test_bilinear_op_matches_per_block_composition_byte_for_byte(tokens_, cameras):
+    """The stencil that bilinear_op writes from the positions
+    _attention_samples forms, and its gradients to the offsets and the
+    anchors, equal the per-(view, level) blocks that stencil_op assembled,
+    byte for byte: at smoke and wide shape, with masked views (token 1 has
+    none valid) and positions clamped at the grid border in valid views."""
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "smoke.json"),
+                          [f"pipeline.num_tokens={tokens_}", f"scene.num_cameras={cameras}"])
+    scene = ev.generate_scene(cfg.scene, 1)
+    geom = pl.init_token_state(cfg.pipeline, 1)
+    geom[0] += [0.0, 0.0, 3000.0]
+    geom[1] += [0.0, 0.0, -50000.0]
+    anchors, valid = pl.project_op(ad.Tensor(geom), scene.rig)
+    T, n, J, _ = anchors.shape
+    S, P = cfg.pipeline.num_scales, cfg.pipeline.num_points
+    rng = np.random.default_rng(tokens_)
+    off = rng.normal(scale=20.0, size=(n, J, S, P, 2))
+    upstream = rng.normal(size=(T, n, J, S * P * cfg.pipeline.feature_dim))
+    results = []
+    for build in ("op", "blocks"):
+        leaves = {"anchors": ad.parameter(anchors.data), "off": ad.parameter(off)}
+        if build == "op":
+            scales = np.array([pyr.scale_factors[:S] for pyr in scene.pyramids])
+            positions = (leaves["anchors"].reshape((T, n, J, 1, 1, 2))
+                         * scales.reshape((T, 1, 1, S, 1, 1)) + leaves["off"])
+            stencil = pl.bilinear_op(scene.pyramids, positions, valid)
+        else:
+            stencil = stencil_blocks(scene.pyramids, leaves["anchors"], leaves["off"], valid)
+        (stencil * upstream).sum().backward()
+        results.append((stencil.data, {k: t.grad for k, t in leaves.items()}))
+    (got, got_grads), (want, want_grads) = results
+    assert got.tobytes() == want.tobytes()
+    for name in ("anchors", "off"):
+        assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+    assert not valid[:, 1].any() and valid.any()
+    pos = positions.data
+    sizes = np.array([[g.shape[1::-1] for g in pyr.levels[:S]] for pyr in scene.pyramids])
+    clamped = ((pos <= 0.0) | (pos >= sizes.reshape((T, 1, 1, S, 1, 2)) - 1.0)).any(axis=-1)
+    assert (clamped & valid[..., None, None]).any() and (~clamped & valid[..., None, None]).any()
 
 
 def test_head_op_matches_generic_composition():
