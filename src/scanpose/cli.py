@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import evalsim, pipeline, training
-from .container import atomic_write, build_dataclass, write_csv
+from .container import atomic_write, build_dataclass, load_json, write_csv
 
 class ConfigError(Exception):
     pass
@@ -103,12 +103,11 @@ def _apply_overrides(doc: dict, overrides) -> dict:
 
 def load_config(path: str, overrides=None, seed_override=None) -> RunConfig:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = load_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     doc = _apply_overrides(doc, overrides)
@@ -215,8 +214,7 @@ def cmd_generate(cfg: RunConfig, out_dir: str) -> int:
 
 def load_scene_dir(path: str):
     manifest = os.path.join(path, "scenes_manifest.json")
-    with open(manifest) as fh:
-        doc = json.load(fh)
+    doc = load_json(manifest)
     if doc.get("kind") != "scanpose-scene-set":
         raise ValueError(f"{manifest} is not a scene-set manifest")
     if not doc["scenes"]:

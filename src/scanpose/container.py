@@ -78,8 +78,8 @@ def save_container(path: str, arrays: dict, meta: dict | None = None) -> None:
     offset = 0
     blobs = []
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        blob = arr.tobytes()
+        arr = np.asarray(arrays[name])  # 0-d stays 0-d
+        blob = arr.tobytes()  # C order whatever the layout
         entries.append({"name": name, "dtype": str(arr.dtype),
                         "shape": list(arr.shape), "offset": offset,
                         "nbytes": len(blob)})
@@ -88,6 +88,15 @@ def save_container(path: str, arrays: dict, meta: dict | None = None) -> None:
     header = json.dumps({"version": FORMAT_VERSION, "arrays": entries,
                          "meta": meta or {}}, sort_keys=True).encode()
     atomic_write(path, MAGIC, len(header).to_bytes(8, "little"), header, *blobs)
+
+
+def load_json(path: str):
+    """The JSON document at path; a ValueError names path if it is not valid."""
+    with open(path, "rb") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def load_container(path: str):

@@ -244,8 +244,7 @@ def save_scene(scene: Scene, path_prefix: str) -> tuple[str, str]:
 
 
 def load_scene(manifest_path: str) -> Scene:
-    with open(manifest_path) as fh:
-        doc = json.load(fh)
+    doc = container.load_json(manifest_path)
     if doc.get("kind") != "scanpose-scene":
         raise ValueError(f"{manifest_path} is not a scene manifest")
     cfg = container.build_dataclass(SceneConfig, doc["config"], manifest_path)

@@ -175,36 +175,27 @@ def _bilinear_forward(grid: np.ndarray, pos: np.ndarray, slopes: bool):
     y0 = np.clip(np.floor(y), 0, max(H - 2, 0)).astype(int)
     x1, y1 = np.minimum(x0 + 1, W - 1), np.minimum(y0 + 1, H - 1)
     fx, fy = (x - x0)[..., None], (y - y0)[..., None]
-    g00, g01 = grid[y0, x0], grid[y0, x1]
-    g10, g11 = grid[y1, x0], grid[y1, x1]
-    # (1-fy)((1-fx) g00 + fx g01) + fy((1-fx) g10 + fx g11) in place, in that
-    # order; float32 corners are promoted exactly inside each product
-    value = np.multiply(1 - fx, g00)
-    tmp = np.multiply(fx, g01)
-    value += tmp
-    value *= 1 - fy
-    lower = np.multiply(1 - fx, g10)
-    lower += np.multiply(fx, g11, out=tmp)
-    lower *= fy
-    value += lower
+    rows = grid.reshape(H * W, -1)  # each corner is one take of flat-grid rows
+    g00, g01, g10, g11 = (rows.take(r * W + c, axis=0)
+                          for r, c in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
+    # a lerp of lerps on float64 edge differences (float32 corners would round
+    # them): top = g00 + fx d0, dy = (g10 + fx d1) - top, value = top + fy dy
+    d0 = np.subtract(g01, g00, dtype=float)
+    d1 = np.subtract(g11, g10, dtype=float)
+    top = np.multiply(fx, d0)
+    top += g00
+    dy = np.multiply(fx, d1)
+    dy += g10
+    dy -= top
+    value = np.multiply(fy, dy)
+    value += top
     if not slopes:
         return value, None
-    in_x = ((pos[..., 0] > 0.0) & (pos[..., 0] < W - 1.0))[..., None]
-    in_y = ((pos[..., 1] > 0.0) & (pos[..., 1] < H - 1.0))[..., None]
-    return value, (_bilinear_slope(g01, g00, g11, g10, fy, in_x),
-                   _bilinear_slope(g10, g00, g11, g01, fx, in_y))
-
-
-def _bilinear_slope(hi0, lo0, hi1, lo1, w, inside):
-    """(1-w)(hi0-lo0) + w(hi1-lo1), +0.0 where the clamp is active. The
-    differences are taken in float64: float32 corners would round them."""
-    d = np.subtract(hi0, lo0, dtype=float)
-    d *= 1 - w
-    tmp = np.subtract(hi1, lo1, dtype=float)
-    tmp *= w
-    d += tmp
-    np.copyto(d, 0.0, where=~inside)
-    return d
+    d1 -= d0  # dx = d0 + fy (d1 - d0), in d1's buffer
+    dx = np.add(np.multiply(fy, d1, out=d1), d0, out=d1)
+    np.copyto(dx, 0.0, where=~((pos[..., 0:1] > 0.0) & (pos[..., 0:1] < W - 1.0)))
+    np.copyto(dy, 0.0, where=~((pos[..., 1:2] > 0.0) & (pos[..., 1:2] < H - 1.0)))
+    return value, (dx, dy)
 
 
 def bilinear_op(pyramids, positions: ad.Tensor, valid: np.ndarray) -> ad.Tensor:
@@ -233,9 +224,9 @@ def bilinear_op(pyramids, positions: ad.Tensor, valid: np.ndarray) -> ad.Tensor:
         g, grad = g.reshape(shape), np.empty(pos_shape)
         for k, (dvdx, dvdy) in enumerate(slopes):
             t, s = divmod(k, S)
-            block = g[t, :, :, s] * mask[t]
-            grad[t, :, :, s, :, 0] = np.sum(block * dvdx, axis=-1)
-            grad[t, :, :, s, :, 1] = np.sum(block * dvdy, axis=-1)
+            grad[t, :, :, s, :, 0] = np.sum(g[t, :, :, s] * dvdx, axis=-1)
+            grad[t, :, :, s, :, 1] = np.sum(g[t, :, :, s] * dvdy, axis=-1)
+        grad[~valid] = 0.0  # the mask, applied once: it is 0 or 1
         return (grad,)
 
     return ad.from_op(stencil, (positions,), backward)
@@ -297,11 +288,16 @@ def selective_scan_op(x: ad.Tensor, p: dict, prefix: str, direction: str) -> ad.
 
 def weighted_sum_op(stencil: ad.Tensor, w_sp: ad.Tensor, S: int) -> ad.Tensor:
     """per_view (T, n, J, L): the stencil weighted by w_sp (n, J, S*P), summed over
-    the points, then over the scales. The backward reads the stencil's buffer."""
+    the points one slot at a time into one (T, n, J, S, L) buffer, then over
+    the scales: the bytes of (x * w).sum(axis=4).sum(axis=3), whose last sum
+    also turns -0.0 into +0.0. The backward reads the stencil's buffer."""
     T, n, J, K = stencil.shape
     w = w_sp.data.reshape((n, J, S, -1, 1))
     x = stencil.data.reshape((T, n, J) + w.shape[2:4] + (-1,))
-    return ad.from_op((x * w).sum(axis=4).sum(axis=3), (stencil, w_sp), lambda g: (
+    acc = x[:, :, :, :, 0] * w[:, :, :, 0]
+    for p in range(1, w.shape[3]):
+        acc += x[:, :, :, :, p] * w[:, :, :, p]
+    return ad.from_op(acc.sum(axis=3), (stencil, w_sp), lambda g: (
         (g[:, :, :, None, None] * w).reshape((T, n, J, K)),
         (g[:, :, :, None, None] * x).sum(axis=0).sum(axis=-1).reshape((n, J, -1))))
 

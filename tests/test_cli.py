@@ -526,3 +526,19 @@ def test_eval_on_truncated_container_exits_3_naming_it(tmp_path, capsys, target,
     assert f"{path}: " + ("truncated or corrupt header" if cut == "header"
                           else "array ") in err
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("name", ["scene_000.json", "scenes_manifest.json"])
+def test_eval_on_truncated_scene_manifest_exits_3_naming_it(tmp_path, capsys, name):
+    """A scene manifest or the set's manifest that lost its last bytes makes
+    eval exit 3 with the file's name before --out exists."""
+    model = untrained_model(tmp_path)
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
+    assert run(["generate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    path = tmp_path / "s" / name
+    path.write_bytes(path.read_bytes()[:-10])
+    capsys.readouterr()
+    assert run(["eval", "--model", model, "--scenes", str(tmp_path / "s"),
+                "--out", str(tmp_path / "ev")]) == 3
+    assert f"{path}: not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()

@@ -48,3 +48,19 @@ def test_defective_container_raises_value_error_naming_file_and_array(tmp_path):
             fh.write(defective)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             container.load_container(path)
+
+
+def test_container_round_trips_dtype_shape_and_layout(tmp_path):
+    """Every array loads back with its dtype, shape and values: a 0-d scalar,
+    an empty array and a non-contiguous view among them."""
+    path = str(tmp_path / "c.bin")
+    base = np.arange(24, dtype=np.int32).reshape(4, 6)
+    arrays = {"scalar": np.float32(2.5), "zero_d": np.array(-1.0), "empty": np.zeros((0, 3)),
+              "strided": base[::2, 1::2], "transposed": base.T}
+    container.save_container(path, arrays)
+    loaded, meta = container.load_container(path)
+    assert meta == {} and sorted(loaded) == sorted(arrays)
+    for name, want in arrays.items():
+        got = loaded[name]
+        assert got.shape == np.shape(want) and got.dtype == np.asarray(want).dtype, name
+        assert np.array_equal(got, want), name

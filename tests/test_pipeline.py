@@ -92,7 +92,7 @@ def test_bilinear_without_gradient_records_no_closure(monkeypatch):
     monkeypatch.setattr(ad, "from_op", lambda *args: made.append(args) or from_op(*args))
     out = bilinear(grid, ad.Tensor(as_joints(pos)))
     assert made == [] and out._node is None
-    assert np.array_equal(out.data.reshape((4, 5, 3)), _textbook_bilinear(grid, pos)[0])
+    assert np.array_equal(out.data.reshape((4, 5, 3)), _lerp_bilinear(grid, pos)[0])
     taped = bilinear(grid, ad.parameter(as_joints(pos)))
     assert len(made) == 1 and taped._node.backward is not None
     assert np.array_equal(taped.data, out.data)
@@ -118,9 +118,9 @@ def test_bilinear_gradients_match_fd():
     assert rel_error(p_t.grad.reshape(pos.shape), fd_pos) < 1e-6
 
 
-def _textbook_bilinear(grid, pos):
-    """Bilinear value and its position derivatives, written out in float64
-    from the definition; a derivative is zero where its clamp is active."""
+def _corners(grid, pos):
+    """The float64 fractions (fx, fy) and corners g00, g01, g10, g11 of the
+    cell each clamped position falls in, and where each clamp is inactive."""
     g = np.asarray(grid, dtype=np.float64)
     H, W = g.shape[:2]
     x = np.clip(pos[..., 0], 0.0, W - 1.0)
@@ -128,22 +128,39 @@ def _textbook_bilinear(grid, pos):
     x0 = np.clip(np.floor(x), 0, W - 2).astype(int)
     y0 = np.clip(np.floor(y), 0, H - 2).astype(int)
     fx, fy = (x - x0)[..., None], (y - y0)[..., None]
-    g00, g01 = g[y0, x0], g[y0, x0 + 1]
-    g10, g11 = g[y0 + 1, x0], g[y0 + 1, x0 + 1]
-    value = (1 - fy) * ((1 - fx) * g00 + fx * g01) + fy * ((1 - fx) * g10 + fx * g11)
     in_x = ((pos[..., 0] > 0.0) & (pos[..., 0] < W - 1.0))[..., None]
     in_y = ((pos[..., 1] > 0.0) & (pos[..., 1] < H - 1.0))[..., None]
+    return (fx, fy, g[y0, x0], g[y0, x0 + 1], g[y0 + 1, x0], g[y0 + 1, x0 + 1],
+            in_x, in_y)
+
+
+def _textbook_bilinear(grid, pos):
+    """Bilinear value and its position derivatives, written out in float64
+    from the product form; a derivative is zero where its clamp is active."""
+    fx, fy, g00, g01, g10, g11, in_x, in_y = _corners(grid, pos)
+    value = (1 - fy) * ((1 - fx) * g00 + fx * g01) + fy * ((1 - fx) * g10 + fx * g11)
     dvdx = np.where(in_x, (1 - fy) * (g01 - g00) + fy * (g11 - g10), 0.0)
     dvdy = np.where(in_y, (1 - fx) * (g10 - g00) + fx * (g11 - g01), 0.0)
     return value, dvdx, dvdy
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_bilinear_matches_textbook_expression_bit_for_bit(dtype):
-    """Value and position gradient equal the float64 textbook expression
-    exactly: on grid lines, inside, clamped at the borders and outside the
-    image, where the position gradient is +0.0. A constant grid is not on
-    the tape."""
+def _lerp_bilinear(grid, pos):
+    """The same value and derivatives as a lerp of lerps over the float64
+    edge differences d0 = g01 - g00 and d1 = g11 - g10: top = g00 + fx d0,
+    dvdy = (g10 + fx d1) - top, value = top + fy dvdy and
+    dvdx = d0 + fy (d1 - d0); a derivative is zero where its clamp is active."""
+    fx, fy, g00, g01, g10, g11, in_x, in_y = _corners(grid, pos)
+    d0, d1 = g01 - g00, g11 - g10
+    top = g00 + fx * d0
+    dvdy = (g10 + fx * d1) - top
+    value = top + fy * dvdy
+    dvdx = d0 + fy * (d1 - d0)
+    return value, np.where(in_x, dvdx, 0.0), np.where(in_y, dvdy, 0.0)
+
+
+def _bilinear_case(dtype):
+    """A grid (9, 12, 17) of the dtype and positions (6, 18, 2) on grid lines,
+    inside, clamped at the borders and outside the image."""
     rng = np.random.default_rng(11)
     H, W = 9, 12
     grid = rng.normal(scale=3.0, size=(H, W, 17)).astype(dtype)
@@ -151,8 +168,18 @@ def test_bilinear_matches_textbook_expression_bit_for_bit(dtype):
     ys = np.array([-2.0, 0.0, 3.0, 4.75, H - 1.0, H + 0.5])
     lattice = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     inside = rng.uniform([0.0, 0.0], [W - 1.0, H - 1.0], size=(60, 2))
-    pos = np.concatenate([lattice, inside]).reshape(6, -1, 2)
-    value, dvdx, dvdy = _textbook_bilinear(grid, pos)
+    return grid, np.concatenate([lattice, inside]).reshape(6, -1, 2), rng
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_matches_textbook_expression_bit_for_bit(dtype):
+    """Value and position gradient equal the float64 lerp-of-lerps expression
+    exactly: on grid lines, inside, clamped at the borders and outside the
+    image, where the position gradient is +0.0. A constant grid is not on
+    the tape."""
+    grid, pos, rng = _bilinear_case(dtype)
+    H, W = grid.shape[:2]
+    value, dvdx, dvdy = _lerp_bilinear(grid, pos)
     assert np.array_equal(sample(grid, pos), value)
 
     p_t = ad.parameter(as_joints(pos))
@@ -169,6 +196,20 @@ def test_bilinear_matches_textbook_expression_bit_for_bit(dtype):
                         (pos[..., 1] <= 0.0) | (pos[..., 1] >= H - 1.0)], axis=-1)
     assert clamped.any() and not clamped.all()
     assert np.all(gpos[clamped] == 0.0) and not np.signbit(gpos[clamped]).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lerp_of_lerps_is_within_rounding_of_product_form(dtype):
+    """The lerp-of-lerps value and slopes that bilinear_op computes differ
+    from the product form (1-fy)((1-fx) g00 + fx g01) + fy(...) only by
+    reassociation: by at most 1e-15 of the largest corner, at the same
+    points as the bit-for-bit test."""
+    grid, pos, _ = _bilinear_case(dtype)
+    scale = np.max(np.abs(grid.astype(np.float64)))
+    got = pl._bilinear_forward(grid, pos, True)
+    for name, a, b in zip(("value", "dvdx", "dvdy"), (got[0], *got[1]),
+                          _textbook_bilinear(grid, pos)):
+        assert np.max(np.abs(a - b)) <= 1e-15 * scale, name
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +385,55 @@ def test_bilinear_op_matches_per_block_composition_byte_for_byte(tokens_, camera
     sizes = np.array([[g.shape[1::-1] for g in pyr.levels[:S]] for pyr in scene.pyramids])
     clamped = ((pos <= 0.0) | (pos >= sizes.reshape((T, 1, 1, S, 1, 2)) - 1.0)).any(axis=-1)
     assert (clamped & valid[..., None, None]).any() and (~clamped & valid[..., None, None]).any()
+
+
+@pytest.mark.parametrize("tokens_, cameras", [(24, 5), (96, 7)], ids=["smoke", "wide"])
+def test_weighted_sum_op_matches_reduction_byte_for_byte(tokens_, cameras):
+    """weighted_sum_op's slot-by-slot sum equals (x * w).sum(axis=4).sum(axis=3)
+    byte for byte at smoke and wide shape (two scales, four points, L = 17,
+    token 1 masked in every view, signed zeros included), and its gradients equal the broadcast
+    products and sums written out."""
+    T, n, J, S, P, L = cameras, tokens_, 15, 2, 4, 17
+    rng = np.random.default_rng(tokens_)
+    x = rng.normal(size=(T, n, J, S, P, L))
+    x[:, 1] *= 0.0  # a masked token: -0.0 where the sample is negative
+    w = rng.dirichlet(np.ones(S * P), size=(n, J))
+    leaves = {"stencil": ad.parameter(x.reshape((T, n, J, -1))), "w": ad.parameter(w)}
+    out = pl.weighted_sum_op(leaves["stencil"], leaves["w"], S)
+    w6 = w.reshape((n, J, S, P, 1))
+    assert out.data.tobytes() == (x * w6).sum(axis=4).sum(axis=3).tobytes()
+    g = rng.normal(size=out.shape)
+    (out * g).sum().backward()
+    g6 = g[:, :, :, None, None]
+    assert leaves["stencil"].grad.tobytes() == (g6 * w6).reshape((T, n, J, -1)).tobytes()
+    assert leaves["w"].grad.tobytes() == (
+        (g6 * x).sum(axis=0).sum(axis=-1).reshape((n, J, -1)).tobytes())
+
+
+def test_bilinear_op_masked_views_get_zero_gradient_under_non_finite_cotangent():
+    """A masked view's stencil entries are +0.0 whatever their cotangent: NaN
+    and inf there give exactly +0.0 position gradients, and the valid views'
+    gradients are the ones a finite cotangent gives."""
+    rng = np.random.default_rng(31)
+    grid = rng.normal(size=(6, 8, 5)).astype(np.float32)
+    pyramids = [pl.FeaturePyramid(levels=(grid, grid[::2, ::2]), scale_factors=(1.0, 0.5))
+                for _ in range(3)]
+    pos = rng.uniform(-1.0, 7.0, size=(3, 2, 4, 2, 3, 2))
+    valid = rng.uniform(size=(3, 2, 4)) < 0.5
+    assert valid.any() and not valid.all()
+    g = rng.normal(size=(3, 2, 4, 2 * 3 * 5))
+    grads = []
+    for bad in (None, np.nan, np.inf):
+        cot = g.copy()
+        if bad is not None:
+            cot[~valid] = bad
+        node = pl.bilinear_op(pyramids, ad.parameter(pos), valid)
+        assert np.all(node.data[~valid] == 0.0)
+        with np.errstate(invalid="ignore"):  # inf * 0 inside the masked blocks
+            grads.append(node._node.backward(cot)[0])
+    for grad in grads:
+        assert np.all(grad[~valid] == 0.0) and not np.signbit(grad[~valid]).any()
+        assert grad.tobytes() == grads[0].tobytes()
 
 
 def test_head_op_matches_generic_composition():
