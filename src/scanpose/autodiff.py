@@ -4,8 +4,8 @@ A Tensor wraps a float64 ndarray and the _Node that records how it was
 produced; backward() replays the nodes in reverse topological order
 accumulating gradients. Every operation stores an explicit closure computing
 its input gradients, so custom primitives (bilinear sampling, the selective
-scan, triangulation) plug in through from_op with their own analytic backward
-passes.
+scan, triangulation, LayerNorm) plug in through from_op with their own
+analytic backward passes.
 
 Retention rule: the tape holds nodes, never Tensors, and a closure captures
 the arrays, shapes and flags it reads, never a Tensor. An intermediate's data
@@ -122,8 +122,8 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis, keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis, keepdims)
+    def mean(self, axis=None):
+        return mean(self, axis)
 
 
 def _toposort(root: _Node):
@@ -288,18 +288,18 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     return from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
-def mean(a, axis=None, keepdims=False) -> Tensor:
+def mean(a, axis=None) -> Tensor:
     a = Tensor._lift(a)
     in_shape = a.shape
     count = a.data.size if axis is None else np.prod(
         [in_shape[ax] for ax in np.atleast_1d(axis)])
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, in_shape) / count,)
 
-    return from_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return from_op(a.data.mean(axis=axis), (a,), backward)
 
 
 # -- elementwise nonlinearities -------------------------------------------------
@@ -314,12 +314,6 @@ def log(a) -> Tensor:
     a = Tensor._lift(a)
     x = a.data
     return from_op(np.log(x), (a,), lambda g: (g / x,))
-
-
-def sqrt(a) -> Tensor:
-    a = Tensor._lift(a)
-    out_data = np.sqrt(a.data)
-    return from_op(out_data, (a,), lambda g: (g / (2.0 * out_data),))
 
 
 def tanh(a) -> Tensor:
@@ -350,7 +344,18 @@ def softmax(logits: Tensor, axis: int) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    return mul(div(xc, sqrt(var + 1e-6)), gamma) + beta
+    """(x - mean) / sqrt(var + 1e-6) * gamma + beta over the last axis of a
+    C-order copy of x: its sums, and so its bits, ignore the caller's layout."""
+    xhat = np.array(x.data, order="C")
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(xhat * xhat, axis=-1, keepdims=True) + 1e-6)
+    xhat /= std
+    g_data, g_shape, b_shape = gamma.data, gamma.shape, beta.shape
+
+    def backward(g):
+        gx = g * g_data
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= xhat * np.mean(gx * xhat, axis=-1, keepdims=True)
+        return gx / std, _unbroadcast(g * xhat, g_shape), _unbroadcast(g, b_shape)
+
+    return from_op(xhat * g_data + beta.data, (x, gamma, beta), backward)

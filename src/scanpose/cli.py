@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import evalsim, pipeline, training
-from .container import atomic_write, build_dataclass, load_json, write_csv
+from .container import atomic_write, build_dataclass, load_json, require_keys, write_csv
 
 class ConfigError(Exception):
     pass
@@ -103,13 +103,11 @@ def _apply_overrides(doc: dict, overrides) -> dict:
 
 def load_config(path: str, overrides=None, seed_override=None) -> RunConfig:
     try:
-        doc = load_json(path)
+        doc = require_keys(load_json(path), path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
     doc = _apply_overrides(doc, overrides)
     if seed_override is not None:
         doc["seed"] = seed_override
@@ -214,13 +212,11 @@ def cmd_generate(cfg: RunConfig, out_dir: str) -> int:
 
 def load_scene_dir(path: str):
     manifest = os.path.join(path, "scenes_manifest.json")
-    doc = load_json(manifest)
-    if doc.get("kind") != "scanpose-scene-set":
-        raise ValueError(f"{manifest} is not a scene-set manifest")
+    doc = require_keys(load_json(manifest), manifest, "scanpose-scene-set", "scenes")
     if not doc["scenes"]:
         raise ValueError(f"{manifest} lists no scenes")
-    return [evalsim.load_scene(os.path.join(path, e["manifest"]))
-            for e in doc["scenes"]]
+    entries = [require_keys(e, manifest, None, "manifest") for e in doc["scenes"]]
+    return [evalsim.load_scene(os.path.join(path, e["manifest"])) for e in entries]
 
 
 def load_scenes_for(config: pipeline.PipelineConfig, path: str, train: bool = False):

@@ -99,6 +99,19 @@ def load_json(path: str):
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def require_keys(doc, path: str, kind=None, *keys):
+    """doc, a JSON value read from path, once it is an object of that "kind"
+    (None: any) holding every key; else a ValueError names path and the fault."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    if kind is not None and doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} document")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return doc
+
+
 def load_container(path: str):
     """(arrays, meta) of the container at path. A header or an array that the
     file does not hold whole raises ValueError naming path and the array."""

@@ -244,9 +244,9 @@ def save_scene(scene: Scene, path_prefix: str) -> tuple[str, str]:
 
 
 def load_scene(manifest_path: str) -> Scene:
-    doc = container.load_json(manifest_path)
-    if doc.get("kind") != "scanpose-scene":
-        raise ValueError(f"{manifest_path} is not a scene manifest")
+    doc = container.require_keys(container.load_json(manifest_path), manifest_path,
+                                 "scanpose-scene", "config", "rig", "grids_file",
+                                 "gt_poses", "seed")
     cfg = container.build_dataclass(SceneConfig, doc["config"], manifest_path)
     rig = CameraRig.from_doc(doc["rig"])
     grids_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),

@@ -550,8 +550,7 @@ def save_model(path: str, params: dict, config: PipelineConfig,
 
 def load_model(path: str):
     arrays, meta = container.load_container(path)
-    if meta.get("kind") != "scanpose-model":
-        raise ValueError(f"{path} is not a model container")
+    meta = container.require_keys(meta, path, "scanpose-model", "config")
     config = container.build_dataclass(PipelineConfig, meta["config"], path)
     params = {k[len("param/"):]: v for k, v in arrays.items()
               if k.startswith("param/")}

@@ -6,14 +6,14 @@ step, learned projections of the input token x_t give the step size delta_t
 (through a softplus, to stay positive) and the input and output vectors B_t
 and C_t. Zero-order hold discretizes the continuous dynamics h' = A h + B x
 elementwise with m = delta_t A: Abar = exp(m), Bbar = delta_t phi1(m) B_t,
-where phi1(m) = (exp(m) - 1) / m. The scan unrolls
-h_t = Abar h_{t-1} + Bbar x_t, y_t = C_t h_t + D x_t from a zero state.
+where delta_t phi1(m) = (exp(m) - 1) / A, or delta_t where A = 0. The scan
+unrolls h_t = Abar h_{t-1} + Bbar x_t, y_t = C_t h_t + D x_t from a zero state.
 
 selective_scan_batch scans (batch, steps, L) sequences and returns the
 outputs with a cache, and selective_scan_backward is the exact reverse
 accumulation of that recurrence from the cache. Both run state-major, with
 steps * batch innermost, so every elementwise pass has a long contiguous inner
-loop and A[l, s] broadcasts as a scalar; y keeps the step-major layout.
+loop and A[l, s] broadcasts as a scalar; y is a view of the state-major result.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SERIES_THRESHOLD = 1e-3
-_PHI1_COEFF = [1.0 / math.factorial(k + 1) for k in range(6)]
 # d/dm phi1(m) = (exp(m)(m - 1) + 1) / m^2; series coefficients k / (k+1)!
 _PHI1P_COEFF = [k / math.factorial(k + 1) for k in range(1, 9)]
 _PHI1P_THRESHOLD = 0.05
@@ -32,24 +30,6 @@ _PHI1P_THRESHOLD = 0.05
 
 class EmptySequence(Exception):
     pass
-
-
-def _series(coeffs, m: np.ndarray) -> np.ndarray:
-    """Horner evaluation of sum_k coeffs[k] m^k."""
-    acc = np.zeros_like(m)
-    for coeff in reversed(coeffs):
-        acc = acc * m + coeff
-    return acc
-
-
-def _phi1(m: np.ndarray) -> np.ndarray:
-    """Elementwise (exp(m) - 1) / m with a 6-term series below the threshold."""
-    small = np.abs(m) < SERIES_THRESHOLD
-    with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 gets the series below
-        out = np.expm1(m)
-        out /= m
-    out[small] = _series(_PHI1_COEFF, m[small])
-    return out
 
 
 def _phi1_prime(m: np.ndarray, abar: np.ndarray) -> np.ndarray:
@@ -61,7 +41,10 @@ def _phi1_prime(m: np.ndarray, abar: np.ndarray) -> np.ndarray:
     out += 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 gets the series below
         out /= np.multiply(m, m)
-    out[small] = _series(_PHI1P_COEFF, m[small])
+    ms, series = m[small], 0.0
+    for coeff in reversed(_PHI1P_COEFF):  # Horner
+        series = series * ms + coeff
+    out[small] = series
     return out
 
 
@@ -96,9 +79,9 @@ class SelectiveParams:
 
 def selective_scan_batch(sel: SelectiveParams, x):
     """Batched scan over (batch, steps, L). Returns y, a (batch, steps, L) view
-    of a (steps, batch, L) array, and the cache for the exact backward: x, pre
+    of an (L, steps, batch) array, and the cache for the exact backward: x, pre
     (before the softplus) and delta as (L, steps, batch), Bm and Cm as (S, steps,
-    batch), abar, g = delta phi1(m) and the states hs as (L, S, steps, batch).
+    batch), abar, g = expm1(m) / A and the states hs as (L, S, steps, batch).
     m = delta A is not cached: the backward recomputes it."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] == 0:
@@ -116,8 +99,12 @@ def selective_scan_batch(sel: SelectiveParams, x):
     Cm = np.ascontiguousarray((rows @ sel.w_c).T).reshape(S, T, Bn)
     m = delta[:, None] * sel.A[..., None, None]
     abar = np.exp(m)
-    g = _phi1(m)
-    g *= delta[:, None]  # ZOH input factor, per channel and state
+    # ZOH input factor delta phi1(m) = expm1(m) / A, in place; delta where A = 0
+    g = np.expm1(m)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where A = 0, overwritten below
+        g /= sel.A[..., None, None]
+    l, s = np.nonzero(sel.A == 0.0)
+    g[l, s] = delta[l]
     # hs starts as the input term, in m's buffer; the loop adds only the carried state
     hs = np.multiply(g, Bm, out=m)
     hs *= xs[:, None]
@@ -129,12 +116,10 @@ def selective_scan_batch(sel: SelectiveParams, x):
     term = np.empty_like(y)
     for s in range(1, S):
         y += np.multiply(hs[:, s], Cm[s], out=term)
-    # y + D x, step-major: downstream sums over L (layer_norm) follow the layout
-    out = sel.D * rows.reshape(T, Bn, L)
-    out += np.transpose(y, (1, 2, 0))
+    y += np.multiply(sel.D[:, None, None], xs, out=term)
     cache = {"x": xs, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm,
              "abar": abar, "g": g, "hs": hs}
-    return np.swapaxes(out, 0, 1), cache
+    return np.transpose(y, (2, 1, 0)), cache
 
 
 def selective_scan_backward(sel: SelectiveParams, cache, upstream: np.ndarray):

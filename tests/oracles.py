@@ -392,8 +392,9 @@ def selective_scan_step_major(sel, x):
     Cm = (rows @ sel.w_c).reshape(T, -1, S)
     m = delta[..., None] * sel.A  # (T, B, L, S)
     abar = np.exp(m)
-    g = ssm._phi1(m)
-    g *= delta[..., None]  # ZOH input factor, per channel and state
+    with np.errstate(invalid="ignore"):  # 0 / 0 where A = 0, replaced below
+        g = np.expm1(m) / sel.A  # ZOH input factor delta phi1(m), per channel and state
+    g = np.where(sel.A == 0.0, delta[..., None], g)
     # hs starts as the input term; the loop adds only the carried state
     hs = g * Bm[:, :, None, :]  # (T, B, L, S)
     hs *= xt[..., None]

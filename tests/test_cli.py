@@ -542,3 +542,36 @@ def test_eval_on_truncated_scene_manifest_exits_3_naming_it(tmp_path, capsys, na
                 "--out", str(tmp_path / "ev")]) == 3
     assert f"{path}: not valid JSON" in capsys.readouterr().err
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("name, key", [("scene_000.json", "rig"),
+                                       ("scene_000.json", None),
+                                       ("scenes_manifest.json", "scenes"),
+                                       ("scenes_manifest.json", "manifest"),
+                                       ("model.bin", "config")])
+def test_eval_on_manifest_missing_a_key_exits_3_naming_it(tmp_path, capsys, name, key):
+    """A scene manifest, the set's manifest, one of its entries or a model's
+    meta that lacks a key, or a manifest that is not a JSON object (key None),
+    makes eval exit 3 naming the file and the key before --out exists."""
+    model = untrained_model(tmp_path)
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
+    assert run(["generate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    if name == "model.bin":
+        path = model
+        arrays, meta = container.load_container(path)
+        del meta[key]
+        container.save_container(path, arrays, meta)
+    else:
+        path = tmp_path / "s" / name
+        doc = json.loads(path.read_text())
+        if key is None:
+            doc = [doc]
+        else:
+            del (doc["scenes"][0] if key == "manifest" else doc)[key]
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["eval", "--model", model, "--scenes", str(tmp_path / "s"),
+                "--out", str(tmp_path / "ev")]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: " + (f"missing key {key!r}" if key else "expected a JSON object") in err
+    assert not (tmp_path / "ev").exists()

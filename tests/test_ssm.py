@@ -112,7 +112,7 @@ def scan_recurrent(a, b, c, d, delta, xs):
     expressions in the order that the selective scan evaluates them."""
     m = delta * np.asarray(a, dtype=float)
     abar = np.exp(m)
-    g = delta * ssm._phi1(m)
+    g = np.expm1(m) / a
     h = np.zeros(m.size)
     y = np.empty(len(xs))
     for t, x in enumerate(xs):
@@ -155,16 +155,16 @@ def test_zoh_diagonal_matches_dense_expm_oracle():
 
 
 def test_zoh_series_switch_continuity():
-    # straddle |m| = SERIES_THRESHOLD and compare both branches
+    # straddle |m| = 1e-3 and compare both sides: the factor has no branch there
     rng = np.random.default_rng(7)
     for _ in range(10):
         L, S = 3, 4
         delta = rng.uniform(0.2, 1.0, size=L)
         sign = rng.choice([-1.0, 1.0], size=(L, S))
-        lo, hi = (scan_zoh(sign * ssm.SERIES_THRESHOLD * scale / delta[:, None], delta)
+        lo, hi = (scan_zoh(sign * 1e-3 * scale / delta[:, None], delta)
                   for scale in (1.0 - 1e-9, 1.0 + 1e-9))
-        assert np.all(np.abs(lo[2]) < ssm.SERIES_THRESHOLD)
-        assert np.all(np.abs(hi[2]) > ssm.SERIES_THRESHOLD)
+        assert np.all(np.abs(lo[2]) < 1e-3)
+        assert np.all(np.abs(hi[2]) > 1e-3)
         assert np.max(np.abs(lo[0] - hi[0])) < 1e-10
         assert np.max(np.abs(lo[1] - hi[1])) < 1e-10
 
@@ -387,22 +387,20 @@ def test_batched_scan_matches_per_sequence():
 
 
 def test_batched_scan_output_keeps_input_layout():
-    # seq[:, order] is step-major, not C-contiguous; the scan runs step-major
-    # and y is a view of its step-major result, so the gather's layout is kept
-    # without a copy, and a C-ordered input gives the same values
+    # seq[:, order] is step-major, not C-contiguous; a C-ordered input with
+    # the same values gives the same y
     rng = np.random.default_rng(23)
     sel = random_selective(rng)
     seq = rng.normal(size=(4, 9, 3))
     x = seq[:, rng.permutation(9)]
     assert not x.flags.c_contiguous
     y, _ = ssm.selective_scan_batch(sel, x)
-    assert list(np.argsort(y.strides)) == list(np.argsort(x.strides))
     assert np.array_equal(y, ssm.selective_scan_batch(sel, np.ascontiguousarray(x))[0])
 
 
 def _mixed_selective(rng, L=3):
-    """Selective parameters whose m = delta * A lands below SERIES_THRESHOLD
-    (first state), between the thresholds (second) and above both (rest)."""
+    """Selective parameters whose m = delta * A lands below 1e-3 (first state),
+    between 1e-3 and _PHI1P_THRESHOLD (second) and above both (rest)."""
     sel = random_selective(rng, L=L, S=4)
     A = np.tile([-2e-4, -0.02, -0.5, -1.2], (L, 1))
     return ssm.SelectiveParams(w_delta=sel.w_delta, b_delta=sel.b_delta,
@@ -454,8 +452,8 @@ def test_batched_backward_matches_loop_per_sample_and_fd():
     upstream = rng.normal(size=(B, T, L))
     _, cache = ssm.selective_scan_batch(sel, x)
     small = np.abs(cache["delta"][:, None] * sel.A[..., None, None])  # |m|
-    assert np.any(small < ssm.SERIES_THRESHOLD)
-    assert np.any((small >= ssm.SERIES_THRESHOLD) & (small < ssm._PHI1P_THRESHOLD))
+    assert np.any(small < 1e-3)
+    assert np.any((small >= 1e-3) & (small < ssm._PHI1P_THRESHOLD))
     assert np.any(small >= ssm._PHI1P_THRESHOLD)
     grads = ssm.selective_scan_backward(sel, cache, upstream)
     reference = loop_selective_backward(sel, cache, upstream)
@@ -485,16 +483,16 @@ def test_batched_backward_matches_loop_per_sample_and_fd():
 
 @pytest.mark.parametrize("batch, steps", [(24, 75), (96, 105)])  # smoke and wide scans
 def test_scan_matches_step_major_kernel(batch, steps):
-    # the state-major kernel keeps the step-major forward's operation order and
-    # output layout (downstream sums over L follow it); its backward
-    # reassociates the sums over L, S and steps * batch
+    # the state-major kernel keeps the step-major forward's operation order,
+    # so y matches bit for bit; its backward reassociates the sums over L, S
+    # and steps * batch
     rng = np.random.default_rng(24)
     sel = _mixed_selective(rng, L=17)
     x = rng.normal(size=(batch, steps, 17))
     upstream = rng.normal(size=x.shape)
     y, cache = ssm.selective_scan_batch(sel, x)
     y_ref, cache_ref = selective_scan_step_major(sel, x)
-    assert np.array_equal(y, y_ref) and y.strides == y_ref.strides
+    assert np.array_equal(y, y_ref)
     grads = ssm.selective_scan_backward(sel, cache, upstream)
     reference = selective_scan_backward_step_major(sel, cache_ref, upstream)
     assert grads.keys() == reference.keys()
@@ -531,18 +529,22 @@ def test_phi1_and_derivative_match_scalar_definitions_on_mixed_arrays():
             d = decimal.Decimal(m)
             return float((d.exp() * (d - 1) + 1) / (d * d))
 
-    # m = +-0 and m exactly at either threshold (where the direct branch takes
-    # over) are included; a divide or invalid warning raises
-    base = [0.0, 1e-5, 5e-4, 9.9e-4, ssm.SERIES_THRESHOLD, 2e-3, 0.03, 0.049,
+    # m = +-0, m = 1e-3 and m exactly at the phi1' threshold (where the direct
+    # branch takes over) are included; a divide or invalid warning raises
+    base = [0.0, 1e-5, 5e-4, 9.9e-4, 1e-3, 2e-3, 0.03, 0.049,
             ssm._PHI1P_THRESHOLD, 0.2, 2.5, 40.0]
     m = np.array(base + [-v for v in base])
     m = np.stack([m, m[::-1]])  # both thresholds are crossed within each row
     assert np.any(np.signbit(m) & (m == 0.0))  # -0.0 is present
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ssm._phi1(m)
+        # phi1 as the scan forms it, g / delta at A = m / delta
+        delta = np.array([0.7, 1.3])
+        _, got, m_scan, _ = scan_zoh(m / delta[:, None], delta)
         got_p = ssm._phi1_prime(m, np.exp(m))
-    want = np.vectorize(phi1_def)(m)
+    assert np.array_equal(np.signbit(m_scan), np.signbit(m))
+    assert np.max(np.abs(m_scan - m) / np.maximum(np.abs(m), 1e-300)) < 1e-15
+    want = np.vectorize(phi1_def)(m_scan)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
     want_p = np.vectorize(phi1p_def)(m)
     assert np.max(np.abs(got_p - want_p) / np.abs(want_p)) < 1e-13

@@ -8,9 +8,11 @@ from scanpose import autodiff as ad
 from scanpose import cli
 from scanpose import evalsim as ev
 from scanpose import pipeline as pl
+from scanpose import ssm
 from scanpose import training as tr
 from scanpose.tokens import load_tpose
 from oracles import project_ld
+from test_pipeline import seeded_head_params
 
 
 def small_scene(seed=7, **kw):
@@ -404,10 +406,11 @@ def test_backward_closures_capture_no_tensor():
     total, _, _ = tr.scene_loss(tensors, scene, cfg.pipeline, cfg.train)
     nodes = ad._toposort(total._node)
     closures = [node.backward for node in nodes if node.backward is not None]
-    # the tape has 182 closures (242 before bilinear_op wrote the stencil)
+    # the tape has 164 closures (182 before LayerNorm was one primitive, 242
+    # before bilinear_op wrote the stencil)
     assert len(closures) > 150
     primitives = {"bilinear_op", "weighted_sum_op", "head_op", "selective_scan_op",
-                  "triangulate_op"}
+                  "triangulate_op", "layer_norm"}
     reached = {fn.__qualname__.split(".")[0] for fn in closures}
     assert primitives <= reached, f"the walk missed {sorted(primitives - reached)}"
     capturing = sorted({fn.__qualname__ for fn in closures
@@ -438,14 +441,15 @@ def test_train_frees_each_step_tape_before_the_next_forward():
     assert peak_mb <= SMOKE_TRAIN_PEAK_BOUND_MB, f"{peak_mb:.1f} MB peak"
 
 
-# the same smoke forward records 191 autodiff.from_op nodes with one sampling,
-# one weighted sum and one offset-head primitive per layer and one clamp in
-# the classification loss; it recorded 269 when the sampling took one
+# the same smoke forward records 173 autodiff.from_op nodes with one sampling,
+# one weighted sum, one offset-head and one LayerNorm primitive per layer and
+# one clamp in the classification loss; it recorded 191 when LayerNorm was
+# built from generic ops, 269 when the sampling took one
 # position Tensor and one bilinear block per (view, level), put together by
 # a stencil primitive, 293 when generic ops built the stencil and the head,
 # and 405 when the attention block built its weighted sums one (view, scale)
 # at a time
-SMOKE_TAPE_NODES = 191
+SMOKE_TAPE_NODES = 173
 
 
 def test_smoke_forward_records_no_more_tape_nodes(monkeypatch):
@@ -460,6 +464,31 @@ def test_smoke_forward_records_no_more_tape_nodes(monkeypatch):
     monkeypatch.setattr(ad, "from_op", counting)
     tr.scene_loss(tensors, scene, cfg.pipeline, cfg.train)
     assert len(nodes) <= SMOKE_TAPE_NODES, f"{len(nodes)} tape nodes"
+
+
+def test_scan_output_layout_does_not_move_scene_loss(monkeypatch):
+    """The same scan values in a step-major and a state-major layout give
+    byte-identical losses and gradients at seeded heads: no sum downstream
+    of the scan follows its caller's memory layout."""
+    cfg, scene, _ = smoke_forward()
+    params = seeded_head_params(cfg.pipeline, cfg.seed)
+    scan = ssm.selective_scan_batch
+    layouts = {"step-major": (1, 0, 2), "state-major": (2, 1, 0)}  # (B, T, L) axes
+    results = {}
+    for name, axes in layouts.items():
+        def relaid(sel, x, axes=axes):
+            y, cache = scan(sel, x)
+            return np.transpose(np.ascontiguousarray(np.transpose(y, axes)), np.argsort(axes)), cache
+
+        monkeypatch.setattr(ssm, "selective_scan_batch", relaid)
+        tensors = pl.params_to_tensors(params)
+        total, _, _ = tr.scene_loss(tensors, scene, cfg.pipeline, cfg.train)
+        total.backward()
+        assert all(t.grad is not None for t in tensors.values())
+        results[name] = [total.data.tobytes()] + [
+            np.ascontiguousarray(tensors[k].grad).tobytes() for k in sorted(tensors)]
+    assert results["step-major"][0] == results["state-major"][0]
+    assert results["step-major"] == results["state-major"]
 
 
 def test_metrics_csv_roundtrip(tmp_path):
