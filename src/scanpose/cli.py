@@ -58,15 +58,12 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if num_scenes < 0:
             raise ConfigError("num_scenes must be >= 0")
-        for key in ("scene", "pipeline", "train"):
-            if not isinstance(doc.get(key, {}), dict):
-                raise ConfigError(f"{key} must be an object, got {doc[key]!r}")
         scene = build_dataclass(evalsim.SceneConfig, doc.get("scene", {}), "scene")
-        pipe_doc = dict(doc.get("pipeline", {}))
-        pipe_doc.setdefault("init_seed", seed)
-        for name in ("ground_bounds", "num_joints", "feature_dim", "num_scales"):
-            pipe_doc.setdefault(name, getattr(scene, name))
-        pipe = build_dataclass(pipeline.PipelineConfig, pipe_doc, "pipeline")
+        pipe = build_dataclass(pipeline.PipelineConfig, {
+            "init_seed": seed,
+            **{name: getattr(scene, name)
+               for name in ("ground_bounds", "num_joints", "feature_dim", "num_scales")},
+            **require_keys(doc.get("pipeline", {}), "pipeline")}, "pipeline")
         if pipe.feature_dim != scene.feature_dim:
             raise ConfigError("pipeline.feature_dim must match scene.feature_dim")
         if pipe.num_joints != scene.num_joints:
@@ -197,10 +194,9 @@ def cmd_generate(cfg: RunConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, scene in enumerate(scenes):
-        prefix = os.path.join(out_dir, f"scene_{i:03d}")
-        manifest, grids = evalsim.save_scene(scene, prefix)
-        entries.append({"index": i, "manifest": os.path.basename(manifest),
-                        "seed": scene.seed})
+        name = f"scene_{i:03d}.bin"
+        evalsim.save_scene(scene, os.path.join(out_dir, name))
+        entries.append({"index": i, "file": name, "seed": scene.seed})
     doc = {"kind": "scanpose-scene-set", "seed": cfg.seed,
            "count": len(entries), "scenes": entries,
            "config": {"scene": dataclasses.asdict(cfg.scene)}}
@@ -215,8 +211,8 @@ def load_scene_dir(path: str):
     doc = require_keys(load_json(manifest), manifest, "scanpose-scene-set", "scenes")
     if not doc["scenes"]:
         raise ValueError(f"{manifest} lists no scenes")
-    entries = [require_keys(e, manifest, None, "manifest") for e in doc["scenes"]]
-    return [evalsim.load_scene(os.path.join(path, e["manifest"])) for e in entries]
+    entries = [require_keys(e, manifest, None, "file") for e in doc["scenes"]]
+    return [evalsim.load_scene(os.path.join(path, e["file"])) for e in entries]
 
 
 def load_scenes_for(config: pipeline.PipelineConfig, path: str, train: bool = False):

@@ -58,6 +58,7 @@ def _fits(value, default) -> bool:
 def build_dataclass(cls, doc: dict, where: str):
     """Config dataclass `cls` from the JSON object `doc`, every value checked
     by _fits. Raises ValueError naming `where`."""
+    require_keys(doc, where)
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = set(doc) - set(defaults)
     if unknown:

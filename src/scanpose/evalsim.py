@@ -10,14 +10,15 @@ Camera ring slots advance by the golden angle from slot 0, so the first K
 cameras of a seed are always a prefix of the first K+1: evaluating the same
 scene with fewer or more cameras mirrors the nested cross-camera protocol.
 
-Scene files: a JSON manifest (rig, skeletons, config echo) plus a binary
-feature-grid container. Reports serialize to JSON and CSV.
+A scene file is one container (the format model files use): the rig's
+stacked arrays, the skeletons, per-view scale factors and every feature grid,
+with the config echo and the seed in its meta. Reports serialize to JSON and
+CSV.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,7 +64,6 @@ class SceneConfig:
     heatmap_noise: float = 0.0
     placement_margin: float = 0.30  # actors stay in the central box
     min_actor_spacing_mm: float = 1200.0
-    grid_dtype: str = "float32"  # storage dtype of the rendered grids
 
     def __post_init__(self):
         if self.num_cameras < 2:
@@ -77,8 +77,6 @@ class SceneConfig:
             raise ValueError("need at least one pyramid level")
         if not self.heatmap_sigma_px > 0:
             raise ValueError("heatmap_sigma_px must be positive")
-        if np.dtype(self.grid_dtype).kind != "f":
-            raise ValueError(f"grid_dtype must be a float dtype, got {self.grid_dtype!r}")
 
     @property
     def ground_bounds(self) -> tuple:
@@ -165,7 +163,7 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
     fixed in grid units (wider image-plane basins at coarse scales). The
     Gaussian is separable, so each view and level takes 1-D Gaussians along
     the columns and rows and sums them over actors in one batched product.
-    Heatmaps and noise accumulate in float64, cast once per level."""
+    Heatmaps and noise accumulate in float64, cast to float32 once per level."""
     uv, _, valid = project_batch(rig.projections, poses)  # (T, Z, J, 2)
     J = poses.shape[1]
     sig2 = 2.0 * cfg.heatmap_sigma_px ** 2
@@ -178,7 +176,7 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
         xn = (cols / f_s) / cfg.image_width
         yn = (rows / f_s) / cfg.image_height
         # the position channels are the same in every view
-        base = np.empty((H_s, W_s, cfg.feature_dim), dtype=cfg.grid_dtype)
+        base = np.empty((H_s, W_s, cfg.feature_dim), dtype=np.float32)
         base[:, :, J:] = np.stack(_positional_channels(cfg, xn, yn), axis=-1)
         factors.append(f_s)
         bases.append(base)
@@ -219,50 +217,43 @@ def generate_scene(cfg: SceneConfig, seed: int,
 # scene files
 # ---------------------------------------------------------------------------
 
-def save_scene(scene: Scene, path_prefix: str) -> tuple[str, str]:
-    """Write <prefix>.json (manifest) and <prefix>.grids.bin (feature grids)."""
-    grids = {}
+def save_scene(scene: Scene, path: str) -> None:
+    """Write the scene as one container at path."""
+    arrays = {"rig/projections": scene.rig.projections, "rig/sizes": scene.rig.sizes,
+              "rig/ids": scene.rig.ids, "gt_poses": scene.gt_poses,
+              "scale_factors": np.array([p.scale_factors for p in scene.pyramids])}
     for t, pyr in enumerate(scene.pyramids):
         for s, level in enumerate(pyr.levels):
-            grids[f"view{t}/level{s}"] = level
-    grids_path = path_prefix + ".grids.bin"
-    container.save_container(grids_path, grids, meta={
-        "kind": "scanpose-scene-grids",
-        "scale_factors": [list(p.scale_factors) for p in scene.pyramids],
-    })
-    manifest = {
-        "kind": "scanpose-scene",
-        "seed": scene.seed,
-        "config": asdict(scene.config),
-        "rig": scene.rig.to_doc(),
-        "gt_poses": scene.gt_poses.tolist(),
-        "grids_file": os.path.basename(grids_path),
-    }
-    manifest_path = path_prefix + ".json"
-    container.atomic_write(manifest_path, json.dumps(manifest, sort_keys=True).encode())
-    return manifest_path, grids_path
+            arrays[f"view{t}/level{s}"] = level
+    container.save_container(path, arrays, meta={
+        "kind": "scanpose-scene", "seed": scene.seed, "config": asdict(scene.config)})
 
 
-def load_scene(manifest_path: str) -> Scene:
-    doc = container.require_keys(container.load_json(manifest_path), manifest_path,
-                                 "scanpose-scene", "config", "rig", "grids_file",
-                                 "gt_poses", "seed")
-    cfg = container.build_dataclass(SceneConfig, doc["config"], manifest_path)
-    rig = CameraRig.from_doc(doc["rig"])
-    grids_path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),
-                              doc["grids_file"])
-    arrays, meta = container.load_container(grids_path)
-    pyramids = []
-    for t in range(len(rig)):
-        levels = []
-        s = 0
-        while f"view{t}/level{s}" in arrays:
-            levels.append(arrays[f"view{t}/level{s}"])
-            s += 1
-        pyramids.append(FeaturePyramid(levels=tuple(levels),
-                                       scale_factors=tuple(meta["scale_factors"][t])))
-    return Scene(rig=rig, gt_poses=np.asarray(doc["gt_poses"], dtype=float),
-                 pyramids=pyramids, config=cfg, seed=int(doc["seed"]))
+def load_scene(path: str) -> Scene:
+    """The scene in the container at path; a ValueError names path."""
+    arrays, meta = container.load_container(path)
+    container.require_keys(meta, path, "scanpose-scene", "config", "seed")
+    container.require_keys(arrays, path, None, "rig/projections", "rig/sizes",
+                           "rig/ids", "gt_poses", "scale_factors")
+    cfg = container.build_dataclass(SceneConfig, meta["config"], path)
+    try:
+        rig = CameraRig(projections=arrays["rig/projections"], sizes=arrays["rig/sizes"],
+                        ids=arrays["rig/ids"])
+        factors = arrays["scale_factors"]
+        if factors.ndim != 2 or len(factors) != len(rig):
+            raise ValueError(f"{len(rig)} views need scale_factors (T, S), "
+                             f"got {factors.shape}")
+        pyramids = []
+        for t in range(len(rig)):
+            levels = []
+            while f"view{t}/level{len(levels)}" in arrays:
+                levels.append(arrays[f"view{t}/level{len(levels)}"])
+            pyramids.append(FeaturePyramid(levels=tuple(levels),
+                                           scale_factors=tuple(factors[t])))
+        return Scene(rig=rig, gt_poses=np.asarray(arrays["gt_poses"], dtype=float),
+                     pyramids=pyramids, config=cfg, seed=int(meta["seed"]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

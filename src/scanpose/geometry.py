@@ -3,7 +3,8 @@
 World coordinates are millimeters, image coordinates are pixels. A camera is a
 3x4 projection matrix mapping homogeneous world points to homogeneous pixels.
 A CameraRig holds its T cameras as stacked arrays (projections (T, 3, 4),
-image sizes (T, 2), view ids (T,)), the form every computation reads.
+image sizes (T, 2), view ids (T,)), the form every computation reads and
+every scene file stores.
 Triangulation solves the weighted homogeneous linear system (two rows per view,
 scaled by that view's confidence) for the right singular vector of the smallest
 singular value. Rows are built from pixel-normalized cameras and the world
@@ -11,10 +12,6 @@ columns are rescaled to meters before the solve; both transforms leave exact
 data exact and keep the system well conditioned. Triangulation is batched:
 triangulate_batch builds and factors B systems at once, a zero confidence
 masks a view, and degenerate points are flagged (ok=False) instead of raising.
-
-Rig JSON schema::
-
-    {"views": [{"id": int, "P": [12 row-major reals], "w": int, "h": int}, ...]}
 """
 
 from __future__ import annotations
@@ -64,22 +61,6 @@ class CameraRig:
 
     def __len__(self) -> int:
         return len(self.projections)
-
-    def to_doc(self) -> dict:
-        """The rig as a JSON object in the schema above."""
-        return {"views": [
-            {"id": int(i), "P": P.ravel().tolist(), "w": int(w), "h": int(h)}
-            for i, P, (w, h) in zip(self.ids, self.projections, self.sizes)]}
-
-    @staticmethod
-    def from_doc(doc: dict) -> "CameraRig":
-        views = doc["views"]
-        return CameraRig(
-            projections=np.asarray([item["P"] for item in views],
-                                   dtype=float).reshape(len(views), 3, 4),
-            sizes=np.array([[int(item["w"]), int(item["h"])] for item in views],
-                           dtype=int).reshape(len(views), 2),
-            ids=np.array([int(item["id"]) for item in views], dtype=int))
 
 
 def look_at_camera(position, target, focal: float, width: int,

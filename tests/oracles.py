@@ -218,7 +218,7 @@ def render_heatmaps_loop(cfg, uv, valid, rng):
             if cfg.heatmap_noise > 0.0:
                 grid[:, :, :J] += rng.normal(0.0, cfg.heatmap_noise,
                                              size=(H, W, J))
-            levels.append(grid.astype(np.dtype(cfg.grid_dtype)))
+            levels.append(grid.astype(np.float32))
         out.append(levels)
     return out
 

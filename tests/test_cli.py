@@ -58,9 +58,8 @@ def test_generate_count_matches_request(tmp_path):
     cfg = write_config(tmp_path, tiny_config_doc(num_scenes=4))
     out = tmp_path / "scenes"
     assert run(["generate", "--config", cfg, "--out", str(out)]) == 0
-    manifests = [n for n in os.listdir(out) if n.endswith(".json")
-                 and n.startswith("scene_")]
-    assert len(manifests) == 4
+    assert sorted(os.listdir(out)) == [f"scene_{i:03d}.bin" for i in range(4)] + [
+        "scenes_manifest.json"]
     loaded = cli.load_scene_dir(str(out))
     assert len(loaded) == 4
 
@@ -260,7 +259,7 @@ def test_config_error_exits_2_and_writes_nothing(tmp_path):
     # a section that is not an object, a seed that is not an integer, a
     # model with more scales than the scenes' pyramids have levels, and
     # section values of the wrong type: a float or bool for an int field, a
-    # tuple of the wrong length, a grid dtype that is not a float dtype
+    # tuple of the wrong length
     for argv in (["generate", "--config", good, "--set", "scene=3"],
                  ["generate", "--config", good, "--set", "scene=3", "--seed", "5"],
                  ["generate", "--config", bad3],
@@ -270,9 +269,9 @@ def test_config_error_exits_2_and_writes_nothing(tmp_path):
                  ["train", "--config", good, "--set", "train.steps=1.5"],
                  ["generate", "--config", good, "--set", "scene.num_cameras=2.5"],
                  ["train", "--config", good, "--set", "pipeline.num_tokens=true"],
-                 ["generate", "--config", good, "--set", "scene.grid_dtype=foo"],
                  ["generate", "--config", good, "--set", "pipeline.ground_bounds=[1,2]"],
                  # fields that no longer exist
+                 ["generate", "--config", good, "--set", "scene.grid_dtype=foo"],
                  ["generate", "--config", good, "--set", "pipeline.attn_order=scan_first"],
                  ["generate", "--config", good, "--set", "pipeline.scan_grouping=view-major"],
                  ["train", "--config", good, "--set", "train.w_nearest=2"],
@@ -507,14 +506,15 @@ def test_eval_rejects_options_it_would_ignore(tmp_path, option):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target, cut", [("model", 16), ("scenes", 8), ("model", "header")])
+@pytest.mark.parametrize("target, cut", [("model", 16), ("scenes", 8), ("model", "header"),
+                                         ("scenes", "header")])
 def test_eval_on_truncated_container_exits_3_naming_it(tmp_path, capsys, target, cut):
-    """A model or a scene grid file cut short, in its last array or inside its
+    """A model or a scene file cut short, in its last array or inside its
     header, makes eval exit 3 with the file's name before --out exists."""
     model = untrained_model(tmp_path)
     cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
     assert run(["generate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
-    path = model if target == "model" else str(tmp_path / "s" / "scene_000.grids.bin")
+    path = model if target == "model" else str(tmp_path / "s" / "scene_000.bin")
     with open(path, "rb") as fh:
         data = fh.read()
     with open(path, "wb") as fh:
@@ -528,10 +528,10 @@ def test_eval_on_truncated_container_exits_3_naming_it(tmp_path, capsys, target,
     assert not (tmp_path / "ev").exists()
 
 
-@pytest.mark.parametrize("name", ["scene_000.json", "scenes_manifest.json"])
+@pytest.mark.parametrize("name", ["scenes_manifest.json"])
 def test_eval_on_truncated_scene_manifest_exits_3_naming_it(tmp_path, capsys, name):
-    """A scene manifest or the set's manifest that lost its last bytes makes
-    eval exit 3 with the file's name before --out exists."""
+    """A set's manifest that lost its last bytes makes eval exit 3 with the
+    file's name before --out exists."""
     model = untrained_model(tmp_path)
     cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
     assert run(["generate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
@@ -544,34 +544,74 @@ def test_eval_on_truncated_scene_manifest_exits_3_naming_it(tmp_path, capsys, na
     assert not (tmp_path / "ev").exists()
 
 
-@pytest.mark.parametrize("name, key", [("scene_000.json", "rig"),
-                                       ("scene_000.json", None),
-                                       ("scenes_manifest.json", "scenes"),
-                                       ("scenes_manifest.json", "manifest"),
-                                       ("model.bin", "config")])
-def test_eval_on_manifest_missing_a_key_exits_3_naming_it(tmp_path, capsys, name, key):
-    """A scene manifest, the set's manifest, one of its entries or a model's
-    meta that lacks a key, or a manifest that is not a JSON object (key None),
-    makes eval exit 3 naming the file and the key before --out exists."""
+def eval_after_edit(tmp_path, capsys, name, edit):
+    """(path, stderr) of eval on a one-scene set after edit(path) rewrote the
+    file `name`, "model.bin" or a file of the set; asserts that eval exited 3
+    and left no --out."""
     model = untrained_model(tmp_path)
     cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
     assert run(["generate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
-    if name == "model.bin":
-        path = model
-        arrays, meta = container.load_container(path)
-        del meta[key]
-        container.save_container(path, arrays, meta)
-    else:
-        path = tmp_path / "s" / name
-        doc = json.loads(path.read_text())
-        if key is None:
-            doc = [doc]
-        else:
-            del (doc["scenes"][0] if key == "manifest" else doc)[key]
-        path.write_text(json.dumps(doc))
+    path = model if name == "model.bin" else str(tmp_path / "s" / name)
+    edit(path)
     capsys.readouterr()
     assert run(["eval", "--model", model, "--scenes", str(tmp_path / "s"),
                 "--out", str(tmp_path / "ev")]) == 3
-    err = capsys.readouterr().err
-    assert f"{path}: " + (f"missing key {key!r}" if key else "expected a JSON object") in err
     assert not (tmp_path / "ev").exists()
+    return path, capsys.readouterr().err
+
+
+def edit_container(change):
+    """An edit for eval_after_edit that applies change(arrays, meta) to a container."""
+    def edit(path):
+        arrays, meta = container.load_container(path)
+        change(arrays, meta)
+        container.save_container(path, arrays, meta)
+    return edit
+
+
+def drop_manifest_key(key):
+    """An edit for eval_after_edit that deletes key from a set's manifest, or
+    "file" from its first entry."""
+    def edit(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+        del (doc["scenes"][0] if key == "file" else doc)[key]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    return edit
+
+
+@pytest.mark.parametrize("name, key", [("scene_000.bin", "rig/ids"),
+                                       ("scene_000.bin", "seed"),
+                                       ("scenes_manifest.json", "scenes"),
+                                       ("scenes_manifest.json", "file"),
+                                       ("model.bin", "config")])
+def test_eval_on_manifest_missing_a_key_exits_3_naming_it(tmp_path, capsys, name, key):
+    """A scene container that lacks an array or a meta key, a set's manifest
+    or one of its entries that lacks a key, or a model's meta that lacks one,
+    makes eval exit 3 naming the file and the key before --out exists."""
+    edit = (drop_manifest_key(key) if name.endswith(".json") else edit_container(
+        lambda arrays, meta: (arrays if "/" in key else meta).pop(key)))
+    path, err = eval_after_edit(tmp_path, capsys, name, edit)
+    assert f"{path}: missing key {key!r}" in err
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("model.bin", lambda arrays, meta: meta.update(config=5),
+     "expected a JSON object, got int"),
+    ("scene_000.bin", lambda arrays, meta: meta.update(config=5),
+     "expected a JSON object, got int"),
+    ("scene_000.bin", lambda arrays, meta: arrays.update({"rig/ids": np.array([0, 0, 2])}),
+     "duplicate view ids: [0, 0, 2]"),
+    ("scene_000.bin", lambda arrays, meta: arrays["view1/level0"].fill(np.nan),
+     "feature grids must be finite"),
+    ("scene_000.bin", lambda arrays, meta: arrays.update(scale_factors=np.ones((2, 2))),
+     "3 views need scale_factors (T, S), got (2, 2)"),
+], ids=["model-config", "scene-config", "duplicate-ids", "nan-grid", "scale-factor-rows"])
+def test_eval_on_container_with_invalid_content_exits_3_naming_it(tmp_path, capsys, name,
+                                                                 change, message):
+    """A model or scene container whose config is not an object, or a scene
+    container whose rig, grids or scale factors fail their checks, makes eval
+    exit 3 naming the file and the fault before --out exists."""
+    path, err = eval_after_edit(tmp_path, capsys, name, edit_container(change))
+    assert f"{path}: {message}" in err

@@ -166,15 +166,9 @@ def test_same_seed_identical_scene_bytes(tmp_path):
     a = ev.generate_scene(cfg, 42)
     b = ev.generate_scene(cfg, 42)
     assert np.array_equal(a.gt_poses, b.gt_poses)
-    da = tmp_path / "a"
-    db = tmp_path / "b"
-    da.mkdir()
-    db.mkdir()
-    ev.save_scene(a, str(da / "scene"))
-    ev.save_scene(b, str(db / "scene"))
-    assert ((da / "scene.grids.bin").read_bytes()
-            == (db / "scene.grids.bin").read_bytes())
-    assert (da / "scene.json").read_bytes() == (db / "scene.json").read_bytes()
+    ev.save_scene(a, str(tmp_path / "a.bin"))
+    ev.save_scene(b, str(tmp_path / "b.bin"))
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 def test_camera_count_override_keeps_prefix_and_actors():
@@ -202,18 +196,31 @@ def test_coordinate_channels_consistent_across_levels():
 
 
 def test_scene_roundtrip(tmp_path):
+    """A scene comes back from its container byte for byte, also with a rig
+    of non-sequential ids and two image sizes."""
     cfg = small_cfg(num_actors=2, feature_dim=20)
     scene = ev.generate_scene(cfg, 42)
-    prefix = str(tmp_path / "scene_000")
-    manifest, grids = ev.save_scene(scene, prefix)
-    loaded = ev.load_scene(manifest)
-    assert np.array_equal(loaded.gt_poses, scene.gt_poses)
-    assert loaded.config == scene.config
-    for a, b in zip(loaded.pyramids, scene.pyramids):
-        assert a.scale_factors == b.scale_factors
-        for ga, gb in zip(a.levels, b.levels):
-            assert np.array_equal(ga, gb)
-    assert np.allclose(loaded.rig.projections[1], scene.rig.projections[1])
+    swapped = dataclasses.replace(scene, rig=geo.CameraRig(
+        projections=scene.rig.projections[::-1], sizes=[[128, 96], [80, 60], [128, 96]],
+        ids=[7, 2, 11]))
+    for i, original in enumerate((scene, swapped)):
+        path = str(tmp_path / f"scene_{i:03d}.bin")
+        ev.save_scene(original, path)
+        loaded = ev.load_scene(path)
+        for name in ("projections", "sizes", "ids"):
+            a, b = getattr(loaded.rig, name), getattr(original.rig, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert loaded.gt_poses.dtype == original.gt_poses.dtype
+        assert loaded.gt_poses.tobytes() == original.gt_poses.tobytes()
+        assert loaded.config == original.config and loaded.seed == original.seed
+        for a, b in zip(loaded.pyramids, original.pyramids, strict=True):
+            assert a.scale_factors == b.scale_factors
+            for ga, gb in zip(a.levels, b.levels, strict=True):
+                assert ga.dtype == gb.dtype == np.float32
+                assert ga.tobytes() == gb.tobytes()
+    assert loaded.rig.ids.tolist() == [7, 2, 11]
+    assert loaded.rig.sizes.tolist() == [[128, 96], [80, 60], [128, 96]]
 
 
 def test_actor_placement_fails_loudly_when_spacing_cannot_be_met():

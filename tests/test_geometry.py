@@ -1,4 +1,3 @@
-import json
 import os
 
 import numpy as np
@@ -366,39 +365,8 @@ def test_normalized_cameras_match_per_view_oracle():
 
 
 # ---------------------------------------------------------------------------
-# rig serialization
+# rig
 # ---------------------------------------------------------------------------
-
-def test_rig_json_roundtrip():
-    rng = np.random.default_rng(54)
-    rig = ring_rig(3, rng)
-    clone = geo.CameraRig.from_doc(json.loads(json.dumps(rig.to_doc())))
-    assert len(clone) == 3
-    assert np.array_equal(clone.ids, rig.ids)
-    assert np.array_equal(clone.sizes, rig.sizes)
-    assert np.allclose(clone.projections, rig.projections)
-
-
-def test_rig_doc_in_the_stored_schema_roundtrips():
-    """A literal two-view doc with non-sequential ids and different image
-    sizes loads into stacked arrays and comes back equal, as plain JSON."""
-    doc = {"views": [
-        {"id": 7, "P": [120.0, 0.0, 64.0, 10.0, 0.0, 120.0, 48.0, -5.0,
-                        0.0, 0.0, 1.0, 2500.0], "w": 128, "h": 96},
-        {"id": 2, "P": [0.5, -80.0, 40.0, 3.25, 90.0, 0.0, 30.0, 7.5,
-                        0.0, 0.25, 1.0, 3000.0], "w": 80, "h": 60}]}
-    rig = geo.CameraRig.from_doc(doc)
-    assert len(rig) == 2
-    assert rig.ids.tolist() == [7, 2]
-    assert rig.sizes.tolist() == [[128, 96], [80, 60]]
-    assert rig.projections[1, 0, 1] == -80.0
-    back = rig.to_doc()
-    assert back == doc
-    assert json.dumps(back, sort_keys=True) == json.dumps(doc, sort_keys=True)
-    for view in back["views"]:
-        assert all(type(view[k]) is int for k in ("id", "w", "h"))
-        assert all(type(x) is float for x in view["P"])
-
 
 def test_rig_compares_by_identity_and_cannot_change_past_its_checks():
     projections = np.stack([IDENTITY, IDENTITY + [[0, 0, 0, 1], [0] * 4, [0] * 4]])
