@@ -208,11 +208,16 @@ def cmd_generate(cfg: RunConfig, out_dir: str) -> int:
 
 def load_scene_dir(path: str):
     manifest = os.path.join(path, "scenes_manifest.json")
-    doc = require_keys(load_json(manifest), manifest, "scanpose-scene-set", "scenes")
-    if not doc["scenes"]:
+    scenes = require_keys(load_json(manifest), manifest, "scanpose-scene-set", "scenes")["scenes"]
+    if not isinstance(scenes, list):
+        raise ValueError(f"{manifest}: \"scenes\" must be a list, got {type(scenes).__name__}")
+    if not scenes:
         raise ValueError(f"{manifest} lists no scenes")
-    entries = [require_keys(e, manifest, None, "file") for e in doc["scenes"]]
-    return [evalsim.load_scene(os.path.join(path, e["file"])) for e in entries]
+    files = [require_keys(e, manifest, None, "file")["file"] for e in scenes]
+    for file in files:
+        if not isinstance(file, str):
+            raise ValueError(f"{manifest}: \"file\" must be a string, got {type(file).__name__}")
+    return [evalsim.load_scene(os.path.join(path, file)) for file in files]
 
 
 def load_scenes_for(config: pipeline.PipelineConfig, path: str, train: bool = False):

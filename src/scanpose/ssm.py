@@ -10,10 +10,12 @@ where delta_t phi1(m) = (exp(m) - 1) / A, or delta_t where A = 0. The scan
 unrolls h_t = Abar h_{t-1} + Bbar x_t, y_t = C_t h_t + D x_t from a zero state.
 
 selective_scan_batch scans (batch, steps, L) sequences and returns the
-outputs with a cache, and selective_scan_backward is the exact reverse
-accumulation of that recurrence from the cache. Both run state-major, with
-steps * batch innermost, so every elementwise pass has a long contiguous inner
-loop and A[l, s] broadcasts as a scalar; y is a view of the state-major result.
+outputs with a cache of the inputs, the projections and the states, and
+selective_scan_backward is the exact reverse accumulation of that recurrence
+from the cache; it recomputes Abar and Bbar from delta rather than storing them.
+Both run state-major, with steps * batch innermost, so every elementwise pass
+has a long contiguous inner loop and A[l, s] broadcasts as a scalar; y is a view
+of the state-major result.
 """
 
 from __future__ import annotations
@@ -32,20 +34,25 @@ class EmptySequence(Exception):
     pass
 
 
-def _phi1_prime(m: np.ndarray, abar: np.ndarray) -> np.ndarray:
-    """Elementwise d/dm phi1(m) given abar = exp(m); 8-term series below the threshold."""
-    small = np.abs(m) < _PHI1P_THRESHOLD
-    # (abar (m - 1) + 1) / m^2 in place: a new temporary costs more than its arithmetic
-    out = m - 1.0
-    out *= abar
-    out += 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 gets the series below
-        out /= np.multiply(m, m)
-    ms, series = m[small], 0.0
+def _phi1_prime(m: np.ndarray) -> np.ndarray:
+    """Elementwise d/dm phi1(m) by its 8-term series, for |m| < _PHI1P_THRESHOLD."""
+    out = 0.0
     for coeff in reversed(_PHI1P_COEFF):  # Horner
-        series = series * ms + coeff
-    out[small] = series
+        out = out * m + coeff
     return out
+
+
+def _zoh(A: np.ndarray, delta: np.ndarray):
+    """The zero-order hold factors abar = exp(m) and g = expm1(m) / A (delta
+    where A = 0), m = delta A, as (L, S, steps, batch) from delta (L, steps, batch)."""
+    m = delta[:, None] * A[..., None, None]
+    abar = np.exp(m)
+    g = np.expm1(m, out=m)  # g takes m's buffer: m is not read again
+    with np.errstate(invalid="ignore"):  # 0 / 0 where A = 0, overwritten below
+        g /= A[..., None, None]
+    l, s = np.nonzero(A == 0.0)
+    g[l, s] = delta[l]
+    return abar, g
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,8 @@ def selective_scan_batch(sel: SelectiveParams, x):
     """Batched scan over (batch, steps, L). Returns y, a (batch, steps, L) view
     of an (L, steps, batch) array, and the cache for the exact backward: x, pre
     (before the softplus) and delta as (L, steps, batch), Bm and Cm as (S, steps,
-    batch), abar, g = expm1(m) / A and the states hs as (L, S, steps, batch).
-    m = delta A is not cached: the backward recomputes it."""
+    batch) and the states hs as (L, S, steps, batch). The backward recomputes
+    abar and g with _zoh."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] == 0:
         raise EmptySequence(f"expected non-empty (batch, steps, L), got {x.shape}")
@@ -97,16 +104,9 @@ def selective_scan_batch(sel: SelectiveParams, x):
     delta += np.maximum(pre, 0.0)
     Bm = np.ascontiguousarray((rows @ sel.w_b).T).reshape(S, T, Bn)
     Cm = np.ascontiguousarray((rows @ sel.w_c).T).reshape(S, T, Bn)
-    m = delta[:, None] * sel.A[..., None, None]
-    abar = np.exp(m)
-    # ZOH input factor delta phi1(m) = expm1(m) / A, in place; delta where A = 0
-    g = np.expm1(m)
-    with np.errstate(invalid="ignore"):  # 0 / 0 where A = 0, overwritten below
-        g /= sel.A[..., None, None]
-    l, s = np.nonzero(sel.A == 0.0)
-    g[l, s] = delta[l]
-    # hs starts as the input term, in m's buffer; the loop adds only the carried state
-    hs = np.multiply(g, Bm, out=m)
+    abar, g = _zoh(sel.A, delta)
+    # hs starts as the input term, in g's buffer; the loop adds only the carried state
+    hs = np.multiply(g, Bm, out=g)
     hs *= xs[:, None]
     step = np.empty_like(hs[:, :, 0])
     for t in range(1, T):
@@ -117,44 +117,50 @@ def selective_scan_batch(sel: SelectiveParams, x):
     for s in range(1, S):
         y += np.multiply(hs[:, s], Cm[s], out=term)
     y += np.multiply(sel.D[:, None, None], xs, out=term)
-    cache = {"x": xs, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm,
-             "abar": abar, "g": g, "hs": hs}
+    cache = {"x": xs, "pre": pre, "delta": delta, "Bm": Bm, "Cm": Cm, "hs": hs}
     return np.transpose(y, (2, 1, 0)), cache
 
 
 def selective_scan_backward(sel: SelectiveParams, cache, upstream: np.ndarray):
     """Reverse accumulation through the cache of selective_scan_batch;
     upstream is dLoss/dy, shaped like y. Returns a dict of gradients for the
-    inputs and every parameter. Sums over L or S are einsum contractions with
-    steps * batch innermost; sums over steps * batch are stacked matmuls."""
-    x, delta, Bm, Cm = cache["x"], cache["delta"], cache["Bm"], cache["Cm"]
-    abar, g, hs = cache["abar"], cache["g"], cache["hs"]
+    inputs and every parameter. With u = B_t x_t, (Abar, G) has d/d delta =
+    (A Abar, Abar) and d/dA = (delta Abar, (delta Abar - G) / A), which meet in
+    v = A h_{t-1} + u: d delta = sum_s dh Abar v, dA = sum (delta dh Abar v - dh G u) / A.
+    Sums over L or S run with steps * batch innermost; sums over steps * batch
+    are stacked matmuls."""
+    x, delta, Bm, Cm, hs = (cache[k] for k in ("x", "delta", "Bm", "Cm", "hs"))
     up = np.ascontiguousarray(np.transpose(upstream, (2, 1, 0)))  # (L, T, B)
     L, S, T, Bn = hs.shape
+    abar, g = _zoh(sel.A, delta)  # the forward's expressions, so the same bits
     # only dh is recurrent: dh_t = dy_t C_t + Abar_{t+1} dh_{t+1}
     dh = up[:, None] * Cm
     step = np.empty_like(dh[:, :, 0])
     for t in range(T - 2, -1, -1):
         dh[:, :, t] += np.multiply(dh[:, :, t + 1], abar[:, :, t + 1], out=step)
     dCm = np.einsum("lstb,ltb->stb", hs, up)
-    dhg = dh * g
-    dx = up * sel.D[:, None, None] + np.einsum("lstb,stb->ltb", dhg, Bm)
-    dBm = np.einsum("lstb,ltb->stb", dhg, x)
-    # through Abar = exp(m), m = delta A: dm = dh h_{t-1} Abar
-    dm = np.multiply(dh, abar, out=dhg)
-    dm[:, :, 0] = 0.0
-    dm[:, :, 1:] *= hs[:, :, :-1]
-    # through G = delta phi1(m): dG = dh B_t x_t, dG/d delta = Abar,
-    # dG/dA = delta^2 phi1'(m), with m = delta A recomputed
-    dG = np.multiply(dh, Bm, out=dh)
-    dG *= x[:, None]
-    dGp = _phi1_prime(delta[:, None] * sel.A[..., None, None], abar)
-    dGp *= dG
-    dm, xk, dk = dm.reshape(L, S, -1), x.reshape(L, -1, 1), delta.reshape(L, -1, 1)
-    ddelta = np.matmul(sel.A[:, None], dm).reshape(up.shape)
-    ddelta += np.einsum("lstb,lstb->ltb", dG, abar)
-    dA = np.matmul(dm, dk)[..., 0]
-    dA += np.matmul(dGp.reshape(L, S, -1), dk * dk)[..., 0]
+    # states whose |m| stays below the threshold (A = 0 too) keep dA's per-element
+    # form dh delta (abar h_{t-1} + delta phi1'(m) B_t x_t): the closed form cancels
+    series = np.abs(sel.A) * delta.max(axis=(1, 2))[:, None] < _PHI1P_THRESHOLD
+    l, s = np.nonzero(series)
+    dl, hprev = delta[l], np.concatenate((np.zeros((l.size, 1, Bn)), hs[l, s, :-1]), axis=1)
+    dA_series = np.sum(dh[l, s] * dl * (abar[l, s] * hprev + Bm[s] * x[l] * dl
+                                        * _phi1_prime(dl * sel.A[l, s, None, None])), axis=(1, 2))
+    q = np.multiply(dh, g, out=g)  # dh G, then q = dh G B_t
+    dBm = np.einsum("lstb,ltb->stb", q, x)
+    q *= Bm
+    dx = up * sel.D[:, None, None] + q.sum(axis=1)
+    xk, dk = x.reshape(L, -1, 1), delta.reshape(L, -1, 1)
+    qx = np.matmul(q.reshape(L, S, -1), xk)[..., 0]
+    # w = dh Abar v in dh's buffer, v in q's, A h_{t-1} in abar's
+    w = np.multiply(dh, abar, out=dh)
+    v = np.multiply(Bm, x[:, None], out=q)
+    v[:, :, 1:] += np.multiply(hs[:, :, :-1], sel.A[..., None, None], out=abar[:, :, 1:])
+    w *= v
+    ddelta = w.sum(axis=1)
+    dA = np.matmul(w.reshape(L, S, -1), dk)[..., 0] - qx
+    np.divide(dA, sel.A, out=dA, where=~series)
+    dA[l, s] = dA_series
     dD = np.matmul(up.reshape(L, 1, -1), xk).reshape(L)
 
     # through the softplus: d delta / d pre = 1 / (1 + exp(-pre)), in place;

@@ -10,6 +10,7 @@ arithmetic is unchanged.
 
 import math
 
+import mpmath
 import numpy as np
 
 from scanpose import autodiff as ad
@@ -371,6 +372,68 @@ def head_composition(stencil, x2, w1, b1):
     return ad.tanh(concat_node([stencil, x2b], axis=-1) @ w1 + b1)
 
 
+def phi1_prime(m, abar):
+    """d/dm phi1(m) = (exp(m)(m - 1) + 1) / m^2 given abar = exp(m), elementwise;
+    where |m| < 0.05, whose closed form cancels, the Taylor sum over k = 1..8 of
+    k m^(k-1) / (k+1)!."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 takes the sum
+        closed = ((m - 1.0) * abar + 1.0) / (m * m)
+    series = sum(k * m ** (k - 1) / math.factorial(k + 1) for k in range(1, 9))
+    return np.where(np.abs(m) < 0.05, series, closed)
+
+
+def scan_grads_mp(sel, x, upstream, dps=50):
+    """Gradients of sum(upstream * y) for A, b_delta and w_delta, with y the
+    selective scan of x (batch, steps, L): a scalar loop in mpmath at dps
+    digits that unrolls the recurrence forward and accumulates the textbook
+    chain rule in reverse, dAbar/dA = delta Abar, dG/dA = delta^2 phi1'(m),
+    dAbar/d delta = A Abar, dG/d delta = Abar. Returns float64 arrays."""
+    with mpmath.workdps(dps):
+        mp = mpmath.mpf
+        L, S = np.shape(sel.A)
+        A = [[mp(float(a)) for a in row] for row in sel.A]
+        dA = [[mp(0)] * S for _ in range(L)]
+        db, dw = [mp(0)] * L, [[mp(0)] * L for _ in range(L)]
+        for xb, ub in zip(np.asarray(x, dtype=float), np.asarray(upstream, dtype=float)):
+            xs = [[mp(float(v)) for v in row] for row in xb]
+            steps = []  # per step: pre, delta, B_t, C_t, abar, h
+            h = [[mp(0)] * S for _ in range(L)]
+            for xt in xs:
+                pre = [mpmath.fsum(xt[i] * mp(float(sel.w_delta[i][l])) for i in range(L))
+                       + mp(float(sel.b_delta[l])) for l in range(L)]
+                delta = [mpmath.log1p(mpmath.exp(p)) for p in pre]
+                Bt = [mpmath.fsum(xt[i] * mp(float(sel.w_b[i][s])) for i in range(L))
+                      for s in range(S)]
+                Ct = [mpmath.fsum(xt[i] * mp(float(sel.w_c[i][s])) for i in range(L))
+                      for s in range(S)]
+                abar = [[mpmath.exp(delta[l] * A[l][s]) for s in range(S)] for l in range(L)]
+                g = [[mpmath.expm1(delta[l] * A[l][s]) / A[l][s] if A[l][s] else delta[l]
+                      for s in range(S)] for l in range(L)]
+                h = [[abar[l][s] * h[l][s] + g[l][s] * Bt[s] * xt[l] for s in range(S)]
+                     for l in range(L)]
+                steps.append((pre, delta, Bt, Ct, abar, h))
+            dh_next = [[mp(0)] * S for _ in range(L)]
+            for t in range(len(xs) - 1, -1, -1):
+                pre, delta, Bt, Ct, abar, _ = steps[t]
+                h_prev = steps[t - 1][5] if t else [[mp(0)] * S for _ in range(L)]
+                for l in range(L):
+                    ddelta = mp(0)
+                    for s in range(S):
+                        dh = mp(float(ub[t][l])) * Ct[s] + dh_next[l][s]
+                        dabar, dg = dh * h_prev[l][s], dh * Bt[s] * xs[t][l]
+                        m = delta[l] * A[l][s]
+                        phi1p = (abar[l][s] * (m - 1) + 1) / (m * m) if m else mp(1) / 2
+                        dA[l][s] += dabar * delta[l] * abar[l][s] + dg * delta[l] ** 2 * phi1p
+                        ddelta += dabar * A[l][s] * abar[l][s] + dg * abar[l][s]
+                        dh_next[l][s] = dh * abar[l][s]
+                    dpre = ddelta / (1 + mpmath.exp(-pre[l]))
+                    db[l] += dpre
+                    for i in range(L):
+                        dw[i][l] += xs[t][i] * dpre
+        return {k: np.array(v, dtype=float) for k, v in
+                (("A", dA), ("b_delta", db), ("w_delta", dw))}
+
+
 def selective_scan_step_major(sel, x):
     """The step-major selective scan that ssm.selective_scan_batch replaced:
     every cached array is (steps, batch, ...), the cache holds m = delta A, and
@@ -440,7 +503,7 @@ def selective_scan_backward_step_major(sel, cache, upstream):
     ddelta = np.einsum("tbls,ls->tbl", dm, sel.A) \
         + np.einsum("tbls,tbls->tbl", dG, abar)
     dA = np.einsum("tbls,tbl->ls", dm, delta) \
-        + np.einsum("tbls,tbls,tbl->ls", dG, ssm._phi1_prime(m, abar), delta * delta)
+        + np.einsum("tbls,tbls,tbl->ls", dG, phi1_prime(m, abar), delta * delta)
     dD = np.sum(up * x, axis=(0, 1))
 
     # through the softplus: d delta / d pre = 1 / (1 + exp(-pre)), in place;

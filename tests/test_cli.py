@@ -596,6 +596,29 @@ def test_eval_on_manifest_missing_a_key_exits_3_naming_it(tmp_path, capsys, name
     assert f"{path}: missing key {key!r}" in err
 
 
+def set_manifest_value(key, value):
+    """An edit for eval_after_edit that sets key of a set's manifest, or "file"
+    of its first entry, to value."""
+    def edit(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+        (doc["scenes"][0] if key == "file" else doc)[key] = value
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    return edit
+
+
+@pytest.mark.parametrize("key, message", [("scenes", '"scenes" must be a list, got int'),
+                                          ("file", '"file" must be a string, got int')],
+                         ids=["scenes", "file"])
+def test_eval_on_set_manifest_with_wrong_type_exits_3_naming_it(tmp_path, capsys, key,
+                                                                 message):
+    """A set's manifest whose "scenes" is not a list, or whose entry's "file" is
+    not a string, makes eval exit 3 naming the manifest before --out exists."""
+    path, err = eval_after_edit(tmp_path, capsys, "scenes_manifest.json",
+                                set_manifest_value(key, 5))
+    assert f"{path}: {message}" in err
+
 @pytest.mark.parametrize("name, change, message", [
     ("model.bin", lambda arrays, meta: meta.update(config=5),
      "expected a JSON object, got int"),

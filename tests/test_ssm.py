@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from scanpose import ssm
-from oracles import (expm_taylor_ld, lti_scan_ld, rel_error, selective_scan_backward_step_major,
-                     selective_scan_step_major)
+from oracles import (expm_taylor_ld, lti_scan_ld, phi1_prime, rel_error, scan_grads_mp,
+                     selective_scan_backward_step_major, selective_scan_step_major)
 
 
 def random_selective(rng, L=3, S=4, scale=0.5):
@@ -71,17 +71,17 @@ def constant_step(delta):
 
 
 def scan_zoh(A, delta):
-    """The zero-order hold factors that one scan step caches for the state
-    coefficients A (L, S) and per-channel step sizes delta (L,): abar, g / delta
-    (that is, phi1(m)), m = delta A as the scan multiplies it, and delta."""
+    """The zero-order hold factors of one scan step for the state coefficients
+    A (L, S) and per-channel step sizes delta (L,): abar, g / delta (that is,
+    phi1(m)), m = delta A as the scan multiplies it, and delta."""
     L, S = A.shape
     sel = ssm.SelectiveParams(w_delta=np.zeros((L, L)), b_delta=constant_step(delta),
                               w_b=np.zeros((L, S)), w_c=np.zeros((L, S)), A=A,
                               D=np.zeros(L))
     _, cache = ssm.selective_scan_batch(sel, np.zeros((1, 1, L)))
-    delta = cache["delta"][:, 0, 0]  # the cache is state-major: (L, [S,] steps, batch)
-    return (cache["abar"][..., 0, 0], cache["g"][..., 0, 0] / delta[:, None],
-            delta[:, None] * A, delta)
+    abar, g = ssm._zoh(sel.A, cache["delta"])  # state-major: (L, [S,] steps, batch)
+    delta = cache["delta"][:, 0, 0]
+    return abar[..., 0, 0], g[..., 0, 0] / delta[:, None], delta[:, None] * A, delta
 
 
 def lti_system(rng, n=4):
@@ -122,7 +122,7 @@ def scan_recurrent(a, b, c, d, delta, xs):
 
 
 # ---------------------------------------------------------------------------
-# zero-order hold: the scan's cached abar and g
+# zero-order hold: the scan's abar and g
 # ---------------------------------------------------------------------------
 
 def test_zoh_zero_A_limit():
@@ -138,8 +138,9 @@ def test_zoh_scalar_closed_form():
     sel = ssm.SelectiveParams(w_delta=np.zeros((1, 1)), b_delta=[0.0],
                               w_b=[[0.0]], w_c=[[0.0]], A=[[-1.0]], D=[0.0])
     _, cache = ssm.selective_scan_batch(sel, np.zeros((1, 1, 1)))
-    assert abs(cache["abar"].item() - 0.5) < 1e-14
-    assert abs(cache["g"].item() - 0.5) < 1e-14
+    abar, g = ssm._zoh(sel.A, cache["delta"])
+    assert abs(abar.item() - 0.5) < 1e-14
+    assert abs(g.item() - 0.5) < 1e-14
 
 
 def test_zoh_diagonal_matches_dense_expm_oracle():
@@ -410,6 +411,7 @@ def _mixed_selective(rng, L=3):
 def loop_selective_backward(sel, cache, upstream):
     """Reference reverse pass: one step at a time, every gradient
     accumulated inside the loop."""
+    cache = {**cache, **dict(zip(("abar", "g"), ssm._zoh(sel.A, cache["delta"])))}
     # batch-major: (L|S, T, B) -> (B, T, L|S) and (L, S, T, B) -> (B, T, L, S)
     cache = {k: np.transpose(v, (2, 1, 0) if v.ndim == 3 else (3, 2, 0, 1))
              for k, v in cache.items()}
@@ -419,7 +421,7 @@ def loop_selective_backward(sel, cache, upstream):
     T = x.shape[1]
     dx, dBm, dCm = np.zeros_like(x), np.zeros_like(Bm), np.zeros_like(Cm)
     ddelta, dA, dD = np.zeros_like(delta), np.zeros_like(sel.A), np.zeros_like(sel.D)
-    phi1p = ssm._phi1_prime(m, abar)
+    phi1p = phi1_prime(m, abar)
     dh_next = np.zeros_like(hs[:, 0])
     for t in range(T - 1, -1, -1):
         dy = upstream[:, t]
@@ -501,16 +503,72 @@ def test_scan_matches_step_major_kernel(batch, steps):
 
 
 def test_scan_cache_holds_no_recomputable_state():
-    # m = delta A is recomputed by the backward; only abar, g and the states
-    # hs are cached at the full (L, S, steps, batch) size
+    # the backward recomputes m = delta A, abar and g; only the states hs are
+    # cached at the full (L, S, steps, batch) size
     rng = np.random.default_rng(25)
-    B, T, L, S = 3, 5, 3, 4
-    _, cache = ssm.selective_scan_batch(random_selective(rng, L=L, S=S),
-                                        rng.normal(size=(B, T, L)))
-    full = {k for k, v in cache.items() if v.size == L * S * T * B}
-    assert full == {"abar", "g", "hs"}
-    assert all(cache[k].shape == (L, S, T, B) for k in full)
+    for B, T, L, S in ((3, 5, 3, 4), (96, 105, 17, 4)):  # a tiny and the wide scan
+        _, cache = ssm.selective_scan_batch(random_selective(rng, L=L, S=S),
+                                            rng.normal(size=(B, T, L)))
+        full = {k for k, v in cache.items() if v.size == L * S * T * B}
+        assert full == {"hs"}
+        assert cache["hs"].shape == (L, S, T, B)
+    # 9.77 MiB at the wide shape; abar and g made it 20.2 MiB
+    assert sum(v.nbytes for v in cache.values()) < 10 * 2 ** 20
 
+
+def test_backward_splits_series_and_closed_form_states():
+    # dA takes the series on the (channel, state) rows whose largest |m| is
+    # below the threshold and the closed form on the rest; this call holds
+    # both in one column and an exact A = 0 column, and a RuntimeWarning raises
+    rng = np.random.default_rng(26)
+    B, T, L, S = 3, 6, 3, 4
+    sel = random_selective(rng, L=L, S=S)
+    sel = ssm.SelectiveParams(**{**sel.__dict__, "A": [[0.0, -2e-4, -0.8, -0.01],
+                                                       [0.0, -0.3, -0.01, -2e-4],
+                                                       [0.0, -1.2, -0.5, -0.02]]})
+    x = rng.normal(size=(B, T, L))
+    upstream = rng.normal(size=(B, T, L))
+    _, cache = ssm.selective_scan_batch(sel, x)
+    series = np.abs(sel.A) * cache["delta"].max(axis=(1, 2))[:, None] < ssm._PHI1P_THRESHOLD
+    assert np.all(series[:, 0]) and np.any(series[:, 1]) and not np.all(series[:, 1])
+    grads = ssm.selective_scan_backward(sel, cache, upstream)
+    for name, value in loop_selective_backward(sel, cache, upstream).items():
+        assert rel_error(grads[name], value) < 1e-12, name
+
+    def loss(s, xf):
+        return float(np.sum(ssm.selective_scan_batch(s, xf)[0] * upstream))
+
+    step = 1e-6
+    fd_x = np.array([(loss(sel, x + step * e) - loss(sel, x - step * e)) / (2 * step)
+                     for e in np.eye(x.size).reshape(x.size, B, T, L)]).reshape(x.shape)
+    assert rel_error(grads["x"], fd_x) < 1e-4
+    p0 = _flatten_params(sel)
+    fd_p = np.array([(loss(_rebuild(p0 + step * e, L, S), x)
+                      - loss(_rebuild(p0 - step * e, L, S), x)) / (2 * step)
+                     for e in np.eye(p0.size)])
+    analytic = np.concatenate([grads[k].ravel() for k in
+                               ("w_delta", "b_delta", "w_b", "w_c", "A", "D")])
+    assert rel_error(analytic, fd_p) < 1e-4
+
+
+def test_backward_matches_mpmath_oracle_on_both_dA_forms():
+    # one channel with A = 0, a state whose |m| stays below the threshold
+    # (series) and one with |m| in 0.5-5 (closed form), against a 50-digit
+    # scalar loop; the worst element read 5.0e-14 relative over seeds 300-499,
+    # 4.0e-14 over these ten, so the bound keeps a 10x margin
+    for seed in range(10):
+        rng = np.random.default_rng(300 + seed)
+        sel = ssm.SelectiveParams(w_delta=[[0.8]], b_delta=[0.5], w_b=rng.normal(size=(1, 3)),
+                                  w_c=rng.normal(size=(1, 3)), A=[[0.0, -0.01, -2.0]],
+                                  D=rng.normal(size=1))
+        x = rng.uniform(-1.0, 1.0, size=(2, 5, 1))  # delta in 0.55-1.55
+        upstream = rng.normal(size=(2, 5, 1))
+        _, cache = ssm.selective_scan_batch(sel, x)
+        m = np.abs(cache["delta"][0]) * np.abs(sel.A[0, :, None, None])
+        assert m[1].max() < ssm._PHI1P_THRESHOLD and 0.5 <= m[2].min() and m[2].max() <= 5.0
+        grads = ssm.selective_scan_backward(sel, cache, upstream)
+        for name, value in scan_grads_mp(sel, x, upstream).items():
+            assert np.all(np.abs(grads[name] - value) < 5e-13 * np.abs(value)), name
 
 def test_phi1_and_derivative_match_scalar_definitions_on_mixed_arrays():
     def phi1_def(m):
@@ -529,8 +587,10 @@ def test_phi1_and_derivative_match_scalar_definitions_on_mixed_arrays():
             d = decimal.Decimal(m)
             return float((d.exp() * (d - 1) + 1) / (d * d))
 
-    # m = +-0, m = 1e-3 and m exactly at the phi1' threshold (where the direct
-    # branch takes over) are included; a divide or invalid warning raises
+    # m = +-0, m = 1e-3 and m exactly at the phi1' threshold are included; phi1'
+    # is a series for |m| below the threshold only, the states it serves (its
+    # closed form above is checked through dA against oracles.scan_grads_mp);
+    # a divide or invalid warning raises
     base = [0.0, 1e-5, 5e-4, 9.9e-4, 1e-3, 2e-3, 0.03, 0.049,
             ssm._PHI1P_THRESHOLD, 0.2, 2.5, 40.0]
     m = np.array(base + [-v for v in base])
@@ -541,10 +601,11 @@ def test_phi1_and_derivative_match_scalar_definitions_on_mixed_arrays():
         # phi1 as the scan forms it, g / delta at A = m / delta
         delta = np.array([0.7, 1.3])
         _, got, m_scan, _ = scan_zoh(m / delta[:, None], delta)
-        got_p = ssm._phi1_prime(m, np.exp(m))
+        below = np.abs(m) < ssm._PHI1P_THRESHOLD
+        got_p = ssm._phi1_prime(m[below])
     assert np.array_equal(np.signbit(m_scan), np.signbit(m))
     assert np.max(np.abs(m_scan - m) / np.maximum(np.abs(m), 1e-300)) < 1e-15
     want = np.vectorize(phi1_def)(m_scan)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
-    want_p = np.vectorize(phi1p_def)(m)
+    want_p = np.vectorize(phi1p_def)(m[below])
     assert np.max(np.abs(got_p - want_p) / np.abs(want_p)) < 1e-13
