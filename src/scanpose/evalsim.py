@@ -11,9 +11,8 @@ cameras of a seed are always a prefix of the first K+1: evaluating the same
 scene with fewer or more cameras mirrors the nested cross-camera protocol.
 
 A scene file is one container (the format model files use): the rig's
-stacked arrays, the skeletons, per-view scale factors and every feature grid,
-with the config echo and the seed in its meta. Reports serialize to JSON and
-CSV.
+stacked arrays, the skeletons and every feature grid, with the config echo
+and the seed in its meta. Reports serialize to JSON and CSV.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import container
 from .geometry import CameraRig, look_at_camera, project_batch
-from .pipeline import FeaturePyramid
+from .pipeline import FeaturePyramid, level_scales
 from .tokens import load_tpose, pose_distances
 
 MAP_THRESHOLDS_MM = (25.0, 50.0, 75.0, 100.0, 125.0, 150.0)
@@ -111,8 +110,7 @@ def camera_ring(cfg: SceneConfig, rng: np.random.Generator,
                                           cfg.focal_scale * cfg.image_width,
                                           cfg.image_width, cfg.image_height))
     return CameraRig(projections=np.stack(projections),
-                     sizes=np.tile([cfg.image_width, cfg.image_height], (T, 1)),
-                     ids=np.arange(T))
+                     sizes=np.tile([cfg.image_width, cfg.image_height], (T, 1)))
 
 
 def sample_actor_poses(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
@@ -167,9 +165,8 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
     uv, _, valid = project_batch(rig.projections, poses)  # (T, Z, J, 2)
     J = poses.shape[1]
     sig2 = 2.0 * cfg.heatmap_sigma_px ** 2
-    factors, bases = [], []
-    for s in range(cfg.num_scales):
-        f_s = 1.0 / (2 ** s)
+    factors, bases = level_scales(cfg.num_scales), []
+    for f_s in factors:
         W_s = max(int(round(cfg.image_width * f_s)), 1)
         H_s = max(int(round(cfg.image_height * f_s)), 1)
         cols, rows = np.meshgrid(np.arange(W_s), np.arange(H_s))
@@ -178,7 +175,6 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
         # the position channels are the same in every view
         base = np.empty((H_s, W_s, cfg.feature_dim), dtype=np.float32)
         base[:, :, J:] = np.stack(_positional_channels(cfg, xn, yn), axis=-1)
-        factors.append(f_s)
         bases.append(base)
     pyramids = []
     for t in range(len(rig)):
@@ -196,8 +192,7 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
             grid = base.copy()
             grid[:, :, :J] = heat
             levels.append(grid)
-        pyramids.append(FeaturePyramid(levels=tuple(levels),
-                                       scale_factors=tuple(factors)))
+        pyramids.append(FeaturePyramid(levels=tuple(levels)))
     return pyramids
 
 
@@ -220,8 +215,7 @@ def generate_scene(cfg: SceneConfig, seed: int,
 def save_scene(scene: Scene, path: str) -> None:
     """Write the scene as one container at path."""
     arrays = {"rig/projections": scene.rig.projections, "rig/sizes": scene.rig.sizes,
-              "rig/ids": scene.rig.ids, "gt_poses": scene.gt_poses,
-              "scale_factors": np.array([p.scale_factors for p in scene.pyramids])}
+              "gt_poses": scene.gt_poses}
     for t, pyr in enumerate(scene.pyramids):
         for s, level in enumerate(pyr.levels):
             arrays[f"view{t}/level{s}"] = level
@@ -230,28 +224,26 @@ def save_scene(scene: Scene, path: str) -> None:
 
 
 def load_scene(path: str) -> Scene:
-    """The scene in the container at path; a ValueError names path."""
+    """The scene in the container at path; a ValueError names path. Arrays
+    the scene does not read are ignored."""
     arrays, meta = container.load_container(path)
     container.require_keys(meta, path, "scanpose-scene", "config", "seed")
-    container.require_keys(arrays, path, None, "rig/projections", "rig/sizes",
-                           "rig/ids", "gt_poses", "scale_factors")
+    container.require_keys(arrays, path, None, "rig/projections", "rig/sizes", "gt_poses")
     cfg = container.build_dataclass(SceneConfig, meta["config"], path)
     try:
-        rig = CameraRig(projections=arrays["rig/projections"], sizes=arrays["rig/sizes"],
-                        ids=arrays["rig/ids"])
-        factors = arrays["scale_factors"]
-        if factors.ndim != 2 or len(factors) != len(rig):
-            raise ValueError(f"{len(rig)} views need scale_factors (T, S), "
-                             f"got {factors.shape}")
+        rig = CameraRig(projections=arrays["rig/projections"], sizes=arrays["rig/sizes"])
+        poses = np.asarray(arrays["gt_poses"], dtype=float)
+        if poses.shape != (cfg.num_actors, cfg.num_joints, 3):
+            raise ValueError(f"gt_poses must be (num_actors, num_joints, 3) = "
+                             f"{(cfg.num_actors, cfg.num_joints, 3)}, got {poses.shape}")
         pyramids = []
         for t in range(len(rig)):
             levels = []
             while f"view{t}/level{len(levels)}" in arrays:
                 levels.append(arrays[f"view{t}/level{len(levels)}"])
-            pyramids.append(FeaturePyramid(levels=tuple(levels),
-                                           scale_factors=tuple(factors[t])))
-        return Scene(rig=rig, gt_poses=np.asarray(arrays["gt_poses"], dtype=float),
-                     pyramids=pyramids, config=cfg, seed=int(meta["seed"]))
+            pyramids.append(FeaturePyramid(levels=tuple(levels)))
+        return Scene(rig=rig, gt_poses=poses, pyramids=pyramids, config=cfg,
+                     seed=int(meta["seed"]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -349,10 +341,6 @@ def evaluate(pred_poses: np.ndarray, pred_scores: np.ndarray,
     Z = len(gt_poses)
     matches = greedy_match(pred_poses, pred_scores, gt_poses)
     ap = {thr: ap_from_matches(matches, Z, thr) for thr in MAP_THRESHOLDS_MM}
-    if len(pred_poses) == 0:
-        return EvalReport(mpjpe_mm=float("nan"), mpjpe_defined=False, ap=ap,
-                          map=0.0, recall=0.0, pcp_per_actor=[0.0] * Z,
-                          pcp_avg=0.0, num_predictions=0, num_gt=Z)
     matched = [(pi, zi, d) for pi, zi, d in matches if zi >= 0]
     dists = [d for _, _, d in matched]
     recall = sum(1 for d in dists if d < RECALL_RADIUS_MM) / Z

@@ -3,8 +3,8 @@
 World coordinates are millimeters, image coordinates are pixels. A camera is a
 3x4 projection matrix mapping homogeneous world points to homogeneous pixels.
 A CameraRig holds its T cameras as stacked arrays (projections (T, 3, 4),
-image sizes (T, 2), view ids (T,)), the form every computation reads and
-every scene file stores.
+image sizes (T, 2)), the form every computation reads and every scene file
+stores. A view is its index in the rig.
 Triangulation solves the weighted homogeneous linear system (two rows per view,
 scaled by that view's confidence) for the right singular vector of the smallest
 singular value. Rows are built from pixel-normalized cameras and the world
@@ -32,30 +32,25 @@ RANK_RATIO_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class CameraRig:
-    """T cameras as stacked arrays: projections (T, 3, 4), image sizes
-    (T, 2) as (width, height) in pixels, and view ids (T,).
+    """T cameras as stacked arrays: projections (T, 3, 4) and image sizes
+    (T, 2) as (width, height) in pixels.
 
     The rig holds read-only copies of the arrays it is given, so it cannot
     be changed past its checks; rigs compare and hash by identity."""
     projections: np.ndarray
     sizes: np.ndarray
-    ids: np.ndarray
 
     def __post_init__(self):
         P = np.array(self.projections, dtype=float)
         if P.ndim != 3 or P.shape[1:] != (3, 4):
             raise ValueError(f"projections must be (T, 3, 4), got {P.shape}")
         sizes = np.array(self.sizes, dtype=int)
-        ids = np.array(self.ids, dtype=int)
-        if sizes.shape != (len(P), 2) or ids.shape != (len(P),):
-            raise ValueError(f"{len(P)} views need sizes (T, 2) and ids (T,), "
-                             f"got {sizes.shape} and {ids.shape}")
+        if sizes.shape != (len(P), 2):
+            raise ValueError(f"{len(P)} views need sizes (T, 2), got {sizes.shape}")
         deficient = np.nonzero(np.linalg.matrix_rank(P) != 3)[0]
         if deficient.size:
-            raise ValueError(f"projection of view {ids[deficient[0]]} is rank deficient")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError(f"duplicate view ids: {ids.tolist()}")
-        for name, value in (("projections", P), ("sizes", sizes), ("ids", ids)):
+            raise ValueError(f"projection of view {deficient[0]} is rank deficient")
+        for name, value in (("projections", P), ("sizes", sizes)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

@@ -13,9 +13,9 @@ into the masked sample stencil (bilinear_op), its weighted sum
 (weighted_sum_op), the offset head's hidden layer (head_op), the selective
 scan (selective_scan_op) and triangulation (triangulate_op). The stencil is
 held once, by the two closures that read it.
-Model parameters serialize through the versioned container with a JSON
-manifest (shapes, seeds, config echo); loading checks every name and shape
-against init_params for the echoed config.
+Model parameters serialize through the versioned container, whose array
+table records each shape, with the config echo in its meta; loading checks
+every name and shape against init_params for the echoed config.
 """
 
 from __future__ import annotations
@@ -33,24 +33,28 @@ BLOCK_VARIANTS = ("pss", "proj_attention_only", "cross_attention", "mean")
 MASK_MARGIN = 1.5
 
 
+def level_scales(num_scales: int) -> np.ndarray:
+    """Pixels to grid units of each pyramid level: level s halves the
+    resolution s times, so it is sampled at 0.5 ** s."""
+    return 0.5 ** np.arange(num_scales)
+
+
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-view multi-scale feature grids: levels[s] is (H_s, W_s, L) and
-    scale_factors[s] converts pixels to that level's grid units."""
+    """Per-view multi-scale feature grids: levels[s] is (H_s, W_s, L), the
+    view's image at level_scales(S)[s] of its pixel resolution."""
     levels: tuple
-    scale_factors: tuple
 
     def __post_init__(self):
         levels = tuple(np.asarray(g) for g in self.levels)
-        if len(levels) < 1 or len(levels) != len(self.scale_factors):
-            raise ValueError("need one scale factor per level")
+        if len(levels) < 1:
+            raise ValueError("need at least one level")
         dims = {g.shape[-1] for g in levels}
         if len(dims) != 1:
             raise ValueError(f"inconsistent channel counts {dims}")
         if not all(np.all(np.isfinite(g)) for g in levels):
             raise ValueError("feature grids must be finite")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "scale_factors", tuple(float(f) for f in self.scale_factors))
 
     @property
     def feature_dim(self) -> int:
@@ -341,8 +345,8 @@ def _attention_samples(visual: ad.Tensor, anchors: ad.Tensor, valid: np.ndarray,
     off = (visual @ p[prefix + "off_w"] + p[prefix + "off_b"]).reshape((n, J, S, P, 2))
     w_sp = ad.softmax(visual @ p[prefix + "alog_w"] + p[prefix + "alog_b"], axis=-1)
     # each view's anchors in each level's grid units, plus the offsets
-    scales = np.array([pyr.scale_factors[:S] for pyr in pyramids]).reshape((T, 1, 1, S, 1, 1))
-    positions = anchors.reshape((T, n, J, 1, 1, 2)) * scales + off  # (T, n, J, S, P, 2)
+    positions = (anchors.reshape((T, n, J, 1, 1, 2)) * level_scales(S).reshape((S, 1, 1))
+                 + off)  # (T, n, J, S, P, 2)
     stencil = bilinear_op(pyramids, positions, valid)
     per_view = weighted_sum_op(stencil, w_sp, S)
     denom = np.maximum(valid.sum(axis=0), 1)[None, ..., None]
@@ -537,11 +541,7 @@ def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
 
 def save_model(path: str, params: dict, config: PipelineConfig,
                extra_meta: dict | None = None) -> None:
-    meta = {
-        "kind": "scanpose-model",
-        "config": asdict(config),
-        "shapes": {k: list(np.shape(v)) for k, v in sorted(params.items())},
-    }
+    meta = {"kind": "scanpose-model", "config": asdict(config)}
     if extra_meta:
         meta.update(extra_meta)
     container.save_container(path, {f"param/{k}": np.asarray(v)

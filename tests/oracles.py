@@ -324,8 +324,7 @@ def stencil_blocks(pyramids, anchors, off, valid):
     n, J, S = off.shape[:3]
     offsets = [off[:, :, s] for s in range(S)]
     anchor = [anchors[t].reshape((n, J, 1, 2)) for t in range(len(pyramids))]
-    return stencil_op([bilinear_block_op(pyr.levels[s],
-                                         anchor[t] * pyr.scale_factors[s] + offsets[s])
+    return stencil_op([bilinear_block_op(pyr.levels[s], anchor[t] * 0.5 ** s + offsets[s])
                        for t, pyr in enumerate(pyramids) for s in range(S)], valid)
 
 
@@ -348,7 +347,7 @@ def attention_samples_loop(visual, anchors, valid, pyramids, p, prefix, config):
         per_scale = []
         raw_scale = []
         for s in range(S):
-            pos = anchor_t * pyr.scale_factors[s] + off[:, :, s]
+            pos = anchor_t * 0.5 ** s + off[:, :, s]
             samples = bilinear_block_op(pyr.levels[s], pos)
             raw_scale.append(samples)
             per_scale.append((w_sp[:, :, s].reshape((n, J, P, 1)) * samples).sum(axis=2))
@@ -372,14 +371,16 @@ def head_composition(stencil, x2, w1, b1):
     return ad.tanh(concat_node([stencil, x2b], axis=-1) @ w1 + b1)
 
 
-def phi1_prime(m, abar):
-    """d/dm phi1(m) = (exp(m)(m - 1) + 1) / m^2 given abar = exp(m), elementwise;
-    where |m| < 0.05, whose closed form cancels, the Taylor sum over k = 1..8 of
+def phi1_prime(m):
+    """d/dm phi1(m) = (exp(m)(m - 1) + 1) / m^2, elementwise. The closed form
+    is taken in long double, exp included, so its cancellation costs little
+    of float64; where |m| < 0.05 the Taylor sum over k = 1..8 of
     k m^(k-1) / (k+1)!."""
+    mL = np.asarray(m, dtype=LD)
     with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 takes the sum
-        closed = ((m - 1.0) * abar + 1.0) / (m * m)
+        closed = ((mL - 1) * np.exp(mL) + 1) / (mL * mL)
     series = sum(k * m ** (k - 1) / math.factorial(k + 1) for k in range(1, 9))
-    return np.where(np.abs(m) < 0.05, series, closed)
+    return np.where(np.abs(m) < 0.05, series, closed.astype(float))
 
 
 def scan_grads_mp(sel, x, upstream, dps=50):
@@ -503,7 +504,7 @@ def selective_scan_backward_step_major(sel, cache, upstream):
     ddelta = np.einsum("tbls,ls->tbl", dm, sel.A) \
         + np.einsum("tbls,tbls->tbl", dG, abar)
     dA = np.einsum("tbls,tbl->ls", dm, delta) \
-        + np.einsum("tbls,tbls,tbl->ls", dG, phi1_prime(m, abar), delta * delta)
+        + np.einsum("tbls,tbls,tbl->ls", dG, phi1_prime(m), delta * delta)
     dD = np.sum(up * x, axis=(0, 1))
 
     # through the softplus: d delta / d pre = 1 / (1 + exp(-pre)), in place;

@@ -581,7 +581,7 @@ def drop_manifest_key(key):
     return edit
 
 
-@pytest.mark.parametrize("name, key", [("scene_000.bin", "rig/ids"),
+@pytest.mark.parametrize("name, key", [("scene_000.bin", "rig/sizes"),
                                        ("scene_000.bin", "seed"),
                                        ("scenes_manifest.json", "scenes"),
                                        ("scenes_manifest.json", "file"),
@@ -624,17 +624,20 @@ def test_eval_on_set_manifest_with_wrong_type_exits_3_naming_it(tmp_path, capsys
      "expected a JSON object, got int"),
     ("scene_000.bin", lambda arrays, meta: meta.update(config=5),
      "expected a JSON object, got int"),
-    ("scene_000.bin", lambda arrays, meta: arrays.update({"rig/ids": np.array([0, 0, 2])}),
-     "duplicate view ids: [0, 0, 2]"),
     ("scene_000.bin", lambda arrays, meta: arrays["view1/level0"].fill(np.nan),
      "feature grids must be finite"),
-    ("scene_000.bin", lambda arrays, meta: arrays.update(scale_factors=np.ones((2, 2))),
-     "3 views need scale_factors (T, S), got (2, 2)"),
-], ids=["model-config", "scene-config", "duplicate-ids", "nan-grid", "scale-factor-rows"])
+    ("scene_000.bin", lambda arrays, meta: arrays.update(gt_poses=arrays["gt_poses"][..., :2]),
+     "gt_poses must be (num_actors, num_joints, 3) = (1, 6, 3), got (1, 6, 2)"),
+    ("scene_000.bin", lambda arrays, meta: arrays.update(gt_poses=arrays["gt_poses"][0]),
+     "gt_poses must be (num_actors, num_joints, 3) = (1, 6, 3), got (6, 3)"),
+    ("scene_000.bin", lambda arrays, meta: arrays.update(gt_poses=arrays["gt_poses"][:0]),
+     "gt_poses must be (num_actors, num_joints, 3) = (1, 6, 3), got (0, 6, 3)"),
+], ids=["model-config", "scene-config", "nan-grid", "poses-xy", "poses-unstacked",
+        "poses-no-actor"])
 def test_eval_on_container_with_invalid_content_exits_3_naming_it(tmp_path, capsys, name,
                                                                  change, message):
     """A model or scene container whose config is not an object, or a scene
-    container whose rig, grids or scale factors fail their checks, makes eval
-    exit 3 naming the file and the fault before --out exists."""
+    container whose grids or poses fail their checks, makes eval exit 3
+    naming the file and the fault before --out exists."""
     path, err = eval_after_edit(tmp_path, capsys, name, edit_container(change))
     assert f"{path}: {message}" in err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import render_heatmaps_loop
-from scanpose import cli
+from scanpose import cli, container
 from scanpose import evalsim as ev
 from scanpose import geometry as geo
 from scanpose.tokens import load_tpose, pose_distances
@@ -195,32 +195,53 @@ def test_coordinate_channels_consistent_across_levels():
     assert np.allclose(coarse[:, :, J + 1], fine[::2, ::2, J + 1])
 
 
+def assert_same_scene(loaded, original):
+    """Rig arrays, poses and float32 grids byte for byte with their dtypes,
+    and the same config and seed."""
+    for name in ("projections", "sizes"):
+        a, b = getattr(loaded.rig, name), getattr(original.rig, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert loaded.gt_poses.dtype == original.gt_poses.dtype
+    assert loaded.gt_poses.tobytes() == original.gt_poses.tobytes()
+    assert loaded.config == original.config and loaded.seed == original.seed
+    for a, b in zip(loaded.pyramids, original.pyramids, strict=True):
+        for ga, gb in zip(a.levels, b.levels, strict=True):
+            assert ga.dtype == gb.dtype == np.float32
+            assert ga.tobytes() == gb.tobytes()
+
+
 def test_scene_roundtrip(tmp_path):
-    """A scene comes back from its container byte for byte, also with a rig
-    of non-sequential ids and two image sizes."""
+    """A scene comes back from its container byte for byte, also with a
+    rig of two image sizes; the file holds the rig, the poses and the grids
+    and nothing else."""
     cfg = small_cfg(num_actors=2, feature_dim=20)
     scene = ev.generate_scene(cfg, 42)
     swapped = dataclasses.replace(scene, rig=geo.CameraRig(
-        projections=scene.rig.projections[::-1], sizes=[[128, 96], [80, 60], [128, 96]],
-        ids=[7, 2, 11]))
+        projections=scene.rig.projections[::-1], sizes=[[128, 96], [80, 60], [128, 96]]))
     for i, original in enumerate((scene, swapped)):
         path = str(tmp_path / f"scene_{i:03d}.bin")
         ev.save_scene(original, path)
+        assert set(container.load_container(path)[0]) == {
+            "rig/projections", "rig/sizes", "gt_poses",
+            *(f"view{t}/level{s}" for t in range(3) for s in range(2))}
         loaded = ev.load_scene(path)
-        for name in ("projections", "sizes", "ids"):
-            a, b = getattr(loaded.rig, name), getattr(original.rig, name)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-        assert loaded.gt_poses.dtype == original.gt_poses.dtype
-        assert loaded.gt_poses.tobytes() == original.gt_poses.tobytes()
-        assert loaded.config == original.config and loaded.seed == original.seed
-        for a, b in zip(loaded.pyramids, original.pyramids, strict=True):
-            assert a.scale_factors == b.scale_factors
-            for ga, gb in zip(a.levels, b.levels, strict=True):
-                assert ga.dtype == gb.dtype == np.float32
-                assert ga.tobytes() == gb.tobytes()
-    assert loaded.rig.ids.tolist() == [7, 2, 11]
+        assert_same_scene(loaded, original)
     assert loaded.rig.sizes.tolist() == [[128, 96], [80, 60], [128, 96]]
+
+
+def test_scene_with_view_ids_and_scale_factors_loads(tmp_path):
+    """A scene file in the earlier layout, which also held the view ids
+    rig/ids and the per-view scale_factors (T, S), loads to the same scene:
+    the loader reads only the arrays it needs."""
+    scene = ev.generate_scene(small_cfg(num_actors=2), 42)
+    path = str(tmp_path / "scene_000.bin")
+    ev.save_scene(scene, path)
+    arrays, meta = container.load_container(path)
+    arrays["rig/ids"] = np.array([7, 2, 11])
+    arrays["scale_factors"] = np.tile([1.0, 0.5], (3, 1))
+    container.save_container(path, arrays, meta)
+    assert_same_scene(ev.load_scene(path), scene)
 
 
 def test_actor_placement_fails_loudly_when_spacing_cannot_be_met():
@@ -434,10 +455,12 @@ def test_evaluate_perfect_output():
 
 def test_evaluate_empty_output():
     template, _, _ = load_tpose()
-    report = ev.evaluate(np.zeros((0, 15, 3)), np.zeros(0), template[None])
-    assert not report.mpjpe_defined
-    assert np.isnan(report.mpjpe_mm)
-    assert report.map == 0.0 and report.recall == 0.0 and report.pcp_avg == 0.0
+    gts = np.stack([template, template + np.array([2000.0, 0.0, 0.0])])
+    report = ev.evaluate(np.zeros((0, 15, 3)), np.zeros(0), gts)
+    assert report.to_json() == (
+        '{"ap": {"100": 0.0, "125": 0.0, "150": 0.0, "25": 0.0, "50": 0.0, "75": 0.0}, '
+        '"map": 0.0, "mpjpe_defined": false, "mpjpe_mm": NaN, "num_gt": 2, '
+        '"num_predictions": 0, "pcp_avg": 0.0, "pcp_per_actor": [0.0, 0.0], "recall": 0.0}')
 
 
 def test_evaluate_matches_component_metrics():

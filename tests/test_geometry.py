@@ -11,13 +11,10 @@ from oracles import (central_difference, normalized_camera_loop, project_ld,
 IDENTITY = np.hstack([np.eye(3), np.zeros((3, 1))])
 
 
-def rig_of(projections, width, height, ids=None):
-    """A rig of the stacked projections, every view width x height pixels,
-    with ids 0..T-1 unless given."""
-    T = len(projections)
+def rig_of(projections, width, height):
+    """A rig of the stacked projections, every view width x height pixels."""
     return geo.CameraRig(projections=np.asarray(projections, dtype=float),
-                         sizes=np.tile([width, height], (T, 1)),
-                         ids=np.arange(T) if ids is None else ids)
+                         sizes=np.tile([width, height], (len(projections), 1)))
 
 
 def ring_rig(num_views, rng, width=256, height=192, radius=(4500.0, 6000.0),
@@ -33,14 +30,14 @@ def ring_rig(num_views, rng, width=256, height=192, radius=(4500.0, 6000.0),
 
 
 def mixed_size_rig():
-    """Three views of different image sizes, one focal length and
-    non-sequential ids, aimed at the middle of the smoke config's space."""
+    """Three views of different image sizes and one focal length, aimed at
+    the middle of the smoke config's space."""
     sizes = np.array([[128, 96], [64, 48], [200, 150]])
     centers = [(-5200.0, 1200.0, 2500.0), (3000.0, -4800.0, 1900.0),
                (4100.0, 4400.0, 3100.0)]
     projections = [geo.look_at_camera(c, (0.0, 0.0, 1000.0), 100.0, w, h)
                    for c, (w, h) in zip(centers, sizes)]
-    return geo.CameraRig(projections=np.stack(projections), sizes=sizes, ids=[3, 11, 5])
+    return geo.CameraRig(projections=np.stack(projections), sizes=sizes)
 
 
 def observe(rig, point, confidences=None, noise=None, rng=None):
@@ -338,8 +335,7 @@ def test_masked_view_rows_equal_removed_view():
     confs = np.array([[1.0, 1.0, 0.0]])
     full, ok, _ = geo.triangulate_batch(positions, confs, rig)
     assert ok.all()
-    two_rig = geo.CameraRig(projections=rig.projections[:2], sizes=rig.sizes[:2],
-                            ids=rig.ids[:2])
+    two_rig = geo.CameraRig(projections=rig.projections[:2], sizes=rig.sizes[:2])
     two, ok2, _ = geo.triangulate_batch(positions[:, :2], confs[:, :2], two_rig)
     assert rel_error(full, two) < 1e-12
 
@@ -370,34 +366,27 @@ def test_normalized_cameras_match_per_view_oracle():
 
 def test_rig_compares_by_identity_and_cannot_change_past_its_checks():
     projections = np.stack([IDENTITY, IDENTITY + [[0, 0, 0, 1], [0] * 4, [0] * 4]])
-    sizes, ids = np.array([[2, 2], [2, 2]]), np.array([4, 9])
-    rig = geo.CameraRig(projections=projections, sizes=sizes, ids=ids)
-    twin = geo.CameraRig(projections=projections, sizes=sizes, ids=ids)
+    sizes = np.array([[2, 2], [2, 2]])
+    rig = geo.CameraRig(projections=projections, sizes=sizes)
+    twin = geo.CameraRig(projections=projections, sizes=sizes)
     # identity semantics: no elementwise array comparison, and hashable
     assert rig == rig and rig != twin
     assert len({rig, twin, rig}) == 2
     # the rig holds copies, so the caller's arrays can change freely
     projections[1] = 0.0
     sizes[0] = 0
-    ids[1] = 4
     assert np.linalg.matrix_rank(rig.projections[1]) == 3
-    assert rig.sizes.tolist() == [[2, 2], [2, 2]] and rig.ids.tolist() == [4, 9]
+    assert rig.sizes.tolist() == [[2, 2], [2, 2]]
     # and its own arrays are read-only, so a rank-deficient view cannot slip in
-    for array in (rig.projections, rig.sizes, rig.ids):
+    for array in (rig.projections, rig.sizes):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
 
-def test_rig_rejects_duplicate_ids_and_bad_rank():
-    with pytest.raises(ValueError, match=r"duplicate view ids: \[0, 0\]"):
-        rig_of([IDENTITY, IDENTITY], 2, 2, ids=[0, 0])
-    with pytest.raises(ValueError, match="projection of view 9 is rank deficient"):
-        rig_of([IDENTITY, np.zeros((3, 4))], 2, 2, ids=[4, 9])
-    with pytest.raises(ValueError):
-        geo.CameraRig(projections=np.stack([IDENTITY, IDENTITY]), sizes=[[2, 2]],
-                      ids=[0, 1])
-    with pytest.raises(ValueError):
-        geo.CameraRig(projections=np.stack([IDENTITY, IDENTITY]),
-                      sizes=[[2, 2], [2, 2]], ids=[0])
-    with pytest.raises(ValueError):
-        geo.CameraRig(projections=IDENTITY, sizes=[[2, 2]], ids=[0])
+def test_rig_rejects_bad_rank_and_shapes():
+    with pytest.raises(ValueError, match="projection of view 1 is rank deficient"):
+        rig_of([IDENTITY, np.zeros((3, 4))], 2, 2)
+    with pytest.raises(ValueError, match=r"2 views need sizes \(T, 2\), got \(1, 2\)"):
+        geo.CameraRig(projections=np.stack([IDENTITY, IDENTITY]), sizes=[[2, 2]])
+    with pytest.raises(ValueError, match=r"projections must be \(T, 3, 4\)"):
+        geo.CameraRig(projections=IDENTITY, sizes=[[2, 2]])

@@ -46,7 +46,7 @@ def as_joints(pos):
 def bilinear(grid, positions):
     """bilinear_op over a one-view, one-level pyramid holding grid (H, W, C),
     every view valid: positions (1, 1, M, 1, 1, 2) give (1, 1, M, C)."""
-    pyramid = pl.FeaturePyramid(levels=(grid,), scale_factors=(1.0,))
+    pyramid = pl.FeaturePyramid(levels=(grid,))
     return pl.bilinear_op([pyramid], positions, np.ones(positions.shape[:3], bool))
 
 
@@ -292,7 +292,7 @@ def test_project_op_matches_loop_oracle_on_mixed_image_sizes():
     assert got.data.tobytes() == want.data.tobytes()
     assert np.array_equal(got_valid, want_valid)
     same_size = geo.CameraRig(projections=rig.projections,
-                              sizes=np.tile(rig.sizes[0], (len(rig), 1)), ids=rig.ids)
+                              sizes=np.tile(rig.sizes[0], (len(rig), 1)))
     assert not np.array_equal(got_valid, pl.project_op(ad.Tensor(geom), same_size)[1])
     up = np.random.default_rng(23).normal(size=got.shape)
     (got * up).sum().backward()
@@ -368,9 +368,8 @@ def test_bilinear_op_matches_per_block_composition_byte_for_byte(tokens_, camera
     for build in ("op", "blocks"):
         leaves = {"anchors": ad.parameter(anchors.data), "off": ad.parameter(off)}
         if build == "op":
-            scales = np.array([pyr.scale_factors[:S] for pyr in scene.pyramids])
             positions = (leaves["anchors"].reshape((T, n, J, 1, 1, 2))
-                         * scales.reshape((T, 1, 1, S, 1, 1)) + leaves["off"])
+                         * pl.level_scales(S).reshape((S, 1, 1)) + leaves["off"])
             stencil = pl.bilinear_op(scene.pyramids, positions, valid)
         else:
             stencil = stencil_blocks(scene.pyramids, leaves["anchors"], leaves["off"], valid)
@@ -416,8 +415,7 @@ def test_bilinear_op_masked_views_get_zero_gradient_under_non_finite_cotangent()
     gradients are the ones a finite cotangent gives."""
     rng = np.random.default_rng(31)
     grid = rng.normal(size=(6, 8, 5)).astype(np.float32)
-    pyramids = [pl.FeaturePyramid(levels=(grid, grid[::2, ::2]), scale_factors=(1.0, 0.5))
-                for _ in range(3)]
+    pyramids = [pl.FeaturePyramid(levels=(grid, grid[::2, ::2])) for _ in range(3)]
     pos = rng.uniform(-1.0, 7.0, size=(3, 2, 4, 2, 3, 2))
     valid = rng.uniform(size=(3, 2, 4)) < 0.5
     assert valid.any() and not valid.all()
@@ -506,8 +504,7 @@ def test_attention_constant_pyramids_give_constant():
     value = np.arange(scene.config.feature_dim, dtype=float)
     for pyr in scene.pyramids:
         levels = tuple(np.broadcast_to(value, g.shape).copy() for g in pyr.levels)
-        const_pyramids.append(pl.FeaturePyramid(levels=levels,
-                                                scale_factors=pyr.scale_factors))
+        const_pyramids.append(pl.FeaturePyramid(levels=levels))
     token = token_from(config, params)
     feats, _, valid = attend(token, const_pyramids, scene.rig, params, config)
     assert valid.any(axis=0).all()
@@ -521,7 +518,7 @@ def test_attention_single_view_zero_offsets_equals_anchor_sample():
                               72.0, scene.config.image_width,
                               scene.config.image_height)
     rig = geo.CameraRig(projections=np.stack([scene.rig.projections[0], away]),
-                        sizes=scene.rig.sizes, ids=[0, 1])
+                        sizes=scene.rig.sizes)
     config = tiny_config(scene, num_points=1, num_scales=1)
     params = pl.init_params(config, rng_seed=2)
     params["layer0.off_w"][:] = 0.0
@@ -636,7 +633,7 @@ def test_block_full_pss_matches_straight_line_oracle():
                 continue
             acc = np.zeros(L)
             for s in range(S):
-                f = scene.pyramids[t].scale_factors[s]
+                f = 0.5 ** s
                 for q in range(P):
                     pos = anchors[t, j] * f + off[j, s, q]
                     acc += wsp[j, s, q] * _textbook_bilinear(
@@ -678,7 +675,7 @@ def test_mean_variant_invariant_to_view_permutation():
     base = block(token, scene.pyramids, scene.rig, params, config)
     perm = [2, 0, 3, 1]
     rig_p = geo.CameraRig(projections=scene.rig.projections[perm],
-                          sizes=scene.rig.sizes[perm], ids=scene.rig.ids[perm])
+                          sizes=scene.rig.sizes[perm])
     pyr_p = [scene.pyramids[i] for i in perm]
     permuted = block(token, pyr_p, rig_p, params, config)
     assert np.max(np.abs(base - permuted)) < 1e-12
@@ -798,13 +795,12 @@ def test_pipeline_single_layer_composition():
 def test_pipeline_rejects_pyramids_that_do_not_fit_the_model():
     scene = tiny_scene()  # 2 levels of 17 channels
     params = pl.params_to_tensors(pl.init_params(tiny_config(scene), rng_seed=12))
-    one_level = [pl.FeaturePyramid(levels=p.levels[:1], scale_factors=p.scale_factors[:1])
-                 for p in scene.pyramids]
+    one_level = [pl.FeaturePyramid(levels=p.levels[:1]) for p in scene.pyramids]
     with pytest.raises(ValueError, match="needs 2 pyramid levels of 17 channels, "
                                          "got 1 levels of 17 channels"):
         pl.run_pipeline(one_level, scene.rig, params, tiny_config(scene))
-    narrow = [pl.FeaturePyramid(levels=tuple(g[..., :9] for g in p.levels),
-                                scale_factors=p.scale_factors) for p in scene.pyramids]
+    narrow = [pl.FeaturePyramid(levels=tuple(g[..., :9] for g in p.levels))
+              for p in scene.pyramids]
     with pytest.raises(ValueError, match="got 2 levels of 9 channels"):
         pl.run_pipeline(narrow, scene.rig, params, tiny_config(scene))
     # more levels than the model reads are fine

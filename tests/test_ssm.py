@@ -421,7 +421,7 @@ def loop_selective_backward(sel, cache, upstream):
     T = x.shape[1]
     dx, dBm, dCm = np.zeros_like(x), np.zeros_like(Bm), np.zeros_like(Cm)
     ddelta, dA, dD = np.zeros_like(delta), np.zeros_like(sel.A), np.zeros_like(sel.D)
-    phi1p = phi1_prime(m, abar)
+    phi1p = phi1_prime(m)
     dh_next = np.zeros_like(hs[:, 0])
     for t in range(T - 1, -1, -1):
         dy = upstream[:, t]
