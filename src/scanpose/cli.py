@@ -242,29 +242,24 @@ def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
     scenes = (load_scenes_for(cfg.pipeline, scenes_dir, train=True) if scenes_dir
               else build_scenes(cfg))
     initial_params = None
-    epoch_offset = 0
     prior_metrics = []
     if resume:
         initial_params, loaded_cfg, meta = pipeline.load_model(resume)
         if loaded_cfg != cfg.pipeline:
             raise ValueError("resume checkpoint was trained with a different "
                              "pipeline configuration")
-        epoch_offset = int(meta.get("epochs_done", 0))
-        prior = os.path.join(os.path.dirname(os.path.abspath(resume)),
-                             "metrics.csv")
-        if os.path.exists(prior):
-            prior_metrics = training.read_metrics_csv(prior)
+        prior_metrics = training.metric_rows(meta, resume)
     # --out appears only once every input has loaded
     os.makedirs(out_dir, exist_ok=True)
     params, metrics = training.train(cfg.pipeline, scenes, rng_seed=cfg.seed,
                                      train_cfg=cfg.train,
                                      initial_params=initial_params,
-                                     epoch_offset=epoch_offset)
+                                     epoch_offset=len(prior_metrics))
     all_metrics = prior_metrics + metrics
     n_train = len(training.split_scenes(scenes, cfg.train.val_fraction)[0])
     pipeline.save_model(
         os.path.join(out_dir, "model.bin"), params, cfg.pipeline,
-        extra_meta={"seed": cfg.seed, "epochs_done": epoch_offset + len(metrics),
+        extra_meta={"seed": cfg.seed, "metrics": all_metrics,
                     "num_train_scenes": n_train,
                     "num_scenes": len(scenes)})
     training.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), all_metrics)

@@ -135,6 +135,10 @@ def load_container(path: str):
         raise ValueError(f"{path}: unsupported container version {version}")
     arrays = {}
     for name, dtype, shape, offset, nbytes in entries:
+        if dtype.kind not in "biufc":
+            raise ValueError(f"{path}: array {name} has dtype {dtype}, not a numeric one")
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"{path}: array {name} has shape {list(shape)}, not sizes >= 0")
         if not 0 <= offset <= offset + nbytes <= len(data) - end:
             raise ValueError(f"{path}: array {name} needs payload bytes {offset} to "
                              f"{offset + nbytes}, the file holds {len(data) - end}")

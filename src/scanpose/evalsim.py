@@ -236,6 +236,8 @@ def load_scene(path: str) -> Scene:
         if poses.shape != (cfg.num_actors, cfg.num_joints, 3):
             raise ValueError(f"gt_poses must be (num_actors, num_joints, 3) = "
                              f"{(cfg.num_actors, cfg.num_joints, 3)}, got {poses.shape}")
+        if not np.all(np.isfinite(poses)):
+            raise ValueError("gt_poses must be finite")
         pyramids = []
         for t in range(len(rig)):
             levels = []

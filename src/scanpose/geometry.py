@@ -44,6 +44,8 @@ class CameraRig:
         P = np.array(self.projections, dtype=float)
         if P.ndim != 3 or P.shape[1:] != (3, 4):
             raise ValueError(f"projections must be (T, 3, 4), got {P.shape}")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("projections must be finite")
         sizes = np.array(self.sizes, dtype=int)
         if sizes.shape != (len(P), 2):
             raise ValueError(f"{len(P)} views need sizes (T, 2), got {sizes.shape}")

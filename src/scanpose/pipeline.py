@@ -15,7 +15,8 @@ scan (selective_scan_op) and triangulation (triangulate_op). The stencil is
 held once, by the two closures that read it.
 Model parameters serialize through the versioned container, whose array
 table records each shape, with the config echo in its meta; loading checks
-every name and shape against init_params for the echoed config.
+every name and shape against init_params for the echoed config, and that
+every value is finite.
 """
 
 from __future__ import annotations
@@ -518,13 +519,10 @@ def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
         scores = score_op(x2, p)
         kept = alive
         if mode == "eval":
-            keep = scores.data >= config.epsilon
-            if i == config.num_layers - 1 and np.any(keep):
-                nms_keep = tokens.nms_keep_mask(
-                    geom.data[keep], scores.data[keep], config.nms_radius_mm)
-                sel = np.nonzero(keep)[0][nms_keep]
-            else:
-                sel = np.nonzero(keep)[0]
+            sel = np.nonzero(scores.data >= config.epsilon)[0]
+            if i == config.num_layers - 1:
+                sel = sel[tokens.nms_keep_mask(geom.data[sel], scores.data[sel],
+                                               config.nms_radius_mm)]
             x2, geom, scores, flagged = x2[sel], geom[sel], scores[sel], flagged[sel]
             refined, conf, valid = refined[:, sel], conf[:, sel], valid[:, sel]
             kept = alive = alive[sel]
@@ -563,4 +561,6 @@ def load_model(path: str):
         if params[name].shape != expected[name].shape:
             raise ValueError(f"{path}: parameter {name} has shape "
                              f"{params[name].shape}, expected {expected[name].shape}")
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"{path}: parameter {name} is not finite")
     return params, config, meta

@@ -8,8 +8,9 @@ against reprojected ground truth, applied at every layer. The classifier is
 trained with binary cross-entropy on the per-token positive probability.
 
 Optimization is plain Adam over the summed loss; everything is deterministic
-for a fixed seed. Metrics log as CSV with columns
-epoch,pose_loss,cls_loss,val_mpjpe_mm,ap25.
+for a fixed seed. The metric rows, one per epoch with columns
+epoch,pose_loss,cls_loss,val_mpjpe_mm,ap25, are kept in the model's meta
+and written out as CSV.
 """
 
 from __future__ import annotations
@@ -19,13 +20,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import container, evalsim, pipeline, tokens
+from . import container, evalsim, pipeline
 from .geometry import project_batch
 
 METRIC_COLUMNS = ("epoch", "pose_loss", "cls_loss", "val_mpjpe_mm", "ap25")
 
 _PROB_FLOOR = 1e-12
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and floor
+
+
+def metric_rows(meta: dict, path: str) -> list:
+    """The training history in the meta of the model at path: its "metrics",
+    one row of METRIC_COLUMNS per epoch. A ValueError names path and the
+    fault unless each row is an object with an int epoch and numbers."""
+    rows = container.require_keys(meta, path, None, "metrics")["metrics"]
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: \"metrics\" must be a list, got {type(rows).__name__}")
+    for row in rows:
+        for col in METRIC_COLUMNS:
+            value = container.require_keys(row, path, None, col)[col]
+            what, types = ("an int", int) if col == "epoch" else ("a number", (int, float))
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{path}: metrics {col} must be {what}, got {value!r}")
+    return rows
 
 
 class InsufficientTokens(Exception):
@@ -39,16 +56,13 @@ class DivergenceDetected(Exception):
 def match_gt(initial_geometry: np.ndarray, humans: np.ndarray) -> np.ndarray:
     """Greedy anchor matching: ground truths (Z, J, 3) claim, in index order,
     their nearest unclaimed token by mean-joint distance (ties to lower
-    index). Returns token_to_gt (N,): a ground-truth index, or -1."""
-    N = initial_geometry.shape[0]
-    Z = humans.shape[0]
+    index), which is evalsim.greedy_match with the ground truths as equally
+    scored predictions. Returns token_to_gt (N,): a ground-truth index, or -1."""
+    N, Z = len(initial_geometry), len(humans)
     if N < Z:
         raise InsufficientTokens(f"{N} tokens cannot host {Z} humans")
     token_to_gt = np.full(N, -1, dtype=int)
-    dist = tokens.pose_distances(initial_geometry, humans)  # (N, Z)
-    for z in range(Z):
-        d = np.where(token_to_gt >= 0, np.inf, dist[:, z])
-        claimed = int(np.argmin(d))
+    for z, claimed, _ in evalsim.greedy_match(humans, np.zeros(Z), initial_geometry):
         token_to_gt[claimed] = z
     return token_to_gt
 
@@ -240,23 +254,3 @@ def write_metrics_csv(path: str, rows) -> None:
     """Columns: epoch,pose_loss,cls_loss,val_mpjpe_mm,ap25 (atomic write)."""
     container.write_csv(path, METRIC_COLUMNS,
                         [[row[col] for col in METRIC_COLUMNS] for row in rows])
-
-
-def read_metrics_csv(path: str):
-    """Rows as write_metrics_csv writes them; a file whose header is not
-    METRIC_COLUMNS raises ValueError naming the file."""
-    expected = ",".join(METRIC_COLUMNS)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != expected:
-            raise ValueError(f"{path}: expected the header {expected!r}, "
-                             f"got {header!r}")
-        rows = []
-        for line in fh:
-            vals = line.strip().split(",")
-            if len(vals) != len(METRIC_COLUMNS):
-                raise ValueError(f"{path}: row {line.strip()!r} does not have "
-                                 f"{len(METRIC_COLUMNS)} columns")
-            rows.append({col: int(v) if col == "epoch" else float(v)
-                         for col, v in zip(METRIC_COLUMNS, vals)})
-    return rows

@@ -302,10 +302,8 @@ def test_criterion_5_smoke_training(smoke_run):
     untrained = pipeline.init_params(cfg.pipeline, rng_seed=cfg.seed)
     _, mpjpe_untrained, _ = training.evaluate_model(untrained, cfg.pipeline,
                                                     val_scenes)
-    rows = training.read_metrics_csv(str(smoke_run["run_dir"] / "metrics.csv"))
-    mpjpe_trained = rows[-1]["val_mpjpe_mm"]
-
-    params, pipe_cfg, _ = pipeline.load_model(str(smoke_run["run_dir"] / "model.bin"))
+    params, pipe_cfg, meta = pipeline.load_model(str(smoke_run["run_dir"] / "model.bin"))
+    mpjpe_trained = meta["metrics"][-1]["val_mpjpe_mm"]
     tensors = pipeline.params_to_tensors(params)
     first_layer, last_layer = [], []
     for scene in val_scenes:
@@ -329,7 +327,7 @@ def test_criterion_6_ablation_ordering(smoke_run):
     import dataclasses
     cfg = smoke_run["cfg"]
     scenes = cli.load_scene_dir(str(smoke_run["scenes_dir"]))
-    rows = training.read_metrics_csv(str(smoke_run["run_dir"] / "metrics.csv"))
+    rows = pipeline.load_model(str(smoke_run["run_dir"] / "model.bin"))[2]["metrics"]
     results = {"pss": rows[-1]["val_mpjpe_mm"]}
     for variant in ("proj_attention_only", "mean"):
         pipe_cfg = dataclasses.replace(cfg.pipeline, block_variant=variant)

@@ -107,13 +107,36 @@ def test_train_resume_continues_epoch_numbering(tmp_path):
     cfg = write_config(tmp_path, doc)
     first = tmp_path / "first"
     assert run(["train", "--config", cfg, "--out", str(first)]) == 0
-    rows = training.read_metrics_csv(str(first / "metrics.csv"))
+    rows = pipeline.load_model(str(first / "model.bin"))[2]["metrics"]
     assert [r["epoch"] for r in rows] == [0, 1]
     second = tmp_path / "second"
     assert run(["train", "--config", cfg, "--out", str(second),
                 "--resume", str(first / "model.bin")]) == 0
-    rows2 = training.read_metrics_csv(str(second / "metrics.csv"))
+    rows2 = pipeline.load_model(str(second / "model.bin"))[2]["metrics"]
     assert [r["epoch"] for r in rows2] == [0, 1, 2, 3]
+
+
+def test_resume_from_a_copied_model_keeps_its_history(tmp_path):
+    """The history travels in the model: resuming from a copy of model.bin in
+    a directory without metrics.csv numbers on and keeps the earlier epochs,
+    and metrics.csv is write_metrics_csv of the model's rows."""
+    doc = tiny_config_doc(num_scenes=2)
+    doc["train"]["steps"] = 2  # 1 train scene -> 2 epochs
+    doc["train"]["val_fraction"] = 0.5
+    cfg = write_config(tmp_path, doc)
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "first")]) == 0
+    (tmp_path / "copy").mkdir()
+    copy = tmp_path / "copy" / "model.bin"
+    copy.write_bytes((tmp_path / "first" / "model.bin").read_bytes())
+    second = tmp_path / "second"
+    assert run(["train", "--config", cfg, "--out", str(second), "--resume", str(copy)]) == 0
+    written = (second / "metrics.csv").read_bytes()
+    assert [line.split(b",")[0] for line in written.splitlines()[1:]] == [
+        b"0", b"1", b"2", b"3"]
+    rows = pipeline.load_model(str(second / "model.bin"))[2]["metrics"]
+    assert [r["epoch"] for r in rows] == [0, 1, 2, 3]
+    training.write_metrics_csv(str(tmp_path / "expected.csv"), rows)
+    assert written == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_eval_reports_match_library_oracle(tmp_path):
@@ -145,8 +168,8 @@ def test_eval_on_val_split_reproduces_logged_metrics(tmp_path):
     assert run(["generate", "--config", cfg, "--out", str(scenes_dir)]) == 0
     assert run(["train", "--config", cfg, "--out", str(run_dir),
                 "--scenes", str(scenes_dir)]) == 0
-    rows = training.read_metrics_csv(str(run_dir / "metrics.csv"))
-    params, pipe_cfg, _ = pipeline.load_model(str(run_dir / "model.bin"))
+    params, pipe_cfg, meta = pipeline.load_model(str(run_dir / "model.bin"))
+    rows = meta["metrics"]
     scenes = cli.load_scene_dir(str(scenes_dir))
     run_cfg = cli.load_config(cfg)
     _, val_scenes = training.split_scenes(scenes, run_cfg.train.val_fraction)
@@ -440,17 +463,21 @@ def test_eval_on_model_with_removed_config_key_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, shape", [
     ("layer0.ln_g", (1,)), ("layer0.head_b1", (1,)), ("layer0.stray", (3,)),
-    ("layer0.head_w2", None),
-], ids=["ln_g-misshapen", "head_b1-misshapen", "stray-unexpected", "head_w2-missing"])
+    ("layer0.head_w2", None), ("layer0.off_b", "nan"),
+], ids=["ln_g-misshapen", "head_b1-misshapen", "stray-unexpected", "head_w2-missing",
+        "nan-param"])
 def test_defective_model_container_exits_3_and_writes_nothing(tmp_path, capsys, name,
                                                               shape):
     """A model container whose parameters are not the ones init_params makes
-    for its config (a misshapen, an unexpected or a missing array) is refused
-    where it is loaded: eval and train --resume exit 3 and create no --out."""
+    for its config (a misshapen, an unexpected or a missing array) or hold a
+    non-finite value is refused where it is loaded: eval and train --resume
+    exit 3 and create no --out."""
     model = untrained_model(tmp_path)
     arrays, meta = container.load_container(model)
     if shape is None:
         del arrays["param/" + name]
+    elif shape == "nan":
+        arrays["param/" + name][0] = np.nan
     else:
         arrays["param/" + name] = np.ones(shape)
     container.save_container(model, arrays, meta)
@@ -466,19 +493,56 @@ def test_defective_model_container_exits_3_and_writes_nothing(tmp_path, capsys, 
     assert not (tmp_path / "ev").exists() and not (tmp_path / "again").exists()
 
 
-def test_resume_with_foreign_metrics_header_exits_3(tmp_path, capsys):
+def resume_after_edit(tmp_path, capsys, change):
+    """stderr of train --resume from the untrained model after change(meta)
+    rewrote its meta; asserts that the run exited 3, named the model and
+    left no --out."""
     model = untrained_model(tmp_path)
-    metrics = tmp_path / "model" / "metrics.csv"
-    lines = metrics.read_text().splitlines()
-    # drop the cls_loss column from the header and every row
-    metrics.write_text("\n".join(",".join(v for i, v in enumerate(line.split(","))
-                                          if i != 2) for line in lines) + "\n")
+    arrays, meta = container.load_container(model)
+    change(meta)
+    container.save_container(model, arrays, meta)
     cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
     capsys.readouterr()
     assert run(["train", "--config", cfg, "--out", str(tmp_path / "again"),
                 "--resume", model]) == 3
+    assert not (tmp_path / "again").exists()
     err = capsys.readouterr().err
-    assert str(metrics) in err and "epoch,pose_loss,cls_loss,val_mpjpe_mm,ap25" in err
+    assert f"{model}: " in err
+    return err
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda meta: meta.update(metrics=5), '"metrics" must be a list, got int'),
+    (lambda meta: meta["metrics"].append(3), "expected a JSON object, got int"),
+    (lambda meta: meta["metrics"][0].pop("cls_loss"), "missing key 'cls_loss'"),
+    (lambda meta: meta["metrics"][0].update(ap25="0.5"),
+     "metrics ap25 must be a number, got '0.5'"),
+    (lambda meta: meta["metrics"][0].update(pose_loss=True),
+     "metrics pose_loss must be a number, got True"),
+    (lambda meta: meta["metrics"][0].update(epoch=0.0),
+     "metrics epoch must be an int, got 0.0"),
+], ids=["not-a-list", "row-not-object", "row-missing-column", "value-string",
+        "value-bool", "epoch-float"])
+def test_resume_with_malformed_metrics_exits_3_naming_the_model(tmp_path, capsys, change,
+                                                                 message):
+    """A model whose "metrics" history is not a list of rows of numbers with
+    an int epoch is refused by train --resume before --out exists."""
+    assert message in resume_after_edit(tmp_path, capsys, change)
+
+
+def test_model_without_metrics_evaluates_but_does_not_resume(tmp_path, capsys):
+    """A model of the older format, with "epochs_done" and no "metrics" in its
+    meta, still evaluates; train --resume refuses it, naming the file and
+    'metrics'."""
+    def older(meta):
+        meta["epochs_done"] = len(meta.pop("metrics"))
+
+    assert "missing key 'metrics'" in resume_after_edit(tmp_path, capsys, older)
+    model = str(tmp_path / "model" / "model.bin")
+    cfg = write_config(tmp_path, tiny_config_doc(num_scenes=1))
+    assert run(["generate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert run(["eval", "--model", model, "--scenes", str(tmp_path / "s"),
+                "--out", str(tmp_path / "ev")]) == 0
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):
@@ -632,12 +696,16 @@ def test_eval_on_set_manifest_with_wrong_type_exits_3_naming_it(tmp_path, capsys
      "gt_poses must be (num_actors, num_joints, 3) = (1, 6, 3), got (6, 3)"),
     ("scene_000.bin", lambda arrays, meta: arrays.update(gt_poses=arrays["gt_poses"][:0]),
      "gt_poses must be (num_actors, num_joints, 3) = (1, 6, 3), got (0, 6, 3)"),
+    ("scene_000.bin", lambda arrays, meta: np.put(arrays["gt_poses"], 0, np.nan),
+     "gt_poses must be finite"),
+    ("scene_000.bin", lambda arrays, meta: np.put(arrays["rig/projections"], 0, np.inf),
+     "projections must be finite"),
 ], ids=["model-config", "scene-config", "nan-grid", "poses-xy", "poses-unstacked",
-        "poses-no-actor"])
+        "poses-no-actor", "nan-poses", "inf-projection"])
 def test_eval_on_container_with_invalid_content_exits_3_naming_it(tmp_path, capsys, name,
                                                                  change, message):
     """A model or scene container whose config is not an object, or a scene
-    container whose grids or poses fail their checks, makes eval exit 3
-    naming the file and the fault before --out exists."""
+    container whose grids, poses or projections fail their checks, makes
+    eval exit 3 naming the file and the fault before --out exists."""
     path, err = eval_after_edit(tmp_path, capsys, name, edit_container(change))
     assert f"{path}: {message}" in err

@@ -25,8 +25,9 @@ def test_atomic_write_failure_keeps_old_file_and_removes_temp(tmp_path):
 
 
 def test_defective_container_raises_value_error_naming_file_and_array(tmp_path):
-    """A header cut short, an array cut short and an entry whose byte count
-    does not fit its dtype and shape each raise ValueError naming the file
+    """A header cut short, an array cut short, an entry whose byte count
+    does not fit its dtype and shape, and an entry with a negative dimension
+    or a dtype that is not a number each raise ValueError naming the file
     and, past the header, the array."""
     path = str(tmp_path / "c.bin")
     container.save_container(path, {"grid": np.ones((4, 8)), "ids": np.arange(3)},
@@ -34,14 +35,21 @@ def test_defective_container_raises_value_error_naming_file_and_array(tmp_path):
     data = open(path, "rb").read()
     start = len(container.MAGIC) + 8
     end = start + int.from_bytes(data[len(container.MAGIC):start], "little")
-    header = json.loads(data[start:end])
-    header["arrays"][0]["nbytes"] -= 8
-    misfit = json.dumps(header).encode()
+
+    def rewritten(**entry):
+        """The file with the header entry of grid, the first, updated by entry."""
+        doc = json.loads(data[start:end])
+        doc["arrays"][0].update(entry)
+        text = json.dumps(doc).encode()
+        return (data[:len(container.MAGIC)] + len(text).to_bytes(8, "little") + text
+                + data[end:])
+
     cases = {
         data[:start + 10]: "truncated or corrupt header",
         data[:-16]: "array ids needs payload bytes 256 to 280, the file holds 264",
-        data[:len(container.MAGIC)] + len(misfit).to_bytes(8, "little") + misfit
-        + data[end:]: "array grid holds 248 bytes, not the 256 of float64 (4, 8)",
+        rewritten(nbytes=248): "array grid holds 248 bytes, not the 256 of float64 (4, 8)",
+        rewritten(shape=[-2, -3], nbytes=48): "array grid has shape [-2, -3], not sizes >= 0",
+        rewritten(dtype="object"): "array grid has dtype object, not a numeric one",
     }
     for defective, message in cases.items():
         with open(path, "wb") as fh:

@@ -839,6 +839,24 @@ def test_pipeline_token_count_non_increasing_in_eval():
     assert counts[0] <= config.num_tokens
 
 
+def test_eval_keeps_no_token_when_every_score_is_below_epsilon():
+    """Untrained scores are 0.5, so epsilon = 1 filters out every token of
+    the last layer before its NMS: the layer keeps none, and the report
+    counts no prediction."""
+    scene = tiny_scene()
+    config = tiny_config(scene, num_layers=1, epsilon=1.0)
+    params = pl.init_params(config, rng_seed=12)
+    outputs, _ = pl.run_pipeline(scene.pyramids, scene.rig,
+                                 {k: ad.Tensor(v) for k, v in params.items()}, config,
+                                 mode="eval")
+    last, J = outputs[-1], config.num_joints
+    assert last.kept.shape == (0,) and last.scores.data.shape == (0,)
+    assert last.geometry.data.shape == (0, J, 3)
+    assert last.positions_2d.data.shape == (3, 0, J, 2)
+    report = ev.evaluate(last.geometry.data, last.scores.data, scene.gt_poses)
+    assert report.num_predictions == 0 and not report.mpjpe_defined
+
+
 def seeded_head_params(config, seed):
     """init_params with non-zero output heads, so every layer refines."""
     params = pl.init_params(config, rng_seed=seed)

@@ -222,8 +222,9 @@ def test_nms_matches_bruteforce_oracle():
 
 
 def test_pose_distances_match_per_pair_row_and_column_expressions():
-    """Bit for bit: the per-pair mean joint distance (evalsim.mpjpe), the
-    per-row one of the NMS and the per-column one of training.match_gt."""
+    """Bit for bit: the per-pair mean joint distance, the per-row one (the
+    NMS, and evalsim.greedy_match, which training.match_gt calls with the
+    ground truths as rows) and the per-column one."""
     for seed in range(200):
         rng = np.random.default_rng(seed)
         n, m, J = (int(v) for v in rng.integers(1, [30, 6, 20]))

@@ -492,15 +492,21 @@ def test_scan_output_layout_does_not_move_scene_loss(monkeypatch):
 
 
 def test_metrics_csv_roundtrip(tmp_path):
-    rows = [{"epoch": 0, "pose_loss": 12.5, "cls_loss": 0.7,
-             "val_mpjpe_mm": 1234.5678, "ap25": 0.125},
-            {"epoch": 1, "pose_loss": 10.0, "cls_loss": float("nan"),
-             "val_mpjpe_mm": 1000.0, "ap25": 0.25}]
-    path = str(tmp_path / "metrics.csv")
-    tr.write_metrics_csv(path, rows)
-    text = open(path).read()
-    assert text.splitlines()[0] == "epoch,pose_loss,cls_loss,val_mpjpe_mm,ap25"
-    back = tr.read_metrics_csv(path)
-    assert back[0]["val_mpjpe_mm"] == 1234.5678
-    assert np.isnan(back[1]["cls_loss"])
-    assert back[1]["epoch"] == 1
+    """Metric rows kept in a model's meta load back exactly, -0.0, nan, inf
+    and every float repr included, so metrics.csv written from the loaded
+    rows has the bytes of metrics.csv written from the rows themselves."""
+    rows = [{"epoch": 0, "pose_loss": 0.1 + 0.2, "cls_loss": float("nan"),
+             "val_mpjpe_mm": float("inf"), "ap25": -0.0},
+            {"epoch": 1, "pose_loss": 12.5, "cls_loss": 0.7,
+             "val_mpjpe_mm": 1234.5678, "ap25": 1 / 3}]
+    config = pl.PipelineConfig(num_layers=1, num_tokens=2, num_joints=2, feature_dim=4,
+                               num_points=1, num_scales=1, d_state=1, head_hidden=1)
+    model = str(tmp_path / "model.bin")
+    pl.save_model(model, pl.init_params(config, 0), config, extra_meta={"metrics": rows})
+    back = tr.metric_rows(pl.load_model(model)[2], model)
+    assert [type(r["epoch"]) for r in back] == [int, int]
+    tr.write_metrics_csv(str(tmp_path / "written.csv"), rows)
+    tr.write_metrics_csv(str(tmp_path / "loaded.csv"), back)
+    text = (tmp_path / "loaded.csv").read_bytes()
+    assert text == (tmp_path / "written.csv").read_bytes()
+    assert text.splitlines()[1] == b"0,0.30000000000000004,nan,inf,-0.0"
