@@ -12,7 +12,7 @@ Config schema (defaults apply for missing fields)::
       "seed": 7,
       "num_scenes": 10,
       "scene":    { ... SceneConfig fields ... },
-      "pipeline": { ... PipelineConfig fields ... },
+      "pipeline": { ... PipelineConfig fields but those from_doc derives ... },
       "train":    { ... TrainConfig fields ... }
     }
 """
@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import evalsim, pipeline, training
-from .container import atomic_write, build_dataclass, load_json, require_keys, write_csv
+from .container import atomic_write, build_dataclass, fits, load_json, require_keys, write_csv
 
 class ConfigError(Exception):
     pass
@@ -54,20 +54,23 @@ class RunConfig:
             raise ConfigError(f"config: unknown top-level keys {sorted(unknown)}")
         seed, num_scenes = doc.get("seed", 0), doc.get("num_scenes", 10)
         for key, value in (("seed", seed), ("num_scenes", num_scenes)):
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not fits(value, 0):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if num_scenes < 0:
             raise ConfigError("num_scenes must be >= 0")
         scene = build_dataclass(evalsim.SceneConfig, doc.get("scene", {}), "scene")
+        section = require_keys(doc.get("pipeline", {}), "pipeline")
+        # the derived pipeline fields: each has one legal value, set from a source
+        derived = {"num_joints": ("scene.num_joints", scene.num_joints),
+                   "feature_dim": ("scene.feature_dim", scene.feature_dim),
+                   "init_seed": ("seed", seed)}
+        clashes = [f"pipeline.{key} (set from {derived[key][0]})"
+                   for key in sorted(derived.keys() & section.keys())]
+        if clashes:
+            raise ConfigError(f"a run config cannot set {', '.join(clashes)}")
         pipe = build_dataclass(pipeline.PipelineConfig, {
-            "init_seed": seed,
-            **{name: getattr(scene, name)
-               for name in ("ground_bounds", "num_joints", "feature_dim", "num_scales")},
-            **require_keys(doc.get("pipeline", {}), "pipeline")}, "pipeline")
-        if pipe.feature_dim != scene.feature_dim:
-            raise ConfigError("pipeline.feature_dim must match scene.feature_dim")
-        if pipe.num_joints != scene.num_joints:
-            raise ConfigError("pipeline.num_joints must match scene.num_joints")
+            "ground_bounds": scene.ground_bounds, "num_scales": scene.num_scales,
+            **section, **{key: value for key, (_, value) in derived.items()}}, "pipeline")
         if pipe.num_scales > scene.num_scales:
             raise ConfigError(f"pipeline.num_scales ({pipe.num_scales}) exceeds "
                               f"scene.num_scales ({scene.num_scales})")
@@ -259,7 +262,7 @@ def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
     n_train = len(training.split_scenes(scenes, cfg.train.val_fraction)[0])
     pipeline.save_model(
         os.path.join(out_dir, "model.bin"), params, cfg.pipeline,
-        extra_meta={"seed": cfg.seed, "metrics": all_metrics,
+        extra_meta={"metrics": all_metrics,
                     "num_train_scenes": n_train,
                     "num_scenes": len(scenes)})
     training.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), all_metrics)
@@ -292,22 +295,20 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
                                                   num_cameras=K)
                            for s in scenes]
             tag = f"cam{K}"
-        reports, mean_mpjpe, mean_ap25 = training.evaluate_model(
-            params, pipe_cfg, eval_scenes)
+        reports, _, _ = training.evaluate_model(params, pipe_cfg, eval_scenes)
         for i, rep in enumerate(reports):
             atomic_write(os.path.join(out_dir, f"report_{tag}_scene{i:03d}.json"),
                          (rep.to_json() + "\n").encode())
         names = [name for name, _ in reports[0].csv_rows()]
         table = [[v for _, v in rep.csv_rows()] for rep in reports]
-        means = []
-        for column in zip(*table):  # the mean row skips non-finite values
+        mean = {}
+        for name, column in zip(names, zip(*table)):  # the mean skips non-finite values
             finite = [v for v in column if np.isfinite(v)]
-            means.append(float(np.mean(finite)) if finite else float("nan"))
+            mean[name] = float(np.mean(finite)) if finite else float("nan")
         write_csv(os.path.join(out_dir, f"report_{tag}.csv"), ["scene"] + names,
-                  [[i] + row for i, row in enumerate(table)] + [["mean"] + means])
-        sweep.append((K, mean_mpjpe, mean_ap25,
-                      float(np.mean([r.map for r in reports]))))
-        print(f"eval[{tag}]: mpjpe_mm={mean_mpjpe} ap25={mean_ap25}")
+                  [[i] + row for i, row in enumerate(table)] + [["mean", *mean.values()]])
+        sweep.append((K, mean["mpjpe_mm"], mean["ap25"], mean["map"]))
+        print(f"eval[{tag}]: mpjpe_mm={mean['mpjpe_mm']} ap25={mean['ap25']}")
     if len(sweep) >= 2:  # --cameras with two or more counts, all ints
         ks = [float(k) for k, *_ in sweep]
         _, _, aps, maps = zip(*sweep)
@@ -384,13 +385,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            cfg = load_config(args.config, args.overrides, args.seed)
-            return cmd_generate(cfg, args.out)
-        if args.command == "train":
-            cfg = load_config(args.config, args.overrides, args.seed)
-            return cmd_train(cfg, args.out, scenes_dir=args.scenes,
-                             resume=args.resume)
         if args.command == "eval":
             cameras = None
             if args.cameras:
@@ -401,10 +395,13 @@ def main(argv=None) -> int:
                 if any(k < 2 for k in cameras):
                     raise ConfigError("--cameras values must be >= 2")
             return cmd_eval(args.model, args.scenes, args.out, cameras=cameras)
-        if args.command == "ablate":
-            cfg = load_config(args.config, args.overrides, args.seed)
-            return cmd_ablate(cfg, args.out)
-        raise ConfigError(f"unknown command {args.command}")
+        cfg = load_config(args.config, args.overrides, args.seed)
+        if args.command == "generate":
+            return cmd_generate(cfg, args.out)
+        if args.command == "train":
+            return cmd_train(cfg, args.out, scenes_dir=args.scenes,
+                             resume=args.resume)
+        return cmd_ablate(cfg, args.out)  # the parser admits no other command
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

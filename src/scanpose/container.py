@@ -43,13 +43,13 @@ def write_csv(path: str, header, rows) -> None:
     atomic_write(path, "".join(",".join(line) + "\n" for line in lines).encode())
 
 
-def _fits(value, default) -> bool:
+def fits(value, default) -> bool:
     """Whether a config value has the type of its field's default: an int
     field takes no float or bool, a float field also takes an int, and a
     tuple field takes a list of numbers as long as its default."""
     if isinstance(default, tuple):
         return (isinstance(value, (list, tuple)) and len(value) == len(default)
-                and all(_fits(v, 0.0) for v in value))
+                and all(fits(v, 0.0) for v in value))
     if isinstance(default, float):
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     return type(value) is type(default)
@@ -57,7 +57,7 @@ def _fits(value, default) -> bool:
 
 def build_dataclass(cls, doc: dict, where: str):
     """Config dataclass `cls` from the JSON object `doc`, every value checked
-    by _fits. Raises ValueError naming `where`."""
+    by fits. Raises ValueError naming `where`."""
     require_keys(doc, where)
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = set(doc) - set(defaults)
@@ -65,7 +65,7 @@ def build_dataclass(cls, doc: dict, where: str):
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
     for name, value in doc.items():
         default = defaults[name]
-        if not _fits(value, default):
+        if not fits(value, default):
             raise ValueError(f"{where}: {name} must be {type(default).__name__} "
                              f"like {default!r}, got {value!r}")
     try:  # only a tuple field can hold a list here

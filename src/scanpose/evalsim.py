@@ -18,7 +18,7 @@ and the seed in its meta. Reports serialize to JSON and CSV.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -92,16 +92,14 @@ class Scene:
     seed: int
 
 
-def camera_ring(cfg: SceneConfig, rng: np.random.Generator,
-                num_cameras: int | None = None) -> CameraRig:
-    """Cameras on a ring looking at the space center. Slot angles advance by
-    the golden angle, and per-slot radius/height draws are sequential, so the
-    first K cameras are identical for any requested count."""
-    T = cfg.num_cameras if num_cameras is None else num_cameras
+def camera_ring(cfg: SceneConfig, rng: np.random.Generator) -> CameraRig:
+    """cfg.num_cameras cameras on a ring looking at the space center. Slot
+    angles advance by the golden angle, and per-slot radius/height draws are
+    sequential, so the first K cameras are identical for any camera count."""
     center = np.array([0.0, 0.0, cfg.space_size[2] / 2.0])
     phase = rng.uniform(0.0, 2.0 * np.pi)
     projections = []
-    for t in range(T):
+    for t in range(cfg.num_cameras):
         ang = phase + t * _GOLDEN_ANGLE
         radius = rng.uniform(*cfg.camera_radius)
         height = rng.uniform(*cfg.camera_height)
@@ -110,7 +108,7 @@ def camera_ring(cfg: SceneConfig, rng: np.random.Generator,
                                           cfg.focal_scale * cfg.image_width,
                                           cfg.image_width, cfg.image_height))
     return CameraRig(projections=np.stack(projections),
-                     sizes=np.tile([cfg.image_width, cfg.image_height], (T, 1)))
+                     sizes=np.tile([cfg.image_width, cfg.image_height], (cfg.num_cameras, 1)))
 
 
 def sample_actor_poses(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
@@ -198,10 +196,12 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
 
 def generate_scene(cfg: SceneConfig, seed: int,
                    num_cameras: int | None = None) -> Scene:
-    """Deterministic per seed. num_cameras overrides the rig size while
-    keeping actors and heatmap noise identical (nested camera prefixes)."""
+    """Deterministic per seed. num_cameras replaces cfg.num_cameras, keeping
+    actors and heatmap noise identical (nested camera prefixes)."""
+    if num_cameras is not None:
+        cfg = replace(cfg, num_cameras=num_cameras)
     ring_seq, actor_seq, noise_seq = np.random.SeedSequence(seed).spawn(3)
-    rig = camera_ring(cfg, np.random.default_rng(ring_seq), num_cameras)
+    rig = camera_ring(cfg, np.random.default_rng(ring_seq))
     poses = sample_actor_poses(cfg, np.random.default_rng(actor_seq))
     pyramids = render_pyramids(cfg, rig, poses, np.random.default_rng(noise_seq))
     return Scene(rig=rig, gt_poses=poses, pyramids=pyramids, config=cfg,

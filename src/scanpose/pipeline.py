@@ -221,7 +221,7 @@ def bilinear_op(pyramids, positions: ad.Tensor, valid: np.ndarray) -> ad.Tensor:
                                              positions.requires_grad)
             np.multiply(value, mask[t], out=out[t, :, :, s])
             slopes.append(slope)
-    stencil = out.reshape((T, n, J, -1))
+    stencil = out.reshape((T, n, J, S * P * shape[-1]))
     if not positions.requires_grad:
         return ad.Tensor(stencil)
 
@@ -297,14 +297,15 @@ def weighted_sum_op(stencil: ad.Tensor, w_sp: ad.Tensor, S: int) -> ad.Tensor:
     the scales: the bytes of (x * w).sum(axis=4).sum(axis=3), whose last sum
     also turns -0.0 into +0.0. The backward reads the stencil's buffer."""
     T, n, J, K = stencil.shape
-    w = w_sp.data.reshape((n, J, S, -1, 1))
-    x = stencil.data.reshape((T, n, J) + w.shape[2:4] + (-1,))
+    P = w_sp.shape[-1] // S
+    w = w_sp.data.reshape((n, J, S, P, 1))
+    x = stencil.data.reshape((T, n, J, S, P, K // (S * P)))
     acc = x[:, :, :, :, 0] * w[:, :, :, 0]
-    for p in range(1, w.shape[3]):
+    for p in range(1, P):
         acc += x[:, :, :, :, p] * w[:, :, :, p]
     return ad.from_op(acc.sum(axis=3), (stencil, w_sp), lambda g: (
         (g[:, :, :, None, None] * w).reshape((T, n, J, K)),
-        (g[:, :, :, None, None] * x).sum(axis=0).sum(axis=-1).reshape((n, J, -1))))
+        (g[:, :, :, None, None] * x).sum(axis=0).sum(axis=-1).reshape((n, J, S * P))))
 
 
 def head_op(stencil: ad.Tensor, x2: ad.Tensor, w1: ad.Tensor, b1: ad.Tensor) -> ad.Tensor:
@@ -312,17 +313,18 @@ def head_op(stencil: ad.Tensor, x2: ad.Tensor, w1: ad.Tensor, b1: ad.Tensor) -> 
     without the concatenation: one GEMM per part of w1, the x2 (n, J, L) part
     once for all views. The backward reads the stencil's buffer, not a copy."""
     T, n, J, K = stencil.shape
-    rows, joints = stencil.data.reshape(-1, K), x2.data.reshape(n * J, -1)
+    L, H = x2.shape[-1], w1.shape[1]
+    rows, joints = stencil.data.reshape(T * n * J, K), x2.data.reshape(n * J, L)
     top, bottom = w1.data[:K], w1.data[K:]
-    out = np.tanh((rows @ top).reshape((T, n * J, -1)) + joints @ bottom + b1.data)
+    out = np.tanh((rows @ top).reshape((T, n * J, H)) + joints @ bottom + b1.data)
 
     def backward(g):
         gz = g.reshape(out.shape) * (1.0 - out * out)
-        gj, gz_rows = gz.sum(axis=0), gz.reshape(len(rows), -1)
-        return ((gz_rows @ top.T).reshape((T, n, J, K)), (gj @ bottom.T).reshape((n, J, -1)),
+        gj, gz_rows = gz.sum(axis=0), gz.reshape(len(rows), H)
+        return ((gz_rows @ top.T).reshape((T, n, J, K)), (gj @ bottom.T).reshape((n, J, L)),
                 np.concatenate([rows.T @ gz_rows, joints.T @ gj]), gz.sum(axis=(0, 1)))
 
-    return ad.from_op(out.reshape((T, n, J, -1)), (stencil, x2, w1, b1), backward)
+    return ad.from_op(out.reshape((T, n, J, H)), (stencil, x2, w1, b1), backward)
 
 
 # ---------------------------------------------------------------------------

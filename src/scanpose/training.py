@@ -39,8 +39,8 @@ def metric_rows(meta: dict, path: str) -> list:
     for row in rows:
         for col in METRIC_COLUMNS:
             value = container.require_keys(row, path, None, col)[col]
-            what, types = ("an int", int) if col == "epoch" else ("a number", (int, float))
-            if isinstance(value, bool) or not isinstance(value, types):
+            what, like = ("an int", 0) if col == "epoch" else ("a number", 0.0)
+            if not container.fits(value, like):
                 raise ValueError(f"{path}: metrics {col} must be {what}, got {value!r}")
     return rows
 

@@ -169,6 +169,8 @@ def test_eval_on_val_split_reproduces_logged_metrics(tmp_path):
     assert run(["train", "--config", cfg, "--out", str(run_dir),
                 "--scenes", str(scenes_dir)]) == 0
     params, pipe_cfg, meta = pipeline.load_model(str(run_dir / "model.bin"))
+    # the run seed is stored once, as the config's init_seed
+    assert pipe_cfg.init_seed == cfg_doc["seed"] and "seed" not in meta
     rows = meta["metrics"]
     scenes = cli.load_scene_dir(str(scenes_dir))
     run_cfg = cli.load_config(cfg)
@@ -269,7 +271,7 @@ def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
-def test_config_error_exits_2_and_writes_nothing(tmp_path):
+def test_config_error_exits_2_and_writes_nothing(tmp_path, capsys):
     bad = write_config(tmp_path, {"bogus_key": 1})
     out = tmp_path / "nothing"
     assert run(["generate", "--config", bad, "--out", str(out)]) == 2
@@ -312,9 +314,19 @@ def test_config_error_exits_2_and_writes_nothing(tmp_path):
                   "--set", "pipeline.num_tokens=1"],
                  # nothing to train on
                  ["train", "--config", good, "--set", "num_scenes=0"],
-                 ["ablate", "--config", good, "--set", "num_scenes=0"]):
+                 ["ablate", "--config", good, "--set", "num_scenes=0"],
+                 # pipeline fields the run config derives, even at their derived values
+                 ["train", "--config", good, "--set", "pipeline.feature_dim=8"],
+                 ["train", "--config", good, "--set", "pipeline.num_joints=6"],
+                 ["train", "--config", good, "--set", "pipeline.init_seed=7"]):
         assert run(argv + ["--out", str(out)]) == 2, argv
         assert not out.exists(), argv
+    capsys.readouterr()
+    assert run(["train", "--config", good, "--set", "pipeline.init_seed=7",
+                "--set", "pipeline.feature_dim=8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: a run config cannot set pipeline.feature_dim (set from "
+        "scene.feature_dim), pipeline.init_seed (set from seed)\n")
 
 
 def test_unknown_section_key_rejected(tmp_path):

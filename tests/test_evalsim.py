@@ -182,7 +182,10 @@ def test_camera_count_override_keeps_prefix_and_actors():
         assert np.allclose(fewer.rig.projections[k], base.rig.projections[k])
     for k in range(5):
         assert np.allclose(more.rig.projections[k], base.rig.projections[k])
-    assert len(more.rig) == 7
+    # a scene states its own camera count
+    for scene, K in ((fewer, 3), (base, 5), (more, 7)):
+        assert scene.config.num_cameras == K == len(scene.rig) == len(scene.pyramids)
+    assert fewer.config == dataclasses.replace(cfg, num_cameras=3)
 
 
 def test_coordinate_channels_consistent_across_levels():

@@ -8,7 +8,7 @@ from scanpose import cli
 from scanpose import evalsim as ev
 from scanpose import geometry as geo
 from scanpose import pipeline as pl
-from scanpose import ssm, tokens
+from scanpose import ssm, tokens, training
 from oracles import (attention_samples_loop, central_difference, head_composition,
                      project_ld, project_op_loop, rel_error, stencil_blocks,
                      triangulate_ld)
@@ -855,6 +855,26 @@ def test_eval_keeps_no_token_when_every_score_is_below_epsilon():
     assert last.positions_2d.data.shape == (3, 0, J, 2)
     report = ev.evaluate(last.geometry.data, last.scores.data, scene.gt_poses)
     assert report.num_predictions == 0 and not report.mpjpe_defined
+
+
+@pytest.mark.parametrize("variant", pl.BLOCK_VARIANTS)
+def test_eval_refines_no_token_after_an_earlier_layer_keeps_none(variant):
+    """With two layers and epsilon = 1 the first layer keeps no token, so the
+    second refines an empty token set: every sized reshape of zero tokens
+    holds, and the report counts no prediction."""
+    scene = tiny_scene()
+    config = tiny_config(scene, num_layers=2, epsilon=1.0, block_variant=variant)
+    params = pl.init_params(config, rng_seed=12)
+    outputs, _ = pl.run_pipeline(scene.pyramids, scene.rig,
+                                 {k: ad.Tensor(v) for k, v in params.items()}, config,
+                                 mode="eval")
+    J = config.num_joints
+    for out in outputs:
+        assert out.kept.shape == (0,) and out.geometry.data.shape == (0, J, 3)
+        assert out.positions_2d.data.shape == (3, 0, J, 2)
+    reports, mean_mpjpe, mean_ap25 = training.evaluate_model(params, config, [scene])
+    assert reports[0].num_predictions == 0 and not reports[0].mpjpe_defined
+    assert np.isnan(mean_mpjpe) and mean_ap25 == 0.0
 
 
 def seeded_head_params(config, seed):

@@ -5,7 +5,8 @@ is code only the tests reach: a second copy of something the pipeline does
 another way, or a wrapper kept for a test. The tests check the code the
 pipeline runs instead, against the oracles in tests/oracles.py. The same holds
 one level down: a defaulted parameter that no call in src/scanpose passes is a
-branch only the tests take, and it becomes a constant instead.
+branch only the tests take, and it becomes a constant instead; and a dataclass
+field that no code reads or serializes is a value computed to be dropped.
 """
 
 import ast
@@ -15,6 +16,7 @@ from collections import defaultdict
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "scanpose")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.dirname(TRACER)
 
 
 def _parse(src_dir):
@@ -171,3 +173,76 @@ def unpassed_defaults(src_dir):
 def test_src_passes_every_defaulted_parameter():
     unpassed = [p for p in unpassed_defaults(SRC) if p not in PASSED_BY_TESTS_ONLY]
     assert not unpassed, f"no call in src/ passes these parameters: {unpassed}"
+
+
+def _name_of(annotation):
+    """The class an annotation names: `SceneConfig`, `evalsim.SceneConfig` or
+    the string "RunConfig" all give the last dotted part."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value.split(".")[-1]
+    return getattr(annotation, "attr", None) or getattr(annotation, "id", None)
+
+
+def _dataclass_fields(trees):
+    """{class name: {field name: annotated class name}} of each @dataclass."""
+    found = {}
+    for cls in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        decorators = [getattr(d, "func", d) for d in cls.decorator_list]
+        if any(_name_of(d) == "dataclass" for d in decorators):
+            found[cls.name] = {item.target.id: _name_of(item.annotation) for item in cls.body
+                               if isinstance(item, ast.AnnAssign)
+                               and isinstance(item.target, ast.Name)}
+    return found
+
+
+def _class_of(node, params, fields):
+    """The class of a name or attribute chain, from the annotations of the
+    function's params ({name: class}) and of the dataclass fields; else None."""
+    if isinstance(node, ast.Name):
+        return params.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return fields.get(_class_of(node.value, params, fields), {}).get(node.attr)
+    return None
+
+
+def _serialized(trees, fields):
+    """Names of the dataclasses that an asdict call in the trees serializes,
+    known from annotations: asdict(config) serializes the class the parameter
+    config is annotated with, asdict(scene.config) the class of the field
+    config of scene's class, and asdict(self) the method's own class."""
+    found = set()
+    for tree in trees:
+        owners = {id(item): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for item in cls.body if isinstance(item, ast.FunctionDef)}
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            params = {a.arg: _name_of(a.annotation) for a in fn.args.args + fn.args.kwonlyargs
+                      if a.annotation is not None}
+            params["self"] = owners.get(id(fn))
+            found |= {_class_of(call.args[0], params, fields) for call in ast.walk(fn)
+                      if isinstance(call, ast.Call) and _name_of(call.func) == "asdict"}
+    return found
+
+
+def unread_fields(src_dir, reader_dir):
+    """`Class.field` for each field of a src_dir dataclass that no code in
+    src_dir or reader_dir reads as an attribute (by name, on any object) and
+    that no asdict call in src_dir serializes with its class."""
+    trees = list(_parse(src_dir).values())
+    fields = _dataclass_fields(trees)
+    serialized = _serialized(trees, fields)
+    trees += _parse(reader_dir).values()
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{cls}.{name}" for cls, names in fields.items() if cls not in serialized
+                  for name in names if name not in read)
+
+
+# the LayerOutput diagnostics that nothing reads yet: the per-layer run trace
+# (ROADMAP item 2) is to read them, and deletes any it leaves unread
+UNREAD_UNTIL_TRACED = {"LayerOutput.confidences", "LayerOutput.flagged"}
+
+
+def test_src_dataclass_fields_have_a_reader():
+    unread = set(unread_fields(SRC, PERFBENCH))
+    assert unread == UNREAD_UNTIL_TRACED, \
+        f"no code in src/ or perfbench/ reads these fields: {sorted(unread)}"
