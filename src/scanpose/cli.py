@@ -195,14 +195,11 @@ def cmd_generate(cfg: RunConfig, out_dir: str) -> int:
     scenes = build_scenes(cfg)
     # --out appears only once every scene is built
     os.makedirs(out_dir, exist_ok=True)
-    entries = []
-    for i, scene in enumerate(scenes):
-        name = f"scene_{i:03d}.bin"
-        evalsim.save_scene(scene, os.path.join(out_dir, name))
-        entries.append({"index": i, "file": name, "seed": scene.seed})
-    doc = {"kind": "scanpose-scene-set", "seed": cfg.seed,
-           "count": len(entries), "scenes": entries,
-           "config": {"scene": dataclasses.asdict(cfg.scene)}}
+    # each scene file holds its own seed and config; the manifest only lists them
+    entries = [{"file": f"scene_{i:03d}.bin"} for i in range(len(scenes))]
+    for scene, entry in zip(scenes, entries):
+        evalsim.save_scene(scene, os.path.join(out_dir, entry["file"]))
+    doc = {"kind": "scanpose-scene-set", "scenes": entries}
     atomic_write(os.path.join(out_dir, "scenes_manifest.json"),
                  json.dumps(doc, sort_keys=True).encode())
     print(f"wrote {len(entries)} scenes to {out_dir}")

@@ -74,7 +74,7 @@ def build_dataclass(cls, doc: dict, where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def save_container(path: str, arrays: dict, meta: dict | None = None) -> None:
+def save_container(path: str, arrays: dict, meta: dict) -> None:
     entries = []
     offset = 0
     blobs = []
@@ -87,7 +87,7 @@ def save_container(path: str, arrays: dict, meta: dict | None = None) -> None:
         blobs.append(blob)
         offset += len(blob)
     header = json.dumps({"version": FORMAT_VERSION, "arrays": entries,
-                         "meta": meta or {}}, sort_keys=True).encode()
+                         "meta": meta}, sort_keys=True).encode()
     atomic_write(path, MAGIC, len(header).to_bytes(8, "little"), header, *blobs)
 
 

@@ -232,6 +232,9 @@ def load_scene(path: str) -> Scene:
     cfg = container.build_dataclass(SceneConfig, meta["config"], path)
     try:
         rig = CameraRig(projections=arrays["rig/projections"], sizes=arrays["rig/sizes"])
+        if len(rig) != cfg.num_cameras:
+            raise ValueError(f"config.num_cameras is {cfg.num_cameras}, but the rig "
+                             f"has {len(rig)} views")
         poses = np.asarray(arrays["gt_poses"], dtype=float)
         if poses.shape != (cfg.num_actors, cfg.num_joints, 3):
             raise ValueError(f"gt_poses must be (num_actors, num_joints, 3) = "

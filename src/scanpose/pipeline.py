@@ -464,15 +464,18 @@ def refine_layer(visual: ad.Tensor, geom: ad.Tensor, pyramids, rig,
 # full pipeline
 # ---------------------------------------------------------------------------
 
-def init_token_state(config: PipelineConfig,
-                     init_seed: int | None = None) -> np.ndarray:
-    """Initial token geometry: grid-jittered T-pose translations. A per-scene
-    init_seed override varies the jitter so token identity carries no
+def init_token_state(config: PipelineConfig, scene_seed: int) -> np.ndarray:
+    """Initial token geometry (n, J, 3): the T-pose translated to jittered
+    grid centers on the ground plane. The jitter comes from the first child of
+    SeedSequence(mix), where mix combines the model's init_seed with the scene
+    seed, so each scene gets its own grid and token identity carries no
     placement information across scenes."""
+    mix = (config.init_seed * 1000003 + scene_seed) % (2 ** 31 - 1)
+    rng = np.random.default_rng(np.random.SeedSequence(mix).spawn(1)[0])
+    centers = tokens.grid_centers(config.num_tokens, config.ground_bounds, rng)
+    offsets = np.concatenate([centers, np.zeros((config.num_tokens, 1))], axis=1)
     template, _, _ = tokens.load_tpose(config.num_joints)
-    seed = config.init_seed if init_seed is None else init_seed
-    return tokens.initial_geometry(config.num_tokens, config.ground_bounds,
-                                   seed, template)
+    return template[None] + offsets[:, None]
 
 
 def score_op(visual: ad.Tensor, p: dict) -> ad.Tensor:
@@ -495,19 +498,19 @@ def check_inputs(config: PipelineConfig, pyramids, gt_poses=None) -> None:
 
 
 def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
-                 mode: str = "eval", init_seed: int | None = None):
+                 mode: str, scene_seed: int):
     """Initialize tokens and run M refinement layers.
 
     mode 'train' keeps every token through all layers (losses need stable
     indices); mode 'eval' filters by score >= epsilon per layer and applies
-    pose NMS after the final layer. init_seed overrides the token-grid jitter
-    (callers pass the scene seed). Returns (layer_outputs, initial_geometry).
+    pose NMS after the final layer. scene_seed places the token grid
+    (init_token_state). Returns (layer_outputs, initial_geometry).
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
     check_inputs(config, pyramids)
     p = param_tensors
-    geom0 = init_token_state(config, init_seed)
+    geom0 = init_token_state(config, scene_seed)
     n = config.num_tokens
     visual = p["person_embeds"].reshape((n, 1, config.feature_dim)) \
         + p["joint_embeds"].reshape((1, config.num_joints, config.feature_dim))
@@ -540,10 +543,8 @@ def run_pipeline(pyramids, rig, param_tensors: dict, config: PipelineConfig,
 # ---------------------------------------------------------------------------
 
 def save_model(path: str, params: dict, config: PipelineConfig,
-               extra_meta: dict | None = None) -> None:
-    meta = {"kind": "scanpose-model", "config": asdict(config)}
-    if extra_meta:
-        meta.update(extra_meta)
+               extra_meta: dict) -> None:
+    meta = {"kind": "scanpose-model", "config": asdict(config), **extra_meta}
     container.save_container(path, {f"param/{k}": np.asarray(v)
                                     for k, v in params.items()}, meta)
 

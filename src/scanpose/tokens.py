@@ -1,10 +1,11 @@
-"""Joint-token geometry: the T-pose template, grid initialization and pose NMS.
+"""Joint-token geometry: the T-pose template, the token grid and pose NMS.
 
 A token is one person hypothesis: per-joint visual features plus per-joint 3D
 geometry, held by the pipeline as stacked arrays ((n, J, L) and (n, J, 3)).
-Geometry starts as the canonical T-pose translated to grid-jittered ground
-centers. Scoring and the score filter live in the pipeline (score_op,
-run_pipeline); nms_keep_mask is the pose NMS it applies after the last layer.
+Geometry starts as the canonical T-pose translated to the jittered ground
+centers of grid_centers (pipeline.init_token_state seeds and places them).
+Scoring and the score filter live in the pipeline (score_op, run_pipeline);
+nms_keep_mask is the pose NMS it applies after the last layer.
 pose_distances is the mean per-joint distance that the NMS, the ground-truth
 matching and the evaluation all use.
 The T-pose template serializes as {"joints": [[x, y, z], ...], "names": [...],
@@ -52,21 +53,6 @@ def grid_centers(n: int, ground_bounds, rng: np.random.Generator) -> np.ndarray:
     row, col = np.divmod(np.arange(n), gx)
     return np.stack([xmin + (col + 0.5 + jit[:, 0]) * cw,
                      ymin + (row + 0.5 + jit[:, 1]) * ch], axis=1)
-
-
-def initial_geometry(n: int, ground_bounds, rng_seed: int,
-                     template: np.ndarray) -> np.ndarray:
-    """(n, J, 3) geometries: the T-pose translated to jittered grid centers.
-
-    The jitter comes from the first child of SeedSequence(rng_seed), so token
-    grids stay fixed for a given seed.
-    """
-    if n < 1:
-        raise ValueError("need at least one token")
-    jitter_rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(2)[0])
-    centers = grid_centers(n, ground_bounds, jitter_rng)
-    offsets = np.concatenate([centers, np.zeros((n, 1))], axis=1)
-    return template[None, :, :] + offsets[:, None, :]
 
 
 def pose_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

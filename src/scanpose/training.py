@@ -153,18 +153,12 @@ def split_scenes(scenes, val_fraction: float):
     return list(scenes[:-n_val]), list(scenes[-n_val:])
 
 
-def scene_init_seed(config: pipeline.PipelineConfig, scene: evalsim.Scene) -> int:
-    """Per-scene token-grid seed: deterministic mix of the model's init seed
-    and the scene seed, so token identities carry no placement information."""
-    return int((config.init_seed * 1000003 + scene.seed) % (2 ** 31 - 1))
-
-
 def scene_loss(param_tensors: dict, scene: evalsim.Scene,
                config: pipeline.PipelineConfig, train_cfg: TrainConfig):
     """Forward in train mode and total loss for one scene."""
     outputs, geom0 = pipeline.run_pipeline(scene.pyramids, scene.rig,
                                            param_tensors, config, mode="train",
-                                           init_seed=scene_init_seed(config, scene))
+                                           scene_seed=scene.seed)
     token_to_gt = match_gt(geom0, scene.gt_poses)
     gt_uv, _, gt_valid = project_batch(scene.rig.projections, scene.gt_poses)
     p_loss = pose_loss(token_to_gt, outputs, scene.gt_poses, gt_uv, gt_valid)
@@ -184,7 +178,7 @@ def evaluate_model(params: dict, config: pipeline.PipelineConfig, scenes):
     for scene in scenes:
         outputs, _ = pipeline.run_pipeline(scene.pyramids, scene.rig, tensors,
                                            config, mode="eval",
-                                           init_seed=scene_init_seed(config, scene))
+                                           scene_seed=scene.seed)
         last = outputs[-1]
         report = evalsim.evaluate(last.geometry.data, last.scores.data,
                                   scene.gt_poses)
@@ -196,7 +190,7 @@ def evaluate_model(params: dict, config: pipeline.PipelineConfig, scenes):
 
 
 def train(config: pipeline.PipelineConfig, scenes, rng_seed: int,
-          train_cfg: TrainConfig | None = None,
+          train_cfg: TrainConfig,
           initial_params: dict | None = None, epoch_offset: int = 0):
     """Adam over pose + classification loss. Returns (params, metric rows).
 
@@ -206,7 +200,6 @@ def train(config: pipeline.PipelineConfig, scenes, rng_seed: int,
     """
     if len(scenes) < 1:
         raise ValueError("need at least one scene")
-    train_cfg = train_cfg or TrainConfig()
     train_scenes, val_scenes = split_scenes(scenes, train_cfg.val_fraction)
     params = initial_params if initial_params is not None \
         else pipeline.init_params(config, rng_seed)

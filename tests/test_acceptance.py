@@ -215,7 +215,7 @@ def test_criterion_4_gradient_suite():
                    for k, v in pipeline.init_params(config, 104).items()
                    if k.startswith("layer0.") and
                    any(tag in k for tag in ("off_", "alog_", "aout_"))}
-    geom0 = pipeline.init_token_state(config)
+    geom0 = pipeline.init_token_state(config, scene.seed)
     visual0 = rng.normal(size=(4, 3, 8))
     mixer_holder = {}
 
@@ -251,7 +251,7 @@ def test_criterion_4_gradient_suite():
 
     def e2e_loss(tensors):
         outputs, _ = pipeline.run_pipeline(scene.pyramids, scene.rig, tensors,
-                                           cfg2, mode="train")
+                                           cfg2, mode="train", scene_seed=scene.seed)
         total = None
         for i, out in enumerate(outputs):
             for name, tens in (("g", out.geometry), ("u", out.positions_2d),
@@ -309,7 +309,7 @@ def test_criterion_5_smoke_training(smoke_run):
     for scene in val_scenes:
         outs, _ = pipeline.run_pipeline(
             scene.pyramids, scene.rig, tensors, pipe_cfg, mode="train",
-            init_seed=training.scene_init_seed(pipe_cfg, scene))
+            scene_seed=scene.seed)
         for layer, acc in ((outs[0], first_layer), (outs[-1], last_layer)):
             rep = evalsim.evaluate(layer.geometry.data, layer.scores.data,
                                    scene.gt_poses)
@@ -435,7 +435,6 @@ def test_criterion_9_command_determinism(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
 
-    identical = True
     for attempt in ("x", "y"):
         root = tmp_path / attempt
         assert cli.main(["generate", "--config", str(cfg_path),
@@ -454,14 +453,16 @@ def test_criterion_9_command_determinism(tmp_path):
         b = (tmp_path / "y" / rel).read_bytes()
         return a == b
 
-    checks = {
-        "scenes/scenes_manifest.json": same("scenes/scenes_manifest.json"),
+    scene_files = sorted(os.listdir(tmp_path / "x" / "scenes"))
+    assert scene_files == [f"scene_{i:03d}.bin" for i in range(3)] + ["scenes_manifest.json"]
+    checks = {f"scenes/{name}": same(f"scenes/{name}") for name in scene_files}
+    checks.update({
         "run/metrics.csv": same("run/metrics.csv"),
         "run/model.bin": same("run/model.bin"),
         "eval/report_cam3.csv": same("eval/report_cam3.csv"),
         "eval/sweep.csv": same("eval/sweep.csv"),
         "ablate/ablation.csv": same("ablate/ablation.csv"),
-    }
+    })
     identical = all(checks.values())
     _report(9, "command determinism", identical,
             ", ".join(k for k, v in checks.items() if not v) or "all byte-identical")

@@ -51,7 +51,8 @@ def test_generate_zero_scenes_ok(tmp_path):
     out = tmp_path / "empty"
     assert run(["generate", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "scenes_manifest.json").read_text())
-    assert doc["count"] == 0 and doc["scenes"] == []
+    assert doc == {"kind": "scanpose-scene-set", "scenes": []}
+    assert os.listdir(out) == ["scenes_manifest.json"]
 
 
 def test_generate_count_matches_request(tmp_path):
@@ -341,14 +342,19 @@ def test_set_overrides_apply_and_validate(tmp_path):
     out = tmp_path / "ovr"
     assert run(["generate", "--config", cfg, "--out", str(out),
                 "--set", "num_scenes=2"]) == 0
-    assert json.loads((out / "scenes_manifest.json").read_text())["count"] == 2
+    assert json.loads((out / "scenes_manifest.json").read_text())["scenes"] == [
+        {"file": "scene_000.bin"}, {"file": "scene_001.bin"}]
+    assert sorted(os.listdir(out)) == ["scene_000.bin", "scene_001.bin",
+                                       "scenes_manifest.json"]
     assert run(["generate", "--config", cfg, "--out", str(tmp_path / "y"),
                 "--set", "scene.bogus=1"]) == 2
-    # a float field takes an int, and the config echo keeps it as given
+    # a float field takes an int, and each scene file's config keeps it as given
     assert run(["generate", "--config", cfg, "--out", str(tmp_path / "z"),
                 "--set", "train.lambda_cls=1000", "--set", "scene.focal_scale=1"]) == 0
-    echo = json.loads((tmp_path / "z" / "scenes_manifest.json").read_text())
-    assert echo["config"]["scene"]["focal_scale"] == 1
+    for i in range(3):
+        _, meta = container.load_container(str(tmp_path / "z" / f"scene_{i:03d}.bin"))
+        echo = meta["config"]["focal_scale"]
+        assert echo == 1 and type(echo) is int
 
 
 def test_runtime_error_exits_3(tmp_path):
@@ -563,10 +569,9 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     b = tmp_path / "s2"
     assert run(["generate", "--config", cfg, "--out", str(a), "--seed", "21"]) == 0
     assert run(["generate", "--config", cfg, "--out", str(b), "--seed", "22"]) == 0
-    da = json.loads((a / "scenes_manifest.json").read_text())
-    db = json.loads((b / "scenes_manifest.json").read_text())
-    assert da["seed"] == 21 and db["seed"] == 22
-    assert da["scenes"][0]["seed"] == 21
+    # scene i of a set is seeded with the run seed + i
+    assert [scene.seed for scene in cli.load_scene_dir(str(a))] == [21, 22, 23]
+    assert [scene.seed for scene in cli.load_scene_dir(str(b))] == [22, 23, 24]
 
 
 @pytest.mark.parametrize("option", [["--seed", "3"], ["--set", "scene.focal_scale=0.7"],
@@ -712,12 +717,14 @@ def test_eval_on_set_manifest_with_wrong_type_exits_3_naming_it(tmp_path, capsys
      "gt_poses must be finite"),
     ("scene_000.bin", lambda arrays, meta: np.put(arrays["rig/projections"], 0, np.inf),
      "projections must be finite"),
+    ("scene_000.bin", lambda arrays, meta: meta["config"].update(num_cameras=5),
+     "config.num_cameras is 5, but the rig has 3 views"),
 ], ids=["model-config", "scene-config", "nan-grid", "poses-xy", "poses-unstacked",
-        "poses-no-actor", "nan-poses", "inf-projection"])
+        "poses-no-actor", "nan-poses", "inf-projection", "camera-count"])
 def test_eval_on_container_with_invalid_content_exits_3_naming_it(tmp_path, capsys, name,
                                                                  change, message):
     """A model or scene container whose config is not an object, or a scene
-    container whose grids, poses or projections fail their checks, makes
+    container whose grids, poses, projections or camera count fail their checks, makes
     eval exit 3 naming the file and the fault before --out exists."""
     path, err = eval_after_edit(tmp_path, capsys, name, edit_container(change))
     assert f"{path}: {message}" in err

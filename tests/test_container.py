@@ -65,7 +65,7 @@ def test_container_round_trips_dtype_shape_and_layout(tmp_path):
     base = np.arange(24, dtype=np.int32).reshape(4, 6)
     arrays = {"scalar": np.float32(2.5), "zero_d": np.array(-1.0), "empty": np.zeros((0, 3)),
               "strided": base[::2, 1::2], "transposed": base.T}
-    container.save_container(path, arrays)
+    container.save_container(path, arrays, {})
     loaded, meta = container.load_container(path)
     assert meta == {} and sorted(loaded) == sorted(arrays)
     for name, want in arrays.items():

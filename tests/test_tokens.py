@@ -30,31 +30,40 @@ def test_tpose_truncation_for_tiny_configs():
 
 
 # ---------------------------------------------------------------------------
-# initial geometry
+# initial geometry (pipeline.init_token_state)
 # ---------------------------------------------------------------------------
+
+def token_config(n, bounds=BOUNDS, init_seed=0):
+    return pl.PipelineConfig(num_tokens=n, ground_bounds=bounds, init_seed=init_seed)
+
 
 def test_init_single_token_at_degenerate_bounds():
     point = (730.0, -520.0)
-    geometry = tok.initial_geometry(1, (point[0], point[1], point[0], point[1]),
-                                    rng_seed=3, template=TEMPLATE)
+    config = token_config(1, (point[0], point[1], point[0], point[1]), init_seed=3)
+    geometry = pl.init_token_state(config, 0)
     assert geometry.shape == (1, 15, 3)
     assert np.allclose(geometry[0], TEMPLATE + np.array([point[0], point[1], 0.0]))
 
 
 def test_init_fixed_seed_is_bitwise_reproducible():
-    a = tok.initial_geometry(16, BOUNDS, rng_seed=7, template=TEMPLATE)
-    b = tok.initial_geometry(16, BOUNDS, rng_seed=7, template=TEMPLATE)
+    a = pl.init_token_state(token_config(16), 7)
+    b = pl.init_token_state(token_config(16), 7)
     assert np.array_equal(a, b)
 
 
 def test_init_jitter_is_first_child_of_seed_sequence():
-    # the stream fixes every token grid for a given seed; moving it would
-    # change all fixed-seed outputs
-    rng = np.random.default_rng(np.random.SeedSequence(1).spawn(2)[0])
+    # the stream fixes every token grid for a given model and scene seed;
+    # moving it would change all fixed-seed outputs
+    init_seed, scene_seed = 2, 1
+    mix = (init_seed * 1000003 + scene_seed) % (2 ** 31 - 1)
+    rng = np.random.default_rng(np.random.SeedSequence(mix).spawn(1)[0])
     centers = tok.grid_centers(9, BOUNDS, rng)
     expect = TEMPLATE[None] + np.concatenate([centers, np.zeros((9, 1))], axis=1)[:, None]
-    assert np.array_equal(tok.initial_geometry(9, BOUNDS, 1, TEMPLATE), expect)
-    assert not np.allclose(tok.initial_geometry(9, BOUNDS, 2, TEMPLATE), expect)
+    config = token_config(9, init_seed=init_seed)
+    assert np.array_equal(pl.init_token_state(config, scene_seed), expect)
+    assert not np.allclose(pl.init_token_state(config, scene_seed + 1), expect)
+    assert not np.allclose(pl.init_token_state(token_config(9, init_seed=3), scene_seed),
+                           expect)
 
 
 def test_grid_centers_match_per_token_loop_byte_for_byte():
@@ -66,7 +75,7 @@ def test_grid_centers_match_per_token_loop_byte_for_byte():
 
 def test_init_grid_covers_bounds_with_expected_pitch():
     n = 1024
-    geometry = tok.initial_geometry(n, BOUNDS, rng_seed=11, template=TEMPLATE)
+    geometry = pl.init_token_state(token_config(n), 11)
     centers = geometry[:, 2, :2]  # mid-hip = center
     assert np.all(centers[:, 0] >= BOUNDS[0]) and np.all(centers[:, 0] <= BOUNDS[2])
     assert np.all(centers[:, 1] >= BOUNDS[1]) and np.all(centers[:, 1] <= BOUNDS[3])
@@ -133,7 +142,8 @@ def scored():
     params["cls_w"] = rng.normal(scale=0.8, size=params["cls_w"].shape)
     params["cls_b"] = rng.normal(scale=0.5, size=2)
     outputs, _ = pl.run_pipeline(scene.pyramids, scene.rig,
-                                 pl.params_to_tensors(params), config, mode="train")
+                                 pl.params_to_tensors(params), config, mode="train",
+                                 scene_seed=scene.seed)
     return scene, config, params, outputs[0].scores.data
 
 
@@ -143,7 +153,8 @@ def first_layer_kept(scored, epsilon):
     scene, config, params, _ = scored
     config = dataclasses.replace(config, epsilon=epsilon)
     outputs, _ = pl.run_pipeline(scene.pyramids, scene.rig,
-                                 pl.params_to_tensors(params), config, mode="eval")
+                                 pl.params_to_tensors(params), config, mode="eval",
+                                 scene_seed=scene.seed)
     return list(outputs[0].kept)
 
 
