@@ -10,7 +10,9 @@ analytic backward passes.
 Retention rule: the tape holds nodes, never Tensors, and a closure captures
 the arrays, shapes and flags it reads, never a Tensor. An intermediate's data
 is therefore freed as soon as the forward drops its name, unless a backward
-reads it.
+reads it. backward() consumes the tape as it walks it: each node gives up its
+closure and parents once its cotangents exist, so a loss kept after
+backward() keeps only its value, and a second backward() raises.
 
 Broadcasting follows numpy; gradients are summed back over broadcast axes.
 """
@@ -22,13 +24,18 @@ import numpy as np
 
 class _Node:
     """The parents' nodes (None for a constant), the backward closure (None
-    for a leaf) and a leaf's accumulated gradient."""
+    for a leaf, _consumed once backward() has run it) and a leaf's
+    accumulated gradient."""
     __slots__ = ("parents", "backward", "grad")
 
     def __init__(self, parents=(), backward=None):
         self.parents = parents
         self.backward = backward
         self.grad = None
+
+
+def _consumed(upstream):
+    raise RuntimeError("backward() already consumed this tape")
 
 
 class Tensor:
@@ -71,7 +78,9 @@ class Tensor:
             if node.backward is None:
                 node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node.parents, node.backward(g)):
+            backward, parents = node.backward, node.parents
+            node.backward, node.parents = _consumed, ()
+            for parent, pg in zip(parents, backward(g)):
                 if pg is None or parent is None:
                     continue
                 key = id(parent)
@@ -79,6 +88,7 @@ class Tensor:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
+            del backward
 
     # -- operators -----------------------------------------------------------
 

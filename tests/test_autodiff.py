@@ -170,6 +170,40 @@ def test_gradient_accumulates_over_shared_nodes():
     assert np.allclose(a.grad, [7.0])
 
 
+def test_second_backward_raises_once_the_tape_is_consumed():
+    """A second backward() over a consumed tape raises, and the leaf
+    gradients stay those of the first call: replaying the tape would double
+    them (a.grad would read 14, not 7)."""
+    a = ad.parameter(np.array([2.0]))
+    x = a * a
+    y = x + a * 3.0
+    y.backward()
+    with pytest.raises(RuntimeError, match="already consumed"):
+        y.backward()
+    with pytest.raises(RuntimeError, match="already consumed"):
+        (x * 2.0).sum().backward()  # a new loss over a consumed node
+    assert np.array_equal(a.grad, [7.0])
+
+
+def _cube_keeping(x):
+    """x ** 3 through from_op, and a weakref to the array its closure captures."""
+    slope = 3.0 * x.data ** 2
+    return ad.from_op(x.data ** 3, (x,), lambda g: (slope * g,)), weakref.ref(slope)
+
+
+def test_kept_loss_holds_no_forward_cache():
+    """backward() consumes the tape: with the loss and the op's output still
+    alive, the array the op's closure captured is freed."""
+    x = ad.parameter(np.arange(4.0))
+    y, slope = _cube_keeping(x)
+    loss = y.sum()
+    assert slope() is not None
+    loss.backward()
+    assert slope() is None, "a kept loss still holds its forward's caches"
+    assert np.array_equal(x.grad, 3.0 * np.arange(4.0) ** 2)
+    assert loss.data == 36.0  # the loss keeps its value
+
+
 def test_no_grad_constants_stay_untracked():
     a = ad.Tensor(np.ones(3))
     b = ad.Tensor(np.ones(3))

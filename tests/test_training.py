@@ -374,6 +374,11 @@ SMOKE_TAPE_BOUND_MB = 45.0
 # concatenation with x2. The bound sits 2.2 MB (7%) above the forward that
 # holds it once and 2.0 MB below the one that held it twice
 SMOKE_TAPE_STENCIL_ONCE_BOUND_MB = 34.0
+# with the loss still held after backward(), one smoke step leaves 1.2 MB
+# live in a fresh process (0.2 MB once warm); it left 20.6-21.5 MB while
+# backward() left every closure on the tape. The bound sits 3.8 MB above the
+# first and 15.6 MB below the second
+SMOKE_KEPT_LOSS_BOUND_MB = 5.0
 
 
 def test_smoke_forward_tape_stays_small():
@@ -381,6 +386,22 @@ def test_smoke_forward_tape_stays_small():
     assert live_mb <= SMOKE_TAPE_BOUND_MB, f"{live_mb:.1f} MB live after the forward"
     total.backward()
     assert tensors["layer0.off_w"].grad is not None
+
+
+def test_smoke_kept_loss_holds_no_tape():
+    """A caller that keeps the loss after backward() keeps only its value
+    and the parameters' gradients, not the forward's caches."""
+    cfg, scene, tensors = smoke_forward()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        total, _, _ = tr.scene_loss(tensors, scene, cfg.pipeline, cfg.train)
+        total.backward()
+        kept_mb = (tracemalloc.get_traced_memory()[0] - before) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(total.data)
+    assert kept_mb <= SMOKE_KEPT_LOSS_BOUND_MB, f"{kept_mb:.1f} MB live after backward()"
 
 
 def test_smoke_forward_tape_holds_the_stencil_once():
