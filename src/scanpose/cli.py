@@ -256,12 +256,8 @@ def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
                                      initial_params=initial_params,
                                      epoch_offset=len(prior_metrics))
     all_metrics = prior_metrics + metrics
-    n_train = len(training.split_scenes(scenes, cfg.train.val_fraction)[0])
-    pipeline.save_model(
-        os.path.join(out_dir, "model.bin"), params, cfg.pipeline,
-        extra_meta={"metrics": all_metrics,
-                    "num_train_scenes": n_train,
-                    "num_scenes": len(scenes)})
+    pipeline.save_model(os.path.join(out_dir, "model.bin"), params, cfg.pipeline,
+                        extra_meta={"metrics": all_metrics})
     training.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), all_metrics)
     epochs = [m["epoch"] for m in all_metrics]
     write_line_svg(

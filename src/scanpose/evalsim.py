@@ -33,18 +33,6 @@ RECALL_RADIUS_MM = 500.0
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
-class ShapeMismatch(Exception):
-    pass
-
-
-class ZeroLengthLimb(Exception):
-    pass
-
-
-class ActorPlacementFailed(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class SceneConfig:
     num_actors: int = 2
@@ -113,7 +101,7 @@ def camera_ring(cfg: SceneConfig, rng: np.random.Generator) -> CameraRig:
 
 def sample_actor_poses(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     """(Z, J, 3) skeletons: template translated to spaced ground positions
-    with bounded uniform joint perturbations. Raises ActorPlacementFailed
+    with bounded uniform joint perturbations. Raises ValueError
     when 64 draws find no centre min_actor_spacing_mm from the others."""
     template, _, _ = load_tpose(cfg.num_joints)
     hx = cfg.space_size[0] / 2.0 * (1.0 - 2.0 * cfg.placement_margin)
@@ -126,7 +114,7 @@ def sample_actor_poses(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray
                    for prev in centers):
                 break
         else:
-            raise ActorPlacementFailed(
+            raise ValueError(
                 f"actor {z}: no centre at least {cfg.min_actor_spacing_mm} mm "
                 f"from the others in 64 draws over the placement box "
                 f"[{-hx}, {hx}] x [{-hy}, {hy}] mm")
@@ -297,12 +285,12 @@ def pcp(pred: np.ndarray, gt: np.ndarray, limb_table) -> float:
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
-        raise ShapeMismatch(f"pred {pred.shape} vs gt {gt.shape}")
+        raise ValueError(f"pred {pred.shape} vs gt {gt.shape}")
     correct = 0
     for a, b in limb_table:
         length = float(np.linalg.norm(gt[a] - gt[b]))
         if length <= 0.0:
-            raise ZeroLengthLimb(f"limb ({a}, {b}) has zero length")
+            raise ValueError(f"limb ({a}, {b}) has zero length")
         err = 0.5 * (np.linalg.norm(pred[a] - gt[a])
                      + np.linalg.norm(pred[b] - gt[b]))
         if err < 0.5 * length:

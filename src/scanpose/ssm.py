@@ -30,10 +30,6 @@ _PHI1P_COEFF = [k / math.factorial(k + 1) for k in range(1, 9)]
 _PHI1P_THRESHOLD = 0.05
 
 
-class EmptySequence(Exception):
-    pass
-
-
 def _phi1_prime(m: np.ndarray) -> np.ndarray:
     """Elementwise d/dm phi1(m) by its 8-term series, for |m| < _PHI1P_THRESHOLD."""
     out = 0.0
@@ -92,7 +88,7 @@ def selective_scan_batch(sel: SelectiveParams, x):
     abar and g with _zoh."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] == 0:
-        raise EmptySequence(f"expected non-empty (batch, steps, L), got {x.shape}")
+        raise ValueError(f"expected non-empty (batch, steps, L), got {x.shape}")
     (Bn, T, L), S = x.shape, sel.A.shape[1]
     # one GEMM per projection over every (step, batch) row, each transposed once
     rows = np.ascontiguousarray(np.swapaxes(x, 0, 1)).reshape(-1, L)

@@ -45,14 +45,6 @@ def metric_rows(meta: dict, path: str) -> list:
     return rows
 
 
-class InsufficientTokens(Exception):
-    pass
-
-
-class DivergenceDetected(Exception):
-    pass
-
-
 def match_gt(initial_geometry: np.ndarray, humans: np.ndarray) -> np.ndarray:
     """Greedy anchor matching: ground truths (Z, J, 3) claim, in index order,
     their nearest unclaimed token by mean-joint distance (ties to lower
@@ -60,7 +52,7 @@ def match_gt(initial_geometry: np.ndarray, humans: np.ndarray) -> np.ndarray:
     scored predictions. Returns token_to_gt (N,): a ground-truth index, or -1."""
     N, Z = len(initial_geometry), len(humans)
     if N < Z:
-        raise InsufficientTokens(f"{N} tokens cannot host {Z} humans")
+        raise ValueError(f"{N} tokens cannot host {Z} humans")
     token_to_gt = np.full(N, -1, dtype=int)
     for z, claimed, _ in evalsim.greedy_match(humans, np.zeros(Z), initial_geometry):
         token_to_gt[claimed] = z
@@ -221,19 +213,23 @@ def train(config: pipeline.PipelineConfig, scenes, rng_seed: int,
         epoch_pose.clear()
         epoch_cls.clear()
 
+    def check_finite(step):  # the parameters that step `step` starts from
+        if any(not np.all(np.isfinite(v)) for v in params.values()):
+            raise FloatingPointError(f"non-finite parameters at step {step}")
+
+    check_finite(0)
     for step in range(train_cfg.steps):
         scene = train_scenes[step % len(train_scenes)]
-        if any(not np.all(np.isfinite(v)) for v in params.values()):
-            raise DivergenceDetected(f"non-finite parameters at step {step}")
         tensors = pipeline.params_to_tensors(params)
         total, p_val, c_val = scene_loss(tensors, scene, config, train_cfg)
         if not (np.isfinite(p_val) and np.isfinite(c_val)):
-            raise DivergenceDetected(f"non-finite loss at step {step}")
+            raise FloatingPointError(f"non-finite loss at step {step}")
         epoch_pose.append(p_val)
         epoch_cls.append(c_val)
         total.backward()
         grads = {k: t.grad for k, t in tensors.items() if t.grad is not None}
         params = adam_step(params, grads, state, train_cfg.learning_rate)
+        check_finite(step + 1)
         if (step + 1) % len(train_scenes) == 0:
             flush_epoch()
     if epoch_pose or not metrics:

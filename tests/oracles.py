@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 
 from scanpose import autodiff as ad
-from scanpose import geometry, ssm
+from scanpose import geometry
 from scanpose.pipeline import MASK_MARGIN, _bilinear_forward
 from scanpose.tokens import _GRID_JITTER
 
@@ -442,7 +442,7 @@ def selective_scan_step_major(sel, x):
     kernel keeps its forward operation order, so y must match bit for bit."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] == 0:
-        raise ssm.EmptySequence(f"expected non-empty (batch, steps, L), got {x.shape}")
+        raise ValueError(f"expected non-empty (batch, steps, L), got {x.shape}")
     xt = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # (T, B, L)
     T, L, S = xt.shape[0], xt.shape[2], sel.A.shape[1]
     rows = xt.reshape(-1, L)  # one GEMM per projection over every (step, batch) row

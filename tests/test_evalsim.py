@@ -249,7 +249,7 @@ def test_scene_with_view_ids_and_scale_factors_loads(tmp_path):
 
 def test_actor_placement_fails_loudly_when_spacing_cannot_be_met():
     cfg = small_cfg(num_actors=6, min_actor_spacing_mm=4000.0)
-    with pytest.raises(ev.ActorPlacementFailed) as exc:
+    with pytest.raises(ValueError, match="no centre at least") as exc:
         ev.generate_scene(cfg, 9)
     message = str(exc.value)
     assert re.match(r"actor [1-5]: ", message) and "4000.0 mm" in message
@@ -420,9 +420,15 @@ def test_pcp_boundary_is_strict():
     assert ev.pcp(slightly_less, gt, [(0, 1)]) == 1.0
 
 
+def test_pcp_shape_mismatch():
+    template, _, limbs = load_tpose()
+    with pytest.raises(ValueError, match="vs gt"):
+        ev.pcp(template[:-1], template, limbs)
+
+
 def test_pcp_zero_length_limb():
     gt = np.zeros((2, 3))
-    with pytest.raises(ev.ZeroLengthLimb):
+    with pytest.raises(ValueError, match=r"limb \(0, 1\) has zero length"):
         ev.pcp(gt, gt, [(0, 1)])
 
 

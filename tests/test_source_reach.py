@@ -7,9 +7,12 @@ pipeline runs instead, against the oracles in tests/oracles.py. The same holds
 one level down: a defaulted parameter that no call in src/scanpose passes is a
 branch only the tests take, and it becomes a constant instead; and a dataclass
 field that no code reads or serializes is a value computed to be dropped.
+An exception class that no except clause in src/scanpose names is told apart
+from a built-in error only by the tests, so the code raises the built-in.
 """
 
 import ast
+import builtins
 import os
 import runpy
 from collections import defaultdict
@@ -246,3 +249,35 @@ def test_src_dataclass_fields_have_a_reader():
     unread = set(unread_fields(SRC, PERFBENCH))
     assert unread == UNREAD_UNTIL_TRACED, \
         f"no code in src/ or perfbench/ reads these fields: {sorted(unread)}"
+
+
+def _raisable_classes(trees):
+    """Names of the classes defined in the trees that derive from a built-in
+    exception, directly or through one another."""
+    bases = {cls.name: {_name_of(b) for b in cls.bases}
+             for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
+    known = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    found = set()
+    while True:
+        grown = {name for name, named in bases.items() if named & (known | found)}
+        if grown == found:
+            return found
+        found = grown
+
+
+def uncaught_exception_classes(src_dir):
+    """Names of the exception classes defined in src_dir that no except clause
+    in src_dir names, alone or in a tuple."""
+    trees = list(_parse(src_dir).values())
+    caught = set()
+    for handler in (n for tree in trees for n in ast.walk(tree)
+                    if isinstance(n, ast.ExceptHandler) and n.type is not None):
+        named = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        caught |= {_name_of(t) for t in named}
+    return sorted(_raisable_classes(trees) - caught)
+
+
+def test_src_exception_classes_are_caught():
+    uncaught = uncaught_exception_classes(SRC)
+    assert not uncaught, f"no except clause in src/ names these exception classes: {uncaught}"

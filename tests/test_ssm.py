@@ -207,7 +207,7 @@ def test_scan_linearity():
 
 
 def test_scan_empty_sequence_raises():
-    with pytest.raises(ssm.EmptySequence):
+    with pytest.raises(ValueError, match="expected non-empty"):
         lti_scan(*lti_system(np.random.default_rng(12)), [])
 
 
@@ -286,9 +286,9 @@ def test_selective_causality():
 
 def test_selective_empty_raises():
     sel = random_selective(np.random.default_rng(18))
-    with pytest.raises(ssm.EmptySequence):
+    with pytest.raises(ValueError, match="expected non-empty"):
         ssm.selective_scan_batch(sel, np.zeros((1, 0, 3)))
-    with pytest.raises(ssm.EmptySequence):
+    with pytest.raises(ValueError, match="expected non-empty"):
         ssm.selective_scan_batch(sel, np.zeros((0, 3)))  # one unbatched sequence
 
 
