@@ -266,9 +266,9 @@ def cmd_train(cfg: RunConfig, out_dir: str, scenes_dir: str | None = None,
          "cls_loss": (epochs, [m["cls_loss"] for m in all_metrics]),
          "val_mpjpe_mm": (epochs, [m["val_mpjpe_mm"] for m in all_metrics])},
         title="training curves", xlabel="epoch", ylabel="value")
-    final = all_metrics[-1] if all_metrics else {}
+    final = all_metrics[-1]  # train returns at least one row
     print(f"trained {cfg.train.steps} steps; final val_mpjpe_mm="
-          f"{final.get('val_mpjpe_mm')} ap25={final.get('ap25')}")
+          f"{final['val_mpjpe_mm']} ap25={final['ap25']}")
     return 0
 
 
@@ -277,34 +277,24 @@ def cmd_eval(model_path: str, scenes_dir: str, out_dir: str,
     params, pipe_cfg, _ = pipeline.load_model(model_path)
     scenes = load_scenes_for(pipe_cfg, scenes_dir)
     os.makedirs(out_dir, exist_ok=True)
-    camera_counts = cameras or [None]
     sweep = []
-    for K in camera_counts:
-        if K is None:
-            eval_scenes = scenes
-            tag = "default"
-        else:
-            eval_scenes = [evalsim.generate_scene(s.config, seed=s.seed,
-                                                  num_cameras=K)
-                           for s in scenes]
-            tag = f"cam{K}"
+    for K in cameras or [None]:
+        tag = "default" if K is None else f"cam{K}"
+        eval_scenes = scenes if K is None else [
+            evalsim.generate_scene(s.config, seed=s.seed, num_cameras=K) for s in scenes]
         reports, _, _ = training.evaluate_model(params, pipe_cfg, eval_scenes)
         for i, rep in enumerate(reports):
             atomic_write(os.path.join(out_dir, f"report_{tag}_scene{i:03d}.json"),
                          (rep.to_json() + "\n").encode())
-        names = [name for name, _ in reports[0].csv_rows()]
-        table = [[v for _, v in rep.csv_rows()] for rep in reports]
-        mean = {}
-        for name, column in zip(names, zip(*table)):  # the mean skips non-finite values
-            finite = [v for v in column if np.isfinite(v)]
-            mean[name] = float(np.mean(finite)) if finite else float("nan")
-        write_csv(os.path.join(out_dir, f"report_{tag}.csv"), ["scene"] + names,
-                  [[i] + row for i, row in enumerate(table)] + [["mean", *mean.values()]])
+        mean = evalsim.summarize(reports)
+        rows = [dict(rep.csv_rows()) for rep in reports]  # a column it lacks: an empty cell
+        write_csv(os.path.join(out_dir, f"report_{tag}.csv"), ["scene", *mean],
+                  [[i, *(row.get(name, "") for name in mean)] for i, row in enumerate(rows)]
+                  + [["mean", *mean.values()]])
         sweep.append((K, mean["mpjpe_mm"], mean["ap25"], mean["map"]))
         print(f"eval[{tag}]: mpjpe_mm={mean['mpjpe_mm']} ap25={mean['ap25']}")
     if len(sweep) >= 2:  # --cameras with two or more counts, all ints
-        ks = [float(k) for k, *_ in sweep]
-        _, _, aps, maps = zip(*sweep)
+        ks, _, aps, maps = zip(*sweep)
         write_line_svg(os.path.join(out_dir, "ap_vs_cameras.svg"),
                        {"ap25": (ks, aps), "map": (ks, maps)},
                        title="score vs camera count", xlabel="cameras",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import container
 from .geometry import CameraRig, look_at_camera, project_batch
-from .pipeline import FeaturePyramid, level_scales
+from .pipeline import FeaturePyramid, level_scales, level_shapes
 from .tokens import load_tpose, pose_distances
 
 MAP_THRESHOLDS_MM = (25.0, 50.0, 75.0, 100.0, 125.0, 150.0)
@@ -152,9 +152,8 @@ def render_pyramids(cfg: SceneConfig, rig: CameraRig, poses: np.ndarray,
     J = poses.shape[1]
     sig2 = 2.0 * cfg.heatmap_sigma_px ** 2
     factors, bases = level_scales(cfg.num_scales), []
-    for f_s in factors:
-        W_s = max(int(round(cfg.image_width * f_s)), 1)
-        H_s = max(int(round(cfg.image_height * f_s)), 1)
+    for f_s, (H_s, W_s) in zip(factors, level_shapes(cfg.image_width, cfg.image_height,
+                                                     cfg.num_scales)):
         cols, rows = np.meshgrid(np.arange(W_s), np.arange(H_s))
         xn = (cols / f_s) / cfg.image_width
         yn = (rows / f_s) / cfg.image_height
@@ -212,8 +211,9 @@ def save_scene(scene: Scene, path: str) -> None:
 
 
 def load_scene(path: str) -> Scene:
-    """The scene in the container at path; a ValueError names path. Arrays
-    the scene does not read are ignored."""
+    """The scene in the container at path; a ValueError names path. Every
+    view and grid must have the config's image size. Arrays the scene does
+    not read are ignored."""
     arrays, meta = container.load_container(path)
     container.require_keys(meta, path, "scanpose-scene", "config", "seed")
     container.require_keys(arrays, path, None, "rig/projections", "rig/sizes", "gt_poses")
@@ -223,6 +223,10 @@ def load_scene(path: str) -> Scene:
         if len(rig) != cfg.num_cameras:
             raise ValueError(f"config.num_cameras is {cfg.num_cameras}, but the rig "
                              f"has {len(rig)} views")
+        size = (cfg.image_width, cfg.image_height)
+        if np.any(rig.sizes != size):
+            raise ValueError(f"rig/sizes must be the config's image size {size} in every "
+                             f"view, got {rig.sizes.tolist()}")
         poses = np.asarray(arrays["gt_poses"], dtype=float)
         if poses.shape != (cfg.num_actors, cfg.num_joints, 3):
             raise ValueError(f"gt_poses must be (num_actors, num_joints, 3) = "
@@ -234,6 +238,10 @@ def load_scene(path: str) -> Scene:
             levels = []
             while f"view{t}/level{len(levels)}" in arrays:
                 levels.append(arrays[f"view{t}/level{len(levels)}"])
+            for s, (grid, shape) in enumerate(zip(levels, level_shapes(*size, len(levels)))):
+                if grid.shape[:2] != shape:
+                    raise ValueError(f"view{t}/level{s} is {grid.shape[:2]} (H, W), not the "
+                                     f"{shape} that image size {size} gives level {s}")
             pyramids.append(FeaturePyramid(levels=tuple(levels)))
         return Scene(rig=rig, gt_poses=poses, pyramids=pyramids, config=cfg,
                      seed=int(meta["seed"]))
@@ -347,3 +355,14 @@ def evaluate(pred_poses: np.ndarray, pred_scores: np.ndarray,
         recall=float(recall), pcp_per_actor=pcp_per_actor,
         pcp_avg=float(np.mean(pcp_per_actor)),
         num_predictions=int(len(pred_poses)), num_gt=int(Z))
+
+
+def summarize(reports) -> dict:
+    """The scene-set row: for each csv_rows column of the report with the most
+    ground truths (a superset of the others'), the mean of the reports' finite
+    values, or NaN where none has one; an undefined MPJPE is NaN, so skipped."""
+    rows = [dict(rep.csv_rows()) for rep in reports]
+    columns = {name: [row[name] for row in rows if np.isfinite(row.get(name, np.nan))]
+               for name, _ in max(reports, key=lambda rep: rep.num_gt).csv_rows()}
+    return {name: float(np.mean(finite)) if finite else float("nan")
+            for name, finite in columns.items()}

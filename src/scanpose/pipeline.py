@@ -40,6 +40,12 @@ def level_scales(num_scales: int) -> np.ndarray:
     return 0.5 ** np.arange(num_scales)
 
 
+def level_shapes(width: int, height: int, num_scales: int) -> list:
+    """(H, W) of each level of a width x height image, each side rounded, >= 1."""
+    return [(max(int(round(height * f)), 1), max(int(round(width * f)), 1))
+            for f in level_scales(num_scales)]
+
+
 @dataclass(frozen=True)
 class FeaturePyramid:
     """Per-view multi-scale feature grids: levels[s] is (H_s, W_s, L), the

@@ -162,9 +162,9 @@ def scene_loss(param_tensors: dict, scene: evalsim.Scene,
 
 
 def evaluate_model(params: dict, config: pipeline.PipelineConfig, scenes):
-    """Eval-mode pipeline + metric report per scene; returns per-scene reports
-    and the (nan-aware) mean MPJPE and mean AP25. The weights are plain
-    Tensors, so the forward records no tape and keeps no backward caches."""
+    """Eval-mode pipeline + metric report per scene; returns the reports and
+    their evalsim.summarize MPJPE and AP25. The weights are plain Tensors, so
+    the forward records no tape and keeps no backward caches."""
     tensors = {k: ad.Tensor(v) for k, v in params.items()}
     reports = []
     for scene in scenes:
@@ -172,13 +172,9 @@ def evaluate_model(params: dict, config: pipeline.PipelineConfig, scenes):
                                            config, mode="eval",
                                            scene_seed=scene.seed)
         last = outputs[-1]
-        report = evalsim.evaluate(last.geometry.data, last.scores.data,
-                                  scene.gt_poses)
-        reports.append(report)
-    mpjpes = [r.mpjpe_mm for r in reports if r.mpjpe_defined]
-    mean_mpjpe = float(np.mean(mpjpes)) if mpjpes else float("nan")
-    mean_ap25 = float(np.mean([r.ap[25.0] for r in reports]))
-    return reports, mean_mpjpe, mean_ap25
+        reports.append(evalsim.evaluate(last.geometry.data, last.scores.data, scene.gt_poses))
+    summary = evalsim.summarize(reports)
+    return reports, summary["mpjpe_mm"], summary["ap25"]
 
 
 def train(config: pipeline.PipelineConfig, scenes, rng_seed: int,

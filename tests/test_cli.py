@@ -219,7 +219,8 @@ def test_ablate_emits_four_rows_deterministically(tmp_path):
 def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
     """metrics.csv, report_*.csv, sweep.csv and ablation.csv written from
     fixed inputs, byte for byte: a float cell is its repr, so it reads back
-    exactly, and the report's mean row averages each column's finite values."""
+    exactly, and the report's mean row averages each column's finite values,
+    also over scenes of different actor counts."""
     nan, inf = float("nan"), float("inf")
     training.write_metrics_csv(str(tmp_path / "metrics.csv"), [
         {"epoch": 0, "pose_loss": 0.1 + 0.2, "cls_loss": nan,
@@ -233,7 +234,14 @@ def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
     found = evalsim.EvalReport(
         mpjpe_mm=123.25, mpjpe_defined=True, ap={25.0: 1 / 3, 50.0: 1.0}, map=2 / 3,
         recall=1.0, pcp_per_actor=[0.7], pcp_avg=0.7, num_predictions=2, num_gt=1)
-    evaluated = {3: ([missed, found], 123.25, 1 / 6), 5: ([found, found], 123.25, 1 / 3)}
+    # a 1-actor and a 3-actor scene: the header and the mean row have the
+    # 3-actor columns, and the 1-actor row leaves the PCP of actors 1 and 2 empty
+    trio = evalsim.EvalReport(
+        mpjpe_mm=200.5, mpjpe_defined=True, ap={25.0: 0.0, 50.0: 0.5}, map=0.25,
+        recall=2 / 3, pcp_per_actor=[0.5, 0.25, 0.0], pcp_avg=0.25, num_predictions=3,
+        num_gt=3)
+    evaluated = {3: ([missed, found], 123.25, 1 / 6), 5: ([found, found], 123.25, 1 / 3),
+                 7: ([found, trio], 161.875, 1 / 6)}
     monkeypatch.setattr(pipeline, "load_model", lambda path: ({}, None, {}))
     monkeypatch.setattr(cli, "load_scenes_for", lambda config, path: [
         SimpleNamespace(config=None, seed=seed) for seed in (0, 1)])
@@ -241,7 +249,7 @@ def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
                         lambda config, seed, num_cameras: num_cameras)
     monkeypatch.setattr(training, "evaluate_model",
                         lambda params, config, scenes: evaluated[scenes[0]])
-    assert cli.cmd_eval("model.bin", "scenes", str(tmp_path), cameras=[3, 5]) == 0
+    assert cli.cmd_eval("model.bin", "scenes", str(tmp_path), cameras=[3, 5, 7]) == 0
 
     last = {"pss": {"val_mpjpe_mm": 917.5, "ap25": 0.1 + 0.2, "pose_loss": 1e-05,
                     "cls_loss": 0.7},
@@ -261,9 +269,16 @@ def test_csv_outputs_keep_their_bytes(tmp_path, monkeypatch):
                            "0,nan,0.0,0.0,0.0,0.0,0.0,0.0\n"
                            "1,123.25,1.0,0.6666666666666666,0.3333333333333333,1.0,70.0,70.0\n"
                            "mean,123.25,0.5,0.3333333333333333,0.16666666666666666,0.5,35.0,35.0\n",
+        "report_cam7.csv": "scene,mpjpe_mm,recall,map,ap25,ap50,pcp_actor0_pct,pcp_actor1_pct,"
+                           "pcp_actor2_pct,pcp_avg_pct\n"
+                           "0,123.25,1.0,0.6666666666666666,0.3333333333333333,1.0,70.0,,,70.0\n"
+                           "1,200.5,0.6666666666666666,0.25,0.0,0.5,50.0,25.0,0.0,25.0\n"
+                           "mean,161.875,0.8333333333333333,0.4583333333333333,"
+                           "0.16666666666666666,0.75,60.0,25.0,0.0,47.5\n",
         "sweep.csv": "cameras,mpjpe_mm,ap25,map\n"
                      "3,123.25,0.16666666666666666,0.3333333333333333\n"
-                     "5,123.25,0.3333333333333333,0.6666666666666666\n",
+                     "5,123.25,0.3333333333333333,0.6666666666666666\n"
+                     "7,161.875,0.16666666666666666,0.4583333333333333\n",
         "ablation.csv": "variant,val_mpjpe_mm,ap25,pose_loss,cls_loss\n"
                         "pss,917.5,0.30000000000000004,1e-05,0.7\n"
                         "mean,nan,0.0,3985.0,inf\n",
@@ -719,12 +734,19 @@ def test_eval_on_set_manifest_with_wrong_type_exits_3_naming_it(tmp_path, capsys
      "projections must be finite"),
     ("scene_000.bin", lambda arrays, meta: meta["config"].update(num_cameras=5),
      "config.num_cameras is 5, but the rig has 3 views"),
+    ("scene_000.bin", lambda arrays, meta: arrays.update({"rig/sizes": arrays["rig/sizes"] * 2}),
+     "rig/sizes must be the config's image size (64, 48) in every view, "
+     "got [[128, 96], [128, 96], [128, 96]]"),
+    ("scene_000.bin",
+     lambda arrays, meta: arrays.update({"view1/level1": arrays["view1/level1"][:-1]}),
+     "view1/level1 is (23, 32) (H, W), not the (24, 32) that image size (64, 48) gives level 1"),
 ], ids=["model-config", "scene-config", "nan-grid", "poses-xy", "poses-unstacked",
-        "poses-no-actor", "nan-poses", "inf-projection", "camera-count"])
+        "poses-no-actor", "nan-poses", "inf-projection", "camera-count", "image-size",
+        "grid-size"])
 def test_eval_on_container_with_invalid_content_exits_3_naming_it(tmp_path, capsys, name,
                                                                  change, message):
     """A model or scene container whose config is not an object, or a scene
-    container whose grids, poses, projections or camera count fail their checks, makes
-    eval exit 3 naming the file and the fault before --out exists."""
+    container whose grids, poses, projections, camera count or image size fail their
+    checks, makes eval exit 3 naming the file and the fault before --out exists."""
     path, err = eval_after_edit(tmp_path, capsys, name, edit_container(change))
     assert f"{path}: {message}" in err

@@ -215,22 +215,27 @@ def assert_same_scene(loaded, original):
 
 
 def test_scene_roundtrip(tmp_path):
-    """A scene comes back from its container byte for byte, also with a
-    rig of two image sizes; the file holds the rig, the poses and the grids
-    and nothing else."""
+    """A scene comes back from its container byte for byte, also with its
+    views' projections in reverse order; the file holds the rig, the poses
+    and the grids and nothing else. A rig of two image sizes does not load:
+    a scene states one image size, its config's."""
     cfg = small_cfg(num_actors=2, feature_dim=20)
     scene = ev.generate_scene(cfg, 42)
     swapped = dataclasses.replace(scene, rig=geo.CameraRig(
-        projections=scene.rig.projections[::-1], sizes=[[128, 96], [80, 60], [128, 96]]))
+        projections=scene.rig.projections[::-1], sizes=scene.rig.sizes))
     for i, original in enumerate((scene, swapped)):
         path = str(tmp_path / f"scene_{i:03d}.bin")
         ev.save_scene(original, path)
         assert set(container.load_container(path)[0]) == {
             "rig/projections", "rig/sizes", "gt_poses",
             *(f"view{t}/level{s}" for t in range(3) for s in range(2))}
-        loaded = ev.load_scene(path)
-        assert_same_scene(loaded, original)
-    assert loaded.rig.sizes.tolist() == [[128, 96], [80, 60], [128, 96]]
+        assert_same_scene(ev.load_scene(path), original)
+    path = str(tmp_path / "mixed.bin")
+    ev.save_scene(dataclasses.replace(scene, rig=geo.CameraRig(
+        projections=scene.rig.projections, sizes=[[96, 72], [80, 60], [96, 72]])), path)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: rig/sizes must be the config's image size (96, 72) in every view")):
+        ev.load_scene(path)
 
 
 def test_scene_with_view_ids_and_scale_factors_loads(tmp_path):
@@ -512,3 +517,29 @@ def test_report_serialization():
     rows = dict(report.csv_rows())
     assert "mpjpe_mm" in rows and "ap25" in rows
     assert rows["pcp_avg_pct"] == 100.0  # percentage on the CSV surface
+
+
+def test_summarize_averages_each_columns_finite_values():
+    """The scene-set row: a scene whose MPJPE is undefined is left out of the
+    MPJPE mean, a column no scene fills reads NaN, and a 1-actor and a
+    3-actor scene give the 3-actor columns in its order, in either order of
+    the scenes, each PCP column averaged over the scenes that have it."""
+    nan = float("nan")
+
+    def report(mpjpe, pcp):
+        return ev.EvalReport(mpjpe_mm=mpjpe, mpjpe_defined=not np.isnan(mpjpe),
+                             ap={25.0: 0.5}, map=0.5, recall=1.0, pcp_per_actor=pcp,
+                             pcp_avg=float(np.mean(pcp)), num_predictions=len(pcp),
+                             num_gt=len(pcp))
+
+    missed, found = report(nan, [0.0]), report(100.0, [0.5])
+    assert ev.summarize([missed, found])["mpjpe_mm"] == 100.0
+    assert ev.summarize([found, missed])["recall"] == 1.0
+    assert np.isnan(ev.summarize([missed, missed])["mpjpe_mm"])
+    trio = report(300.0, [1.0, 0.5, 0.0])
+    for pair in ([found, trio], [trio, found]):
+        summary = ev.summarize(pair)
+        assert list(summary) == [name for name, _ in trio.csv_rows()]
+        assert summary["mpjpe_mm"] == 200.0
+        assert summary["pcp_actor0_pct"] == 75.0 and summary["pcp_actor1_pct"] == 50.0
+        assert summary["pcp_actor2_pct"] == 0.0 and summary["pcp_avg_pct"] == 50.0
